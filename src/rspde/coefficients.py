@@ -8,7 +8,10 @@ Both coefficients act pointwise on the state vector u in R^d:
 
 Grid-vectorized evaluation: b maps a (d, J) state block to (d, J), sigma
 to (d, m, J).  Registry entries are declared with a Lipschitz constant
-that ``audit_lipschitz`` spot-checks on random pairs.
+that ``audit_lipschitz`` spot-checks on random pairs.  The ``zero`` and
+``constant`` rules do not read the state; ``state_free_drift`` and
+``state_free_diffusion`` return their value once, so the solvers can
+take that work out of the time-step loop.
 """
 
 from __future__ import annotations
@@ -37,6 +40,18 @@ class ModelCoefficients:
     def diffusion(self, u: np.ndarray) -> np.ndarray:
         """sigma(u) for a (d, J) state block -> (d, m, J)."""
         return _SIGMA_RULES[self.sigma_name](u, self.m, self.sigma_params)
+
+    def state_free_drift(self):
+        """b as a (d,) vector when the rule ignores the state, else None."""
+        if self.b_name not in _STATE_FREE:
+            return None
+        return np.array(self.drift(np.zeros((self.d, 1)))[:, 0])
+
+    def state_free_diffusion(self):
+        """sigma as a (d, m) matrix when the rule ignores the state, else None."""
+        if self.sigma_name not in _STATE_FREE:
+            return None
+        return np.array(self.diffusion(np.zeros((self.d, 1)))[:, :, 0])
 
 
 def _b_zero(u, params):
@@ -83,6 +98,9 @@ def _sigma_diag_affine(u, m, params):
 
 _SIGMA_RULES = {"zero": _sigma_zero, "constant": _sigma_constant,
                 "diag_affine": _sigma_diag_affine}
+
+# Rules, in both registries, whose value does not depend on the state.
+_STATE_FREE = frozenset({"zero", "constant"})
 
 
 def make_coefficients(d: int, m: int, b: dict, sigma: dict) -> ModelCoefficients:

@@ -57,6 +57,12 @@ class NormalResult:
     nonsmooth: bool = False
 
 
+def _row_norms(points):
+    # np.linalg.norm(points, axis=1), the same arithmetic without that
+    # function's dispatch cost: ball queries run on every solver step.
+    return np.sqrt(np.add.reduce(points * points, axis=1))
+
+
 def _as_batch(points):
     p = np.asarray(points, dtype=float)
     if p.ndim == 1:
@@ -74,13 +80,15 @@ class ConvexDomain:
     # -- core queries -------------------------------------------------
 
     def project_many(self, points: np.ndarray) -> np.ndarray:
+        """Projections of a batch.  When every point lies inside, a body
+        may return ``points`` itself, so callers must not write to it."""
         raise NotImplementedError
 
     def contains_many(self, points: np.ndarray, tol: float = None) -> np.ndarray:
         raise NotImplementedError
 
-    def interior_gap(self, x: np.ndarray) -> float:
-        """Minimal face margin of x (negative when x violates a face).
+    def interior_gap_many(self, points: np.ndarray) -> np.ndarray:
+        """Minimal face margin of each point (negative when it violates a face).
 
         For points inside the body this is zero exactly on the boundary
         and positive in the interior; it is the active-set criterion used
@@ -88,11 +96,16 @@ class ConvexDomain:
         """
         raise NotImplementedError
 
-    def outward_normal(self, x: np.ndarray) -> NormalResult:
+    def outward_normal_many(self, points: np.ndarray) -> tuple:
+        """(normals, nonsmooth) for a batch of boundary points.
+
+        Raises GeometryError when any point is off the boundary; see
+        NormalResult for the vector at corners and edges.
+        """
         raise NotImplementedError
 
-    def ray_exit(self, direction: np.ndarray) -> float:
-        """t > 0 such that t*direction lies on the boundary (0 interior)."""
+    def ray_exit_many(self, directions: np.ndarray) -> np.ndarray:
+        """t > 0 per row u such that t*u lies on the boundary (0 interior)."""
         raise NotImplementedError
 
     @property
@@ -109,6 +122,16 @@ class ConvexDomain:
         raise NotImplementedError
 
     # -- convenience wrappers -----------------------------------------
+
+    def interior_gap(self, x) -> float:
+        return float(self.interior_gap_many(_as_batch(x)[0])[0])
+
+    def outward_normal(self, x) -> NormalResult:
+        vectors, nonsmooth = self.outward_normal_many(_as_batch(x)[0])
+        return NormalResult(vectors[0], bool(nonsmooth[0]))
+
+    def ray_exit(self, direction) -> float:
+        return float(self.ray_exit_many(_as_batch(direction)[0])[0])
 
     def project(self, y) -> np.ndarray:
         batch, squeeze = _as_batch(y)
@@ -129,11 +152,12 @@ class ConvexDomain:
         out = self.contains_many(batch, tol)
         return bool(out[0]) if squeeze else out
 
-    def _membership_slack(self) -> float:
+    def _set_membership_slack(self) -> None:
         # A few ulps at the scale of the body: projections that land on the
         # boundary must test as members, so project(project(x)) == project(x)
-        # bit for bit for the closed-form bodies.
-        return 32.0 * _EPS * (self.bounding_radius + 1.0)
+        # bit for bit for the closed-form bodies.  Bodies do not change once
+        # built, so this is computed once, at the end of __init__.
+        self._slack = 32.0 * _EPS * (self.bounding_radius + 1.0)
 
 
 class Ball(ConvexDomain):
@@ -147,35 +171,37 @@ class Ball(ConvexDomain):
         if np.linalg.norm(self.center) >= self.radius:
             raise GeometryError("ball must contain the origin in its interior")
         self.dim = self.center.size
+        self._set_membership_slack()
 
     def contains_many(self, points, tol=None):
         if tol is None:
-            tol = self._membership_slack()
-        return np.linalg.norm(points - self.center, axis=1) <= self.radius + tol
+            tol = self._slack
+        return _row_norms(points - self.center) <= self.radius + tol
 
     def project_many(self, points):
         diff = points - self.center
-        dist = np.linalg.norm(diff, axis=1)
-        inside = dist <= self.radius + self._membership_slack()
+        dist = _row_norms(diff)
+        inside = dist <= self.radius + self._slack
+        if inside.all():
+            return points
         scale = np.ones_like(dist)
         np.divide(self.radius, dist, out=scale, where=~inside)
         return np.where(inside[:, None], points, self.center + diff * scale[:, None])
 
-    def interior_gap(self, x):
-        return self.radius - float(np.linalg.norm(np.asarray(x, dtype=float) - self.center))
+    def interior_gap_many(self, points):
+        return self.radius - np.linalg.norm(points - self.center, axis=1)
 
-    def outward_normal(self, x):
-        x = np.asarray(x, dtype=float)
-        if abs(self.interior_gap(x)) > BOUNDARY_ATOL:
+    def outward_normal_many(self, points):
+        v = points - self.center
+        nv = np.linalg.norm(v, axis=1)
+        if np.any(np.abs(self.radius - nv) > BOUNDARY_ATOL):
             raise GeometryError("outward_normal: point is not on the boundary")
-        v = x - self.center
-        return NormalResult(v / np.linalg.norm(v))
+        return v / nv[:, None], np.zeros(len(points), dtype=bool)
 
-    def ray_exit(self, direction):
-        u = np.asarray(direction, dtype=float)
-        b = float(u @ self.center)
+    def ray_exit_many(self, directions):
+        b = directions @ self.center
         c = float(self.center @ self.center) - self.radius ** 2
-        return b + math.sqrt(b * b - c)
+        return b + np.sqrt(b * b - c)
 
     @property
     def bounding_radius(self):
@@ -200,40 +226,36 @@ class Box(ConvexDomain):
         if not np.all(self.lower < 0) or not np.all(self.upper > 0):
             raise GeometryError("box must contain the origin in its interior")
         self.dim = self.lower.size
+        self._set_membership_slack()
 
     def contains_many(self, points, tol=None):
         if tol is None:
-            tol = self._membership_slack()
+            tol = self._slack
         return np.all((points >= self.lower - tol) & (points <= self.upper + tol), axis=1)
 
     def project_many(self, points):
         return np.clip(points, self.lower, self.upper)
 
-    def interior_gap(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(min(np.min(x - self.lower), np.min(self.upper - x)))
+    def interior_gap_many(self, points):
+        return np.minimum(np.min(points - self.lower, axis=1),
+                          np.min(self.upper - points, axis=1))
 
-    def outward_normal(self, x):
-        x = np.asarray(x, dtype=float)
-        lo_active = np.abs(x - self.lower) <= BOUNDARY_ATOL
-        hi_active = np.abs(self.upper - x) <= BOUNDARY_ATOL
-        if self.interior_gap(x) < -BOUNDARY_ATOL:
+    def outward_normal_many(self, points):
+        lo_active = np.abs(points - self.lower) <= BOUNDARY_ATOL
+        hi_active = np.abs(self.upper - points) <= BOUNDARY_ATOL
+        if np.any(self.interior_gap_many(points) < -BOUNDARY_ATOL):
             raise GeometryError("outward_normal: point is outside the box")
-        n_active = int(lo_active.sum() + hi_active.sum())
-        if n_active == 0:
+        n_active = lo_active.sum(axis=1) + hi_active.sum(axis=1)
+        if np.any(n_active == 0):
             raise GeometryError("outward_normal: point is not on the boundary")
         v = hi_active.astype(float) - lo_active.astype(float)
-        return NormalResult(v / np.linalg.norm(v), nonsmooth=n_active > 1)
+        return v / np.linalg.norm(v, axis=1)[:, None], n_active > 1
 
-    def ray_exit(self, direction):
-        u = np.asarray(direction, dtype=float)
-        t = np.inf
-        for i in range(self.dim):
-            if u[i] > 0:
-                t = min(t, self.upper[i] / u[i])
-            elif u[i] < 0:
-                t = min(t, self.lower[i] / u[i])
-        return t
+    def ray_exit_many(self, directions):
+        with np.errstate(divide="ignore"):
+            t = np.where(directions > 0, self.upper / directions,
+                         np.where(directions < 0, self.lower / directions, np.inf))
+        return np.min(t, axis=1)
 
     @property
     def bounding_radius(self):
@@ -271,21 +293,19 @@ class Polytope(ConvexDomain):
             raise GeometryError("polytope must contain the origin in its interior")
         self.dim = normals.shape[1]
         self._bounding_radius = self._audit_bounded()
+        self._set_membership_slack()
 
     def _audit_bounded(self) -> float:
         # Numerical boundedness audit: every sampled direction must exit.
         dirs = unit_directions(self.dim, max(64, 32 * self.dim), seed=0)
-        t_max = 0.0
-        for u in dirs:
-            t = self.ray_exit(u)
-            if not np.isfinite(t):
-                raise GeometryError("polytope appears unbounded (no exit along a sampled direction)")
-            t_max = max(t_max, t)
-        return t_max
+        t = self.ray_exit_many(dirs)
+        if not np.all(np.isfinite(t)):
+            raise GeometryError("polytope appears unbounded (no exit along a sampled direction)")
+        return float(np.max(t))
 
     def contains_many(self, points, tol=None):
         if tol is None:
-            tol = self._membership_slack()
+            tol = self._slack
         slack = self.offsets[None, :] - points @ self.normals.T
         return np.all(slack >= -tol, axis=1)
 
@@ -294,28 +314,25 @@ class Polytope(ConvexDomain):
                                  for i in range(self.offsets.size)],
                         inside=self.contains_many(points))
 
-    def interior_gap(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(np.min(self.offsets - self.normals @ x))
+    def interior_gap_many(self, points):
+        return np.min(self.offsets - points @ self.normals.T, axis=1)
 
-    def outward_normal(self, x):
-        x = np.asarray(x, dtype=float)
-        slack = self.offsets - self.normals @ x
-        if np.min(slack) < -BOUNDARY_ATOL:
+    def outward_normal_many(self, points):
+        slack = self.offsets - points @ self.normals.T
+        if np.any(slack < -BOUNDARY_ATOL):
             raise GeometryError("outward_normal: point is outside the polytope")
         active = slack <= BOUNDARY_ATOL
-        if not active.any():
+        n_active = active.sum(axis=1)
+        if np.any(n_active == 0):
             raise GeometryError("outward_normal: point is not on the boundary")
-        v = self.normals[active].sum(axis=0)
-        return NormalResult(v / np.linalg.norm(v), nonsmooth=int(active.sum()) > 1)
+        v = active.astype(float) @ self.normals
+        return v / np.linalg.norm(v, axis=1)[:, None], n_active > 1
 
-    def ray_exit(self, direction):
-        u = np.asarray(direction, dtype=float)
-        dots = self.normals @ u
-        pos = dots > 0
-        if not pos.any():
-            return np.inf
-        return float(np.min(self.offsets[pos] / dots[pos]))
+    def ray_exit_many(self, directions):
+        dots = directions @ self.normals.T
+        with np.errstate(divide="ignore"):
+            t = np.where(dots > 0, self.offsets / dots, np.inf)
+        return np.min(t, axis=1)
 
     @property
     def bounding_radius(self):
@@ -338,6 +355,7 @@ class Intersection(ConvexDomain):
             raise GeometryError("intersection members disagree on dimension")
         self.members = members
         self.dim = dims.pop()
+        self._set_membership_slack()
 
     def contains_many(self, points, tol=None):
         out = np.ones(points.shape[0], dtype=bool)
@@ -348,26 +366,31 @@ class Intersection(ConvexDomain):
     def project_many(self, points):
         return _dykstra(points, self.members, inside=self.contains_many(points))
 
-    def interior_gap(self, x):
-        return min(m.interior_gap(x) for m in self.members)
+    def interior_gap_many(self, points):
+        return np.min([m.interior_gap_many(points) for m in self.members], axis=0)
 
-    def outward_normal(self, x):
-        gaps = [m.interior_gap(x) for m in self.members]
-        if min(gaps) < -BOUNDARY_ATOL:
+    def outward_normal_many(self, points):
+        gaps = np.array([m.interior_gap_many(points) for m in self.members])
+        if np.any(gaps < -BOUNDARY_ATOL):
             raise GeometryError("outward_normal: point is outside the intersection")
-        active = [m for m, g in zip(self.members, gaps) if g <= BOUNDARY_ATOL]
-        if not active:
+        active = gaps <= BOUNDARY_ATOL                # (members, n)
+        n_active = active.sum(axis=0)
+        if np.any(n_active == 0):
             raise GeometryError("outward_normal: point is not on the boundary")
-        parts = [m.outward_normal(x) for m in active]
-        v = np.sum([p.vector for p in parts], axis=0)
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
+        v = np.zeros_like(points)
+        nonsmooth = n_active > 1
+        for m, rows in zip(self.members, active):
+            if rows.any():
+                part, part_nonsmooth = m.outward_normal_many(points[rows])
+                v[rows] += part
+                nonsmooth[rows] |= part_nonsmooth
+        nv = np.linalg.norm(v, axis=1)
+        if np.any(nv < 1e-12):
             raise GeometryError("outward_normal: active normals cancel (degenerate corner)")
-        nonsmooth = len(parts) > 1 or any(p.nonsmooth for p in parts)
-        return NormalResult(v / nv, nonsmooth=nonsmooth)
+        return v / nv[:, None], nonsmooth
 
-    def ray_exit(self, direction):
-        return min(m.ray_exit(direction) for m in self.members)
+    def ray_exit_many(self, directions):
+        return np.min([m.ray_exit_many(directions) for m in self.members], axis=0)
 
     @property
     def bounding_radius(self):
@@ -465,16 +488,9 @@ def boundary_points(domain: ConvexDomain, count: int, seed: int):
         return pts, dirs, np.zeros(count, dtype=bool)
     if isinstance(domain, Box):
         return _box_boundary(domain, count, seed)
-    pts = np.empty((count, domain.dim))
-    normals = np.empty((count, domain.dim))
-    nonsmooth = np.zeros(count, dtype=bool)
     dirs = unit_directions(domain.dim, count, seed)
-    for i, u in enumerate(dirs):
-        t = domain.ray_exit(u)
-        pts[i] = t * u
-        res = domain.outward_normal(pts[i])
-        normals[i] = res.vector
-        nonsmooth[i] = res.nonsmooth
+    pts = domain.ray_exit_many(dirs)[:, None] * dirs
+    normals, nonsmooth = domain.outward_normal_many(pts)
     return pts, normals, nonsmooth
 
 
@@ -523,10 +539,7 @@ def interior_points(domain: ConvexDomain, count: int, seed: int):
     dirs = unit_directions(domain.dim, count, seed)
     rng = np.random.Generator(np.random.Philox(seed + 2))
     radial = rng.uniform(0.0, 1.0, size=count) ** (1.0 / domain.dim)
-    pts = np.empty((count, domain.dim))
-    for i, u in enumerate(dirs):
-        pts[i] = (0.999 * radial[i] * domain.ray_exit(u)) * u
-    return pts
+    return (0.999 * radial * domain.ray_exit_many(dirs))[:, None] * dirs
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,16 @@ else explicitly at the pre-step state:
                                - n_pen gamma(u_k) |u_k - pi(u_k)| ]
                                + sqrt(eps) * sigma(u_k) dB_k
 
-The tridiagonal system is solved per component by banded LU (Thomas
-elimination in LAPACK).  Stability of the explicit penalty relaxation
-requires dt * n_pen <= 1/2, enforced at entry.
+I - dt * Lap_h is the same tridiagonal matrix for every component and
+step, so each solve factors it once (LAPACK dgttrf) and every step only
+back-substitutes (dgttrs), all components at once.  Work that does not
+depend on the state is done before the loop: a zero or constant drift is
+evaluated once, and for a constant sigma the control and noise terms of
+every step come from one product each (sigma = 0 adds nothing).  A step
+in which no grid point lies outside O skips the direction field and the
+penalty arithmetic and records zero penetration.  Stability of the
+explicit penalty relaxation requires dt * n_pen <= 1/2, enforced at
+entry.
 
 The skeleton map (controlled, noise-free) and the stochastic map share
 this single code path: ``solve_penalized_skeleton`` simply calls
@@ -31,7 +38,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
+# Unused here; kept importable because benchmark tracing patches it by name.
+from scipy.linalg import solve_banded  # noqa: F401
 
 from .coefficients import ModelCoefficients
 from .controls import Control
@@ -161,61 +170,89 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
                 f"noise shape {noise.increments.shape} != ({coeffs.m}, {steps})")
         sqrt_eps = math.sqrt(epsilon)
 
-    # banded matrix of I - dt*Lap_h, constant across components and steps
+    # I - dt*Lap_h is one tridiagonal matrix for every component and step:
+    # factor it here, back-substitute per step.
     r = dt / (dx * dx)
-    ab = np.zeros((3, J))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
+    off = np.full(J - 1, -r)
+    *lu, info = dgttrf(off, np.full(J, 1.0 + 2.0 * r), off)
+    if info != 0:
+        raise SolverError(f"heat operator factorization failed (info = {info})")
+
+    # state-independent work, done once: a zero or constant drift, and for
+    # a constant sigma the control and noise terms of every step
+    b_fixed = coeffs.state_free_drift()
+    if b_fixed is not None:
+        b_fixed = b_fixed[:, None]
+    paths = []                                    # (scale, (m, steps) path)
+    if hdot is not None:
+        paths.append((dt, hdot))
+    if use_noise:
+        paths.append((sqrt_eps, noise.increments))
+    sig_fixed = coeffs.state_free_diffusion()
+    if sig_fixed is not None:
+        if not sig_fixed.any():
+            paths = []
+        terms = [(c * np.einsum("dm,mk->kd", sig_fixed, path))[:, :, None]
+                 for c, path in paths]            # each (steps, d, 1)
 
     states = np.empty((steps + 1, d, J))
     states[0] = u0.values
-    pen_h = np.empty(steps + 1)
-    pen_l1 = np.empty(steps + 1)
-    pen_linf = np.empty(steps + 1)
-    pen_gamma = np.empty(steps + 1)
-    increments = np.empty((steps, d, J))
-    magnitude = np.empty((steps, J))
+    pen_h = np.zeros(steps + 1)
+    pen_l1 = np.zeros(steps + 1)
+    pen_linf = np.zeros(steps + 1)
+    pen_gamma = np.zeros(steps + 1)
+    increments = np.zeros((steps, d, J))
+    magnitude = np.zeros((steps, J))
 
-    u = u0.values.copy()
-    for k in range(steps):
-        # guard before any squaring can overflow to inf
-        if float(np.max(np.abs(u))) > 1e150:
-            raise SolverError(f"state blew up at step {k}", step=k)
-        proj = domain.project_many(u.T)
-        diff_t = u.T - proj                       # (J, d)
+    def penetrate(u, k):
+        """Fill the step-k penalty series and return (dist, gamma), or
+        None when no grid point lies outside the domain."""
+        ut = u.T
+        proj = domain.project_many(ut)
+        if proj is ut:                            # all inside, returned as is
+            return None
+        diff_t = ut - proj                        # (J, d)
+        if not diff_t.any():
+            return None
         dist = np.sqrt(np.einsum("jd,jd->j", diff_t, diff_t))
-        gam = gamma.grid_values(u.T, proj, dist).T  # (d, J)
-        pen_drift = (n_pen * dist) * gam
-
+        gam = gamma.grid_values(ut, proj, dist).T  # (d, J)
         pen_h[k] = math.sqrt(dx * float(np.sum(dist * dist)))
         pen_l1[k] = dx * float(np.sum(dist))
         pen_linf[k] = float(np.max(np.abs(diff_t)))
         pen_gamma[k] = dx * float(np.einsum("dj,dj->", u, dist * gam))
-        increments[k] = (dt * dx) * pen_drift
-        magnitude[k] = (n_pen * dt * dx) * dist
+        return dist, gam
 
-        rhs = u + dt * (coeffs.drift(u) - pen_drift)
-        if hdot is not None or use_noise:
+    u = u0.values.copy()
+    top = float(np.abs(u).max())
+    for k in range(steps):
+        # guard before any squaring can overflow to inf
+        if top > 1e150:
+            raise SolverError(f"state blew up at step {k}", step=k)
+        b = coeffs.drift(u) if b_fixed is None else b_fixed
+        pen = penetrate(u, k)
+        if pen is None:
+            rhs = u + dt * b
+        else:
+            dist, gam = pen
+            pen_drift = (n_pen * dist) * gam
+            increments[k] = (dt * dx) * pen_drift
+            magnitude[k] = (n_pen * dt * dx) * dist
+            rhs = u + dt * (b - pen_drift)
+        if sig_fixed is not None:
+            for term in terms:
+                rhs += term[k]
+        elif paths:
             sig = coeffs.diffusion(u)             # (d, m, J)
-            if hdot is not None:
-                rhs += dt * np.einsum("dmj,m->dj", sig, hdot[:, k])
-            if use_noise:
-                rhs += sqrt_eps * np.einsum("dmj,m->dj", sig, noise.increments[:, k])
-        u = solve_banded((1, 1), ab, rhs.T, check_finite=False).T
-        if not np.all(np.isfinite(u)):
+            for c, path in paths:
+                rhs += c * np.einsum("dmj,m->dj", sig, path[:, k])
+        u = dgttrs(*lu, rhs.T, overwrite_b=True)[0].T
+        top = float(np.abs(u).max())
+        if not math.isfinite(top):
             raise SolverError(f"state blew up at step {k + 1}", step=k + 1)
         states[k + 1] = u
 
     # terminal penetration for the sup statistics
-    proj = domain.project_many(u.T)
-    diff_t = u.T - proj
-    dist = np.sqrt(np.einsum("jd,jd->j", diff_t, diff_t))
-    gam = gamma.grid_values(u.T, proj, dist).T
-    pen_h[steps] = math.sqrt(dx * float(np.sum(dist * dist)))
-    pen_l1[steps] = dx * float(np.sum(dist))
-    pen_linf[steps] = float(np.max(np.abs(diff_t)))
-    pen_gamma[steps] = dx * float(np.einsum("dj,dj->", u, dist * gam))
+    penetrate(u, steps)
 
     series = TrajectorySeries(
         h_sq=sup_series(states, dx),

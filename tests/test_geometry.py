@@ -38,6 +38,13 @@ def diamond():
     return Polytope(normals=normals, offsets=np.full(4, s))
 
 
+def diamond_3d():
+    # |x| + |y| + |z| <= 1.2 as eight halfspaces.
+    normals = np.array([[a, b, c] for a in (-1, 1) for b in (-1, 1)
+                        for c in (-1, 1)]) / math.sqrt(3.0)
+    return Polytope(normals=normals, offsets=np.full(8, 1.2 / math.sqrt(3.0)))
+
+
 DOMAINS = {
     "ball2": unit_ball(2),
     "ball3": Ball(center=[0.1, -0.2, 0.0], radius=1.5),
@@ -187,6 +194,105 @@ def test_boundary_points_lie_on_boundary() -> None:
         pts, normals, _ = boundary_points(dom, 100, seed=6)
         assert np.max(np.abs([dom.interior_gap(p) for p in pts])) <= 1e-9, name
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9), name
+
+
+# The per-point queries the batch ray cast replaced, kept as its reference.
+
+
+def _reference_gap(dom, x):
+    if isinstance(dom, Ball):
+        return dom.radius - float(np.linalg.norm(x - dom.center))
+    if isinstance(dom, Box):
+        return float(min(np.min(x - dom.lower), np.min(dom.upper - x)))
+    if isinstance(dom, Polytope):
+        return float(np.min(dom.offsets - dom.normals @ x))
+    return min(_reference_gap(m, x) for m in dom.members)
+
+
+def _reference_ray_exit(dom, u):
+    if isinstance(dom, Ball):
+        b = float(u @ dom.center)
+        return b + math.sqrt(b * b - float(dom.center @ dom.center) + dom.radius ** 2)
+    if isinstance(dom, Box):
+        t = np.inf
+        for i in range(dom.dim):
+            if u[i] > 0:
+                t = min(t, dom.upper[i] / u[i])
+            elif u[i] < 0:
+                t = min(t, dom.lower[i] / u[i])
+        return t
+    if isinstance(dom, Polytope):
+        dots = dom.normals @ u
+        pos = dots > 0
+        return float(np.min(dom.offsets[pos] / dots[pos])) if pos.any() else np.inf
+    return min(_reference_ray_exit(m, u) for m in dom.members)
+
+
+def _reference_normal(dom, x):
+    """(vector, nonsmooth) at boundary point x."""
+    if isinstance(dom, Ball):
+        v = x - dom.center
+        return v / np.linalg.norm(v), False
+    if isinstance(dom, Box):
+        lo = np.abs(x - dom.lower) <= 1e-9
+        hi = np.abs(dom.upper - x) <= 1e-9
+        v = hi.astype(float) - lo.astype(float)
+        return v / np.linalg.norm(v), int(lo.sum() + hi.sum()) > 1
+    if isinstance(dom, Polytope):
+        active = dom.offsets - dom.normals @ x <= 1e-9
+        v = dom.normals[active].sum(axis=0)
+        return v / np.linalg.norm(v), int(active.sum()) > 1
+    parts = [_reference_normal(m, x) for m in dom.members
+             if _reference_gap(m, x) <= 1e-9]
+    v = np.sum([p[0] for p in parts], axis=0)
+    nv = np.linalg.norm(v)
+    if nv < 1e-12:
+        raise GeometryError("degenerate corner")
+    return v / nv, len(parts) > 1 or any(p[1] for p in parts)
+
+
+RAY_CAST_DOMAINS = {
+    "polytope": diamond(),
+    "triangle": Polytope(normals=[[0.0, -1.0], [math.sqrt(0.5), math.sqrt(0.5)],
+                                  [-math.sqrt(0.5), math.sqrt(0.5)]],
+                         offsets=[0.5, 0.7, 0.7]),
+    "ball-box": Intersection([unit_ball(2), Box(lower=[-0.8, -0.9], upper=[0.8, 0.9])]),
+    "ball-box-3d": Intersection([Ball(center=[0.0, 0.1, 0.0], radius=1.0),
+                                 Box(lower=[-0.7, -0.9, -0.6], upper=[0.8, 0.6, 0.9]),
+                                 diamond_3d()]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAY_CAST_DOMAINS))
+def test_ray_cast_boundary_matches_pointwise_reference(name) -> None:
+    dom = RAY_CAST_DOMAINS[name]
+    pts, normals, nonsmooth = boundary_points(dom, 500, seed=8)
+    dirs = unit_directions(dom.dim, 500, seed=8)
+    ref = [_reference_ray_exit(dom, u) * u for u in dirs]
+    assert np.max(np.abs(pts - ref)) <= 1e-15
+    ref = [_reference_normal(dom, p) for p in ref]
+    assert np.max(np.abs(normals - [r[0] for r in ref])) <= 1e-15
+    assert np.array_equal(nonsmooth, [r[1] for r in ref])
+    # sampled directions miss corners and edges; these hit some
+    k = dom.dim
+    dirs = np.vstack([np.eye(k), -np.eye(k), [[0.8, 0.6] + [0.0] * (k - 2)]])
+    corners = dom.ray_exit_many(dirs)[:, None] * dirs
+    normals, nonsmooth = dom.outward_normal_many(corners)
+    ref = [_reference_normal(dom, p) for p in corners]
+    assert np.max(np.abs(normals - [r[0] for r in ref])) <= 1e-15
+    assert np.array_equal(nonsmooth, [r[1] for r in ref]) and nonsmooth.any()
+
+
+def test_ray_cast_rejects_degenerate_corners() -> None:
+    # A slab 8e-10 thick: both faces are active at once and their normals
+    # cancel, in the batch and in the per-point reference alike.
+    slab = Intersection([Box(lower=[-1.0, -1.0], upper=[4e-10, 1.0]),
+                         Box(lower=[-4e-10, -1.0], upper=[1.0, 1.0])])
+    u = unit_directions(2, 1, seed=0)[0]
+    with pytest.raises(GeometryError, match="degenerate"):
+        _reference_normal(slab, _reference_ray_exit(slab, u) * u)
+    with pytest.raises(GeometryError, match="degenerate"):
+        boundary_points(slab, 16, seed=0)
 
 
 # ---------------------------------------------------------------------------

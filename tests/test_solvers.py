@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from conftest import (
     forced_coeffs,
@@ -14,7 +15,11 @@ from conftest import (
     sine_start,
     zero_start,
 )
-from rspde.controls import Control, constant_control, zero_control
+from rspde.coefficients import ModelCoefficients, make_coefficients
+from rspde.controls import (Control, constant_control, tabulated_control,
+                            zero_control)
+from rspde.fields import Field, SpatialGrid, lap_series, sup_series, v_series
+from rspde.geometry import Ball, Box, Intersection, ObliqueField
 from rspde.solvers import (
     NoisePath,
     ReplicaPlan,
@@ -25,7 +30,7 @@ from rspde.solvers import (
     solve_penalized_spde,
     solve_skeleton,
 )
-from rspde.trajectory import state_gap
+from rspde.trajectory import TrajectorySeries, state_gap
 
 
 def run_heat(J=31, dt=1e-3, steps=100, n_pen=4.0):
@@ -92,15 +97,33 @@ def test_initial_state_must_lie_in_domain() -> None:
 
 
 def test_blow_up_reports_step_index() -> None:
+    # trips the 1e150 guard before a step, where the reference loop does
+    err = blow_up(gain=200.0, amplitude=1.0)
+    assert err.step is not None and err.step > 0
+
+
+def test_overflow_reports_step_index() -> None:
+    # overflows within the first step: the finiteness test after it fires
+    assert blow_up(gain=1e308, amplitude=50.0).step == 1
+
+
+def blow_up(gain, amplitude) -> SolverError:
+    """The solver's blow-up error for a linear drift b(u) = gain * u,
+    checked against the reference loop's (defined below)."""
     dom = free_domain()
-    coeffs = forced_coeffs(c=0.0)
-    coeffs = type(coeffs)(d=1, m=1, b_name="linear", sigma_name="zero",
-                          b_params={"matrix": [[200.0]]}, sigma_params={},
-                          lipschitz=200.0)
-    with pytest.raises(SolverError) as err:
-        solve_penalized_spde(coeffs, dom, normal_gamma(dom), sine_start(15),
-                             n_pen=1.0, dt=0.25, steps=2000)
-    assert err.value.step is not None and err.value.step > 0
+    coeffs = ModelCoefficients(d=1, m=1, b_name="linear", sigma_name="zero",
+                               b_params={"matrix": [[gain]]}, sigma_params={},
+                               lipschitz=gain)
+    kwargs = dict(coeffs=coeffs, domain=dom, gamma=normal_gamma(dom),
+                  u0=sine_start(15, amplitude), n_pen=1.0, dt=0.25, steps=2000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError) as want:
+            reference_solve(**kwargs)
+        with pytest.raises(SolverError) as got:
+            solve_penalized_spde(**kwargs)
+    assert got.value.step == want.value.step
+    assert str(got.value) == str(want.value)
+    return got.value
 
 
 def test_noise_grid_mismatch_rejected() -> None:
@@ -270,3 +293,128 @@ def test_state_gap_requires_matching_grids() -> None:
     b = run_heat(J=31, steps=10)
     with pytest.raises(ValueError):
         state_gap(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the step loop against a reference
+
+
+def reference_solve(coeffs, domain, gamma, u0, n_pen, dt, steps, epsilon=0.0,
+                    noise=None, control=None):
+    """The scheme evaluated plainly: banded solve, drift, diffusion, penalty
+    and its projection each step, as solve_penalized_spde first did it.
+
+    Returns (states, series, increments, magnitude); raises SolverError
+    with the step index on blow-up.
+    """
+    dx = u0.grid.dx
+    d, J = u0.grid.d, u0.grid.J
+    hdot = control.values_on(steps) if control is not None else None
+    use_noise = epsilon > 0.0
+    sqrt_eps = math.sqrt(epsilon)
+    r = dt / (dx * dx)
+    ab = np.zeros((3, J))
+    ab[0, 1:] = -r
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[2, :-1] = -r
+    states = np.empty((steps + 1, d, J))
+    states[0] = u0.values
+    pen = np.empty((4, steps + 1))
+    increments = np.empty((steps, d, J))
+    magnitude = np.empty((steps, J))
+
+    def penalty(u, k):
+        proj = domain.project_many(u.T)
+        diff_t = u.T - proj
+        dist = np.sqrt(np.einsum("jd,jd->j", diff_t, diff_t))
+        gam = gamma.grid_values(u.T, proj, dist).T
+        pen[:, k] = (math.sqrt(dx * float(np.sum(dist * dist))),
+                     dx * float(np.sum(dist)),
+                     float(np.max(np.abs(diff_t))),
+                     dx * float(np.einsum("dj,dj->", u, dist * gam)))
+        return dist, gam
+
+    u = u0.values.copy()
+    for k in range(steps):
+        if float(np.max(np.abs(u))) > 1e150:
+            raise SolverError(f"state blew up at step {k}", step=k)
+        dist, gam = penalty(u, k)
+        pen_drift = (n_pen * dist) * gam
+        increments[k] = (dt * dx) * pen_drift
+        magnitude[k] = (n_pen * dt * dx) * dist
+        rhs = u + dt * (coeffs.drift(u) - pen_drift)
+        if hdot is not None or use_noise:
+            sig = coeffs.diffusion(u)
+            if hdot is not None:
+                rhs += dt * np.einsum("dmj,m->dj", sig, hdot[:, k])
+            if use_noise:
+                rhs += sqrt_eps * np.einsum("dmj,m->dj", sig, noise.increments[:, k])
+        u = solve_banded((1, 1), ab, rhs.T, check_finite=False).T
+        if not np.all(np.isfinite(u)):
+            raise SolverError(f"state blew up at step {k + 1}", step=k + 1)
+        states[k + 1] = u
+    penalty(u, steps)
+    series = TrajectorySeries(sup_series(states, dx), v_series(states, dx),
+                              lap_series(states, dx), *pen)
+    return states, series, increments, magnitude
+
+
+def _free_noisy():
+    dom = free_domain()
+    coeffs = make_coefficients(1, 1, b={"name": "zero"},
+                               sigma={"name": "constant", "matrix": [[1.0]]})
+    return dict(coeffs=coeffs, domain=dom, gamma=normal_gamma(dom),
+                u0=sine_start(15, 0.4), n_pen=256.0, dt=1.0 / 512.0, steps=128,
+                epsilon=0.01, noise=sample_brownian(1, 128, 1.0 / 512.0, seed=3))
+
+
+def _oblique_intersection():
+    dom = Intersection([Ball(center=[0.0, 0.0], radius=0.5),
+                        Box(lower=[-0.4, -0.45], upper=[0.45, 0.4])])
+    coeffs = make_coefficients(
+        2, 2, b={"name": "linear", "matrix": [[8.0, 1.0], [-1.0, 6.0]]},
+        sigma={"name": "diag_affine", "base": [0.4, 0.3], "slope": [0.5, -0.2]})
+    grid = SpatialGrid(J=31, d=2)
+    u0 = Field(grid, np.stack([0.2 * np.sin(np.pi * grid.xs),
+                               0.1 * np.sin(2.0 * np.pi * grid.xs)]))
+    return dict(coeffs=coeffs, domain=dom,
+                gamma=ObliqueField(dom, "rotated_normal", angle=0.2), u0=u0,
+                n_pen=256.0, dt=1e-3, steps=400, epsilon=0.05,
+                noise=sample_brownian(2, 400, 1e-3, seed=11),
+                control=constant_control(0.4, [12.0, 10.0], K=4))
+
+
+def _box_3d():
+    dom = Box(lower=[-0.3, -0.4, -0.5], upper=[0.3, 0.4, 0.5])
+    coeffs = make_coefficients(
+        3, 2, b={"name": "constant", "value": [-6.0, 1.0, 0.5]},
+        sigma={"name": "constant",
+               "matrix": [[0.6, 0.2], [-0.3, 0.5], [0.1, -0.4]]})
+    ctl = tabulated_control(0.3, [[1.0, -2.0, 0.5, 3.0, 0.0, 1.5],
+                                  [0.5, 1.0, -1.0, 2.0, -0.5, 0.0]])
+    return dict(coeffs=coeffs, domain=dom, gamma=normal_gamma(dom),
+                u0=zero_start(15, d=3), n_pen=128.0, dt=2.5e-3, steps=120,
+                epsilon=0.1, noise=sample_brownian(2, 120, 2.5e-3, seed=4),
+                control=ctl)
+
+
+@pytest.mark.parametrize("case, rtol", [(_free_noisy, 0.0),
+                                        (_oblique_intersection, 1e-12),
+                                        (_box_3d, 1e-12)])
+def test_step_loop_matches_reference(case, rtol) -> None:
+    kwargs = case()
+    traj = solve_penalized_spde(**kwargs)
+    states, series, increments, magnitude = reference_solve(**kwargs)
+    got = [traj.states, traj.measure.increments, traj.measure.magnitude]
+    want = [states, increments, magnitude]
+    for name in TrajectorySeries.FIELDS:
+        got.append(getattr(traj.series, name))
+        want.append(getattr(series, name))
+    for g, w in zip(got, want):
+        if rtol == 0.0:
+            assert np.array_equal(g, w)
+        else:
+            np.testing.assert_allclose(g, w, rtol=rtol, atol=0.0)
+    if case is not _free_noisy:
+        # both branches of the loop ran: steps inside and steps outside
+        assert 0 < np.count_nonzero(series.pen_h) < len(series.pen_h)
