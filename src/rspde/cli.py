@@ -3,10 +3,11 @@
 Every subcommand reads a schema-validated JSON config, writes its outputs
 under --out with fixed names, and always leaves a manifest.json recording
 the config hash, effective seed, library versions, wall time, and status
-(also on failure paths, with the error mirrored in error.json).  All
-floating-point output goes through repr(), so identical (config, seed)
-runs produce byte-identical files; wall-time fields in the manifest are
-the only exception.
+(also on failure paths, with the error mirrored in error.json).  Floats
+in JSON and CSV output go through repr(), and trajectory states are
+written as exact float64 .npy arrays, so identical (config, seed) runs
+produce byte-identical files; wall-time fields in the manifest are the
+only exception.
 
 Replica Monte Carlo honors --workers by chunking the replica index range
 across processes; rows are merged in index order, so the output does not
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -28,10 +28,11 @@ import scipy
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig
+from .controls import zero_control
 from .diagnostics import continuity_experiment, estimate_report
 from .geometry import GeometryError, build_oblique_matrix, validate_oblique_field
-from .ldp import (ldp_compare, mc_rows, minimize_rate, summarize_rows,
-                  weighted_trend)
+from .ldp import (CompareRow, ReplicaRow, WeightedTrendRow, ldp_compare,
+                  mc_rows, minimize_rate, summarize_rows, weighted_trend)
 from .solvers import (ReplicaPlan, SolverError, resolve_time_grid,
                       sample_brownian, solve_penalized_skeleton,
                       solve_penalized_spde, solve_skeleton)
@@ -132,7 +133,6 @@ def _run_sweep(cfg: ExperimentConfig):
     coeffs, dom, gamma, u0 = _solver_pieces(cfg)
     control = cfg.build_control()
     if control is None:
-        from .controls import zero_control
         control = zero_control(cfg.T, coeffs.m)
     sw = cfg.sweep
     return solve_skeleton(coeffs, dom, gamma, u0, control, dt=cfg.dt,
@@ -191,7 +191,6 @@ def _cmd_continuity(cfg: ExperimentConfig, args, out: str) -> list:
         raise ConfigError("continuity needs a 'control_family' section")
     limit = cfg.build_control()
     if limit is None:
-        from .controls import zero_control
         limit = zero_control(cfg.T, coeffs.m, K=family[0][1].K)
     sw = cfg.sweep
     rows = continuity_experiment(coeffs, dom, gamma, u0, family, limit,
@@ -259,7 +258,6 @@ def _emit_mc(cfg: ExperimentConfig, args, out: str) -> dict:
             rows = [row for chunk in pool.map(_mc_chunk, payloads)
                     for row in chunk]
     res = summarize_rows(rows, count)
-    from .ldp import ReplicaRow
     _write_csv(os.path.join(out, "mc.csv"), ReplicaRow.CSV_HEADER,
                [r.csv_line() for r in rows])
     _say(args, f"mc: p_hat={res.p_hat!r} +- {res.stderr!r} "
@@ -288,16 +286,11 @@ def _emit_compare(cfg: ExperimentConfig, args, out: str) -> list:
                        epsilons=cfg.epsilons, plan=plan, T=cfg.T,
                        ldp1_delta_sq=ldp1["delta_sq"],
                        ldp1_replicas=ldp1["replicas"])
-    from .ldp import CompareRow
     _write_csv(os.path.join(out, "comparison.csv"), CompareRow.CSV_HEADER,
                [r.csv_line() for r in rows])
     _say(args, "ldp-compare: " + " ".join(
         f"eps={r.epsilon!r}:{r.neg_eps_log_p!r}" for r in rows))
     return ["rate.json", "comparison.csv"]
-
-
-def _cmd_ldp_compare(cfg: ExperimentConfig, args, out: str) -> list:
-    return _emit_compare(cfg, args, out)
 
 
 def _cmd_weighted(cfg: ExperimentConfig, args, out: str) -> list:
@@ -313,7 +306,6 @@ def _cmd_weighted(cfg: ExperimentConfig, args, out: str) -> list:
                           epsilons=w.get("epsilons", cfg.epsilons),
                           plan=plan, lam=w["lam"], n_pen=cfg.n_event,
                           dt=cfg.dt, T=cfg.T)
-    from .ldp import WeightedTrendRow
     _write_csv(os.path.join(out, "weighted.csv"), WeightedTrendRow.CSV_HEADER,
                [r.csv_line() for r in rows])
     _say(args, f"weighted: {len(rows)} noise levels")
@@ -354,7 +346,7 @@ _HANDLERS = {
     "continuity": _cmd_continuity,
     "rate": _cmd_rate,
     "mc": _cmd_mc,
-    "ldp-compare": _cmd_ldp_compare,
+    "ldp-compare": _emit_compare,
     "all": _cmd_all,
 }
 

@@ -237,12 +237,10 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "tol_vi": _POS,
                 "rho_min": {"type": "number", "minimum": 0},
                 "delta_min": {"type": "number", "minimum": 0},
             },
         },
-        "output_dir": {"type": "string"},
     },
 }
 
@@ -418,10 +416,6 @@ class ExperimentConfig:
         out = dict(DEFAULTS["rate"])
         out.update(spec)
         return out
-
-    @property
-    def output_dir(self):
-        return self.raw.get("output_dir")
 
     # -- model builders ------------------------------------------------
 

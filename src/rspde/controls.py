@@ -46,9 +46,6 @@ class Control:
         """Exact squared Cameron-Martin norm of the piecewise-constant hdot."""
         return float(np.sum(self.values * self.values)) * self.dt
 
-    def in_energy_ball(self, bound: float) -> bool:
-        return self.cm_norm_sq() <= bound
-
     def values_on(self, steps: int) -> np.ndarray:
         """hdot per solver step for a grid of ``steps`` equal steps.
 
@@ -89,14 +86,3 @@ def sine_control(T: float, m: int, K: int, rate: int, amplitude: float = 1.0,
 
 def tabulated_control(T: float, values) -> Control:
     return Control(T, np.asarray(values, dtype=float))
-
-
-def random_control(T: float, m: int, K: int, energy_bound: float, seed: int) -> Control:
-    """Seeded random control scaled to sit on the given energy level."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    vals = rng.normal(size=(m, K))
-    ctl = Control(T, vals)
-    norm_sq = ctl.cm_norm_sq()
-    if norm_sq > 0:
-        ctl = ctl.scaled(math.sqrt(energy_bound / norm_sq))
-    return ctl

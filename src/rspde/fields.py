@@ -15,12 +15,13 @@ Discrete norms (f is a d x J array, |f_j| the Euclidean norm in R^d):
 The three-point Laplacian with zero ghost values has the exact discrete
 eigenpair  f_j = sin(pi j dx),  eigenvalue -(2/dx^2)(1 - cos(pi dx)),
 which the tests lean on as an oracle.
+
+Fields are not serialized one by one: a trajectory saves its snapshot
+states as a single array (see ``trajectory.Trajectory.save``).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,35 +147,3 @@ def lap_series(values_per_state: np.ndarray, dx: float) -> np.ndarray:
     """h2_norm^2 of every state in a (K+1, d, J) stack."""
     lap = laplacian_values(values_per_state.copy(), dx)
     return dx * np.einsum("kij,kij->k", lap, lap)
-
-
-# ---------------------------------------------------------------------------
-# serialization: one row per grid point, columns x, u_1..u_d
-
-
-def field_to_csv(f: Field, path) -> None:
-    with open(path, "w", newline="") as fh:
-        _write_field(f, fh)
-
-
-def field_to_csv_string(f: Field) -> str:
-    buf = io.StringIO()
-    _write_field(f, buf)
-    return buf.getvalue()
-
-
-def _write_field(f: Field, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["x"] + [f"u_{i + 1}" for i in range(f.grid.d)])
-    for j, x in enumerate(f.grid.xs):
-        writer.writerow([repr(float(x))] + [repr(float(v)) for v in f.values[:, j]])
-
-
-def field_from_csv(grid: SpatialGrid, path) -> Field:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    if header[0] != "x" or len(header) != grid.d + 1 or len(body) != grid.J:
-        raise ValueError(f"field file {path} does not match grid ({grid.d}, {grid.J})")
-    vals = np.array([[float(c) for c in row[1:]] for row in body])
-    return Field(grid, vals.T)

@@ -554,7 +554,6 @@ class ObliqueField:
     * ``normal`` -- gamma(x) = n(pi(x)); for exterior x this is the exact
       direction (x - pi(x)) / dist(x).
     * ``rotated_normal`` -- the normal rotated by a fixed angle (d = 2).
-    * ``custom`` -- a user callable x -> unit vector.
 
     ``grid_values`` is the vectorized path used inside time stepping: for
     entries with dist <= tol the returned direction is an arbitrary unit
@@ -563,19 +562,15 @@ class ObliqueField:
     """
 
     def __init__(self, domain: ConvexDomain, rule: str = "normal",
-                 angle: float = 0.0, fn=None):
+                 angle: float = 0.0):
         self.domain = domain
         self.rule = rule
         self.angle = float(angle)
-        self.fn = fn
         if rule == "rotated_normal":
             if domain.dim != 2:
                 raise GeometryError("rotated_normal is only defined for d = 2")
             c, s = math.cos(self.angle), math.sin(self.angle)
             self._rot = np.array([[c, -s], [s, c]])
-        elif rule == "custom":
-            if fn is None:
-                raise GeometryError("custom oblique field needs a callable")
         elif rule != "normal":
             raise GeometryError(f"unknown oblique field rule {rule!r}")
 
@@ -591,14 +586,7 @@ class ObliqueField:
         return self.domain.outward_normal(anchor).vector
 
     def at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.rule == "custom":
-            v = np.asarray(self.fn(x), dtype=float)
-            nv = np.linalg.norm(v)
-            if nv < 1e-12:
-                raise GeometryError("custom oblique field returned a null direction")
-            return v / nv
-        n = self._normal_at(x)
+        n = self._normal_at(np.asarray(x, dtype=float))
         if self.rule == "rotated_normal":
             return self._rot @ n
         return n
@@ -611,11 +599,6 @@ class ObliqueField:
         as a filler direction; callers multiply by the penetration
         magnitude which vanishes there.
         """
-        if self.rule == "custom":
-            out = np.empty_like(points)
-            for i in range(points.shape[0]):
-                out[i] = self.at(points[i])
-            return out
         outside = dists > BOUNDARY_ATOL
         out = np.zeros_like(points)
         out[:, 0] = 1.0

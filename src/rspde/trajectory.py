@@ -3,7 +3,8 @@
 A trajectory stores every time-step state (K+1 of them, including t = 0)
 together with per-step diagnostic series, so every report downstream is
 computed on the solver's own time grid and is invariant under the
-snapshot stride, which only thins the serialized output.
+snapshot stride, which only thins the serialized output.  The saved
+states are one float64 ``states.npy`` array, so they load back exactly.
 
 The reflection measure collects the penalty increments
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Field, SpatialGrid, field_from_csv, field_to_csv
+from .fields import Field, SpatialGrid
 
 
 @dataclass
@@ -107,18 +108,15 @@ class Trajectory:
     # -- serialization -------------------------------------------------
 
     def save(self, directory) -> None:
-        """Write snapshot CSVs, an index JSON, and the per-step series.
+        """Write the snapshot states, an index JSON, and the per-step series.
 
-        Layout: index.json, series.csv, snapshots/state_<k>.csv for every
-        stride-spaced step index k (terminal state always included).
+        Layout: index.json, series.csv, and states.npy holding the
+        (snapshots, d, J) float64 states at the stride-spaced step indices
+        listed in index.json (terminal state always included).
         """
         os.makedirs(directory, exist_ok=True)
-        snap_dir = os.path.join(directory, "snapshots")
-        os.makedirs(snap_dir, exist_ok=True)
         idx = self.snapshot_indices()
-        for k in idx:
-            field_to_csv(self.field_at(int(k)),
-                         os.path.join(snap_dir, f"state_{int(k):06d}.csv"))
+        np.save(os.path.join(directory, "states.npy"), self.states[idx])
         index = {
             "times": [repr(float(t)) for t in self.times[idx]],
             "J": self.grid.J,
@@ -149,18 +147,21 @@ class Trajectory:
         """Rebuild a trajectory from ``save`` output.
 
         States are populated at the serialized snapshot steps (all steps
-        when stride = 1); the diagnostic series comes back exactly thanks
-        to repr round-tripping.
+        when stride = 1) and are NaN elsewhere; both the states and the
+        diagnostic series (thanks to repr round-tripping) come back exactly.
         """
         with open(os.path.join(directory, "index.json")) as fh:
             index = json.load(fh)
         grid = SpatialGrid(J=index["J"], d=index["d"])
         steps = index["steps"]
+        snaps = index["snapshot_steps"]
+        saved = np.load(os.path.join(directory, "states.npy"))
+        if saved.shape != (len(snaps), grid.d, grid.J):
+            raise ValueError(
+                f"states.npy shape {saved.shape} does not match index.json "
+                f"({len(snaps)}, {grid.d}, {grid.J})")
         states = np.full((steps + 1, grid.d, grid.J), np.nan)
-        for k in index["snapshot_steps"]:
-            f = field_from_csv(grid, os.path.join(directory, "snapshots",
-                                                  f"state_{int(k):06d}.csv"))
-            states[k] = f.values
+        states[snaps] = saved
         raw = np.loadtxt(os.path.join(directory, "series.csv"),
                          delimiter=",", skiprows=1)
         raw = np.atleast_2d(raw)

@@ -105,6 +105,8 @@ def test_skeleton_writes_trajectory_and_report(tmp_path):
     idx = read_json(out, os.path.join("trajectory", "index.json"))
     assert idx["n_pen"] == 64.0
     assert os.path.exists(os.path.join(out, "trajectory", "series.csv"))
+    assert os.path.exists(os.path.join(out, "trajectory", "states.npy"))
+    assert not os.path.exists(os.path.join(out, "trajectory", "snapshots"))
 
 
 def test_penalty_sweep_csv_columns(tmp_path):
@@ -170,6 +172,8 @@ def test_repeat_runs_byte_identical_outside_wall_time(tmp_path):
     assert code == code2 == 0
     assert read_bytes(out1, "sweep.csv") == read_bytes(out2, "sweep.csv")
     assert read_bytes(out1, "report.json") == read_bytes(out2, "report.json")
+    states = os.path.join("trajectory", "states.npy")
+    assert read_bytes(out1, states) == read_bytes(out2, states)
     m1, m2 = read_json(out1, "manifest.json"), read_json(out2, "manifest.json")
     for key in ("started_unix", "wall_time_seconds"):
         m1.pop(key), m2.pop(key)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -90,6 +91,34 @@ def test_report_survives_serialization(tmp_path):
     assert set(before) == set(after)
     for key, val in before.items():
         assert after[key] == pytest.approx(val, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_saved_states_round_trip_bitwise(tmp_path, stride):
+    traj = reflecting_run(steps=120, stride=stride)
+    traj.save(tmp_path / "run")
+    assert sorted(os.listdir(tmp_path / "run")) == ["index.json", "series.csv",
+                                                    "states.npy"]
+    back = Trajectory.load(tmp_path / "run")
+    snaps = traj.snapshot_indices()
+    others = np.setdiff1d(np.arange(traj.steps + 1), snaps)
+    assert back.states.shape == traj.states.shape
+    assert np.array_equal(back.states[snaps], traj.states[snaps])
+    assert bool(np.all(np.isnan(back.states[others])))
+    assert (len(others) == 0) == (stride == 1)
+    for name in back.series.FIELDS:
+        assert np.array_equal(getattr(back.series, name),
+                              getattr(traj.series, name))
+
+
+@pytest.mark.parametrize("reshape", [lambda a: a[:-1],
+                                     lambda a: a.transpose(0, 2, 1)])
+def test_load_rejects_states_disagreeing_with_index(tmp_path, reshape):
+    reflecting_run(steps=40, stride=7).save(tmp_path / "run")
+    path = tmp_path / "run" / "states.npy"
+    np.save(path, reshape(np.load(path)))
+    with pytest.raises(ValueError, match="states.npy"):
+        Trajectory.load(tmp_path / "run")
 
 
 def test_estimate_report_json_round_trip():

@@ -12,9 +12,6 @@ from rspde.fields import (
     Field,
     SpatialGrid,
     discrete_laplacian,
-    field_from_csv,
-    field_to_csv,
-    field_to_csv_string,
     h2_norm,
     h_norm,
     l1_norm,
@@ -144,22 +141,3 @@ def test_series_match_per_field_norms() -> None:
         assert hs[k] == pytest.approx(h_norm(f) ** 2, rel=1e-12)
         assert vs[k] == pytest.approx(v_norm(f) ** 2, rel=1e-12)
         assert ls[k] == pytest.approx(h2_norm(f) ** 2, rel=1e-12)
-
-
-def test_field_csv_round_trip(tmp_path) -> None:
-    rng = np.random.Generator(np.random.Philox(10))
-    grid = SpatialGrid(J=9, d=3)
-    f = Field(grid, rng.normal(size=(3, 9)))
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    g = field_from_csv(grid, path)
-    assert np.array_equal(f.values, g.values)  # repr round-trips exactly
-
-
-def test_field_csv_format() -> None:
-    f = sine_field(3)
-    text = field_to_csv_string(f)
-    lines = text.split("\n")
-    assert lines[0] == "x,u_1"
-    assert len(lines) == 5 and lines[-1] == ""  # header + 3 rows + trailing LF
-    assert "," in lines[1] and "." in lines[1]
