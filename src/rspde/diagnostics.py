@@ -13,7 +13,6 @@ serialized trajectory agrees with the in-memory one exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -12,20 +12,24 @@ of the identity and certified through its smallest eigenvalue on boundary
 samples.
 
 Supported bodies: balls, axis-aligned boxes, halfspace polytopes, and
-finite intersections of those.  Projections onto polytopes and
-intersections use Dykstra's alternating scheme, vectorized over batches
-of query points.
+finite intersections of those.  Balls and boxes project in closed form;
+polytopes use Dykstra's alternating scheme over their halfspaces.  An
+intersection projects each exterior point onto its members in turn and
+keeps a member's projection when it lies in every other member (the
+nearest point of a superset that lies in the body is the nearest point of
+the body); only points where two or more members are active go through
+Dykstra's scheme.  Both are vectorized over batches of query points.
 
 Point batches use shape (n, d) throughout this module.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 # Active-set tolerance for deciding which faces meet a boundary point, and
 # for the boundary-membership precondition of outward_normal.
@@ -184,8 +188,9 @@ class Ball(ConvexDomain):
         inside = dist <= self.radius + self._slack
         if inside.all():
             return points
-        scale = np.ones_like(dist)
-        np.divide(self.radius, dist, out=scale, where=~inside)
+        # r / dist on the exterior rows; the maximum keeps the inside rows,
+        # which np.where takes from points, away from 0 / 0
+        scale = self.radius / np.maximum(dist, self.radius)
         return np.where(inside[:, None], points, self.center + diff * scale[:, None])
 
     def interior_gap_many(self, points):
@@ -227,11 +232,14 @@ class Box(ConvexDomain):
             raise GeometryError("box must contain the origin in its interior")
         self.dim = self.lower.size
         self._set_membership_slack()
+        self._slack_bounds = (self.lower - self._slack, self.upper + self._slack)
 
     def contains_many(self, points, tol=None):
         if tol is None:
-            tol = self._slack
-        return np.all((points >= self.lower - tol) & (points <= self.upper + tol), axis=1)
+            lo, hi = self._slack_bounds
+        else:
+            lo, hi = self.lower - tol, self.upper + tol
+        return ((points >= lo) & (points <= hi)).all(axis=1)
 
     def project_many(self, points):
         return np.clip(points, self.lower, self.upper)
@@ -364,7 +372,40 @@ class Intersection(ConvexDomain):
         return out
 
     def project_many(self, points):
-        return _dykstra(points, self.members, inside=self.contains_many(points))
+        """Exact member projections where one member is active, Dykstra's
+        scheme for the rest.
+
+        A member's projection of a point is the nearest point of a
+        superset of the body, so when it lies in every other member it is
+        the projection onto the body.  Each member tries the rows it
+        excludes that no earlier member resolved; rows left over (two or
+        more members active) go through ``_dykstra``.
+        """
+        holds = [m.contains_many(points) for m in self.members]
+        pending = ~functools.reduce(np.logical_and, holds)
+        left = np.count_nonzero(pending)
+        if not left:
+            return points
+        out = points.copy()
+        for m, inside_m in zip(self.members, holds):
+            rows = np.flatnonzero(pending & ~inside_m)
+            if not rows.size:
+                continue
+            candidates = m.project_many(points[rows])
+            exact = np.ones(rows.size, dtype=bool)
+            for other in self.members:
+                if other is not m:
+                    exact &= other.contains_many(candidates)
+            if not exact.all():
+                rows, candidates = rows[exact], candidates[exact]
+            out[rows] = candidates
+            pending[rows] = False
+            left -= rows.size
+            if not left:
+                return out
+        rows = np.flatnonzero(pending)
+        out[rows] = _dykstra(points[rows], self.members)
+        return out
 
     def interior_gap_many(self, points):
         return np.min([m.interior_gap_many(points) for m in self.members], axis=0)
@@ -462,13 +503,16 @@ def unit_directions(d: int, count: int, seed: int) -> np.ndarray:
     if d == 1:
         signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
         return signs[:, None]
+    # Imported here: scipy.stats loads in about 0.8 s, and the solvers
+    # never draw Sobol points.
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d, scramble=True, seed=seed)
     m = 1 << max(1, (count - 1).bit_length())
     u = sob.random(m)[:count]
     # Clip away exact 0/1 before the inverse CDF.
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    from scipy.special import ndtri
-
     g = ndtri(u)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0
@@ -555,10 +599,10 @@ class ObliqueField:
       direction (x - pi(x)) / dist(x).
     * ``rotated_normal`` -- the normal rotated by a fixed angle (d = 2).
 
-    ``grid_values`` is the vectorized path used inside time stepping: for
-    entries with dist <= tol the returned direction is an arbitrary unit
-    filler, which is safe because the penalty multiplies it by the
-    penetration magnitude (zero there).
+    The time stepping uses ``scaled_directions``, which maps the gaps
+    x - pi(x) straight to dist * gamma without forming gamma.
+    ``grid_values`` returns gamma itself for a batch of points; for
+    entries with dist <= BOUNDARY_ATOL it is an arbitrary unit filler.
     """
 
     def __init__(self, domain: ConvexDomain, rule: str = "normal",
@@ -590,6 +634,18 @@ class ObliqueField:
         if self.rule == "rotated_normal":
             return self._rot @ n
         return n
+
+    def scaled_directions(self, gaps: np.ndarray) -> np.ndarray:
+        """dist(x) * gamma(x) from the gaps x - pi(x) (last axis d).
+
+        For both rules this is a fixed linear map of the gap: the identity
+        for ``normal`` (the gap itself is returned) and the rotation for
+        ``rotated_normal``.  A zero gap maps to zero, so no filler
+        direction is needed.
+        """
+        if self.rule == "rotated_normal":
+            return gaps @ self._rot.T
+        return gaps
 
     def grid_values(self, points: np.ndarray, projections: np.ndarray,
                     dists: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ replica index reuses the same Brownian path across noise levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,8 @@ from .controls import Control
 from .diagnostics import penetration_report, weighted_distance
 from .fields import h_norm
 from .geometry import ConvexDomain, ObliqueField
-from .solvers import (ReplicaPlan, SolverError, resolve_time_grid,
-                      sample_brownian, solve_penalized_skeleton,
-                      solve_penalized_spde)
+from .solvers import (ReplicaPlan, resolve_time_grid, sample_brownian,
+                      solve_penalized_skeleton, solve_penalized_spde)
 from .trajectory import Trajectory, state_gap
 
 # Penalty level at which rare events are posed (config can override).

@@ -18,9 +18,16 @@ step, so each solve factors it once (LAPACK dgttrf) and every step only
 back-substitutes (dgttrs), all components at once.  Work that does not
 depend on the state is done before the loop: a zero or constant drift is
 evaluated once, and for a constant sigma the control and noise terms of
-every step come from one product each (sigma = 0 adds nothing).  A step
-in which no grid point lies outside O skips the direction field and the
-penalty arithmetic and records zero penetration.  Stability of the
+every step come from one product each (sigma = 0 adds nothing).
+
+Each step projects the state once.  A step in which no grid point lies
+outside O adds no penalty.  Otherwise the step needs only the gap
+u - pi(u): for both supported gamma rules dist * gamma is a fixed linear
+map of it (``ObliqueField.scaled_directions``), so no direction field is
+formed.  The gaps of the penetrating states are stored, and the
+penetration series (pen_h, pen_l1, pen_linf, pen_gamma) and the
+reflection measure are computed from them after the loop; a run that
+never penetrates stores nothing and records zeros.  Stability of the
 explicit penalty relaxation requires dt * n_pen <= 1/2, enforced at
 entry.
 
@@ -35,7 +42,7 @@ consecutive members are Cauchy in  sup_t |.|_H^2 + int |.|_V^2 dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -44,7 +51,7 @@ from scipy.linalg import solve_banded  # noqa: F401
 
 from .coefficients import ModelCoefficients
 from .controls import Control
-from .fields import Field, SpatialGrid, lap_series, sup_series, v_series
+from .fields import Field, lap_series, sup_series, v_series
 from .geometry import ConvexDomain, ObliqueField
 from .trajectory import ReflectionMeasure, Trajectory, TrajectorySeries, state_gap
 
@@ -197,30 +204,26 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
 
     states = np.empty((steps + 1, d, J))
     states[0] = u0.values
-    pen_h = np.zeros(steps + 1)
-    pen_l1 = np.zeros(steps + 1)
-    pen_linf = np.zeros(steps + 1)
-    pen_gamma = np.zeros(steps + 1)
-    increments = np.zeros((steps, d, J))
-    magnitude = np.zeros((steps, J))
+    # u - pi(u) of every state, (steps + 1, J, d), allocated at the first
+    # state that penetrates; the penalty diagnostics come from it after
+    # the loop
+    gaps = None
 
-    def penetrate(u, k):
-        """Fill the step-k penalty series and return (dist, gamma), or
-        None when no grid point lies outside the domain."""
+    def record_gap(u, k):
+        """Store and return u - pi(u) of state k as (J, d), or return None
+        when no grid point lies outside the domain."""
+        nonlocal gaps
         ut = u.T
         proj = domain.project_many(ut)
         if proj is ut:                            # all inside, returned as is
             return None
-        diff_t = ut - proj                        # (J, d)
-        if not diff_t.any():
+        gap = ut - proj
+        if not gap.any():
             return None
-        dist = np.sqrt(np.einsum("jd,jd->j", diff_t, diff_t))
-        gam = gamma.grid_values(ut, proj, dist).T  # (d, J)
-        pen_h[k] = math.sqrt(dx * float(np.sum(dist * dist)))
-        pen_l1[k] = dx * float(np.sum(dist))
-        pen_linf[k] = float(np.max(np.abs(diff_t)))
-        pen_gamma[k] = dx * float(np.einsum("dj,dj->", u, dist * gam))
-        return dist, gam
+        if gaps is None:
+            gaps = np.zeros((steps + 1, J, d))
+        gaps[k] = gap
+        return gap
 
     u = u0.values.copy()
     top = float(np.abs(u).max())
@@ -229,15 +232,11 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         if top > 1e150:
             raise SolverError(f"state blew up at step {k}", step=k)
         b = coeffs.drift(u) if b_fixed is None else b_fixed
-        pen = penetrate(u, k)
-        if pen is None:
+        gap = record_gap(u, k)
+        if gap is None:
             rhs = u + dt * b
         else:
-            dist, gam = pen
-            pen_drift = (n_pen * dist) * gam
-            increments[k] = (dt * dx) * pen_drift
-            magnitude[k] = (n_pen * dt * dx) * dist
-            rhs = u + dt * (b - pen_drift)
+            rhs = u + dt * (b - n_pen * gamma.scaled_directions(gap).T)
         if sig_fixed is not None:
             for term in terms:
                 rhs += term[k]
@@ -252,13 +251,14 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         states[k + 1] = u
 
     # terminal penetration for the sup statistics
-    penetrate(u, steps)
+    record_gap(u, steps)
 
+    pen, increments, magnitude = _penalty_diagnostics(states, gaps, gamma,
+                                                      n_pen, dt, dx)
     series = TrajectorySeries(
         h_sq=sup_series(states, dx),
         v_sq=v_series(states, dx),
-        lap_sq=lap_series(states, dx),
-        pen_h=pen_h, pen_l1=pen_l1, pen_linf=pen_linf, pen_gamma=pen_gamma)
+        lap_sq=lap_series(states, dx), **pen)
     measure = ReflectionMeasure(grid=grid, dt=dt, increments=increments,
                                 magnitude=magnitude)
     info = dict(meta or {})
@@ -269,6 +269,29 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     return Trajectory(grid=grid, dt=dt, n_pen=n_pen, states=states,
                       series=series, measure=measure, stride=stride,
                       epsilon=epsilon, meta=info)
+
+
+def _penalty_diagnostics(states, gaps, gamma: ObliqueField, n_pen: float,
+                         dt: float, dx: float) -> tuple:
+    """The pen_* series of every state and the reflection measure's
+    (increments, magnitude), from the gaps u - pi(u) of every state
+    ((steps + 1, J, d), or None when no state penetrated)."""
+    count, d, J = states.shape
+    steps = count - 1
+    if gaps is None:
+        pen = {name: np.zeros(count)
+               for name in ("pen_h", "pen_l1", "pen_linf", "pen_gamma")}
+        return pen, np.zeros((steps, d, J)), np.zeros((steps, J))
+    dist = np.sqrt(np.einsum("kjd,kjd->kj", gaps, gaps))
+    scaled = gamma.scaled_directions(gaps)        # dist * gamma
+    pen = {"pen_h": np.sqrt(dx * np.sum(dist * dist, axis=1)),
+           "pen_l1": dx * np.sum(dist, axis=1),
+           "pen_linf": np.abs(gaps).max(axis=(1, 2)),
+           "pen_gamma": dx * np.einsum("kdj,kjd->k", states, scaled)}
+    increments = np.empty((steps, d, J))
+    np.multiply(dt * dx, (n_pen * scaled[:steps]).transpose(0, 2, 1),
+                out=increments)
+    return pen, increments, (n_pen * dt * dx) * dist[:steps]
 
 
 def solve_penalized_skeleton(coeffs: ModelCoefficients, domain: ConvexDomain,

@@ -14,6 +14,7 @@ from rspde.geometry import (
     Intersection,
     ObliqueField,
     Polytope,
+    _dykstra,
     boundary_points,
     build_oblique_matrix,
     exterior_points,
@@ -131,6 +132,43 @@ def test_box_polytope_projection_agree() -> None:
     rng = np.random.Generator(np.random.Philox(14))
     x = rng.uniform(-3.0, 3.0, size=(400, 2))
     assert np.max(np.abs(box.project_many(x) - poly.project_many(x))) <= 1e-12
+
+
+INTERSECTIONS = {
+    "ball-box": Intersection([Ball(center=[0.0, 0.0], radius=0.5),
+                              Box(lower=[-0.4, -0.45], upper=[0.45, 0.4])]),
+    "ball-box-3d": Intersection([Ball(center=[0.0, 0.0, 0.0], radius=1.0),
+                                 Box(lower=[-0.7, -0.9, -0.6], upper=[0.8, 0.6, 0.9])]),
+    "offcentre-ball-box": Intersection([Ball(center=[0.2, -0.1], radius=1.2),
+                                        sym_box(2)]),
+    "ball-ball": Intersection([Ball(center=[0.3, 0.0], radius=1.0),
+                               Ball(center=[-0.4, 0.1], radius=0.9)]),
+    "box-polytope": Intersection([Box(lower=[-0.6, -1.0], upper=[1.0, 0.7]),
+                                  diamond()]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERSECTIONS))
+def test_intersection_projection_matches_dykstra(name) -> None:
+    # Exact member projections where one member is active, Dykstra's
+    # scheme where several are: the result must agree with Dykstra's
+    # scheme run on every exterior point.
+    dom = INTERSECTIONS[name]
+    rng = np.random.Generator(np.random.Philox(15))
+    scale = 2.5 * dom.bounding_radius
+    x = rng.uniform(-scale, scale, size=(2000, dom.dim))
+    inside = dom.contains_many(x)
+    one_active = np.zeros(len(x), dtype=bool)
+    for m in dom.members:
+        one_active |= dom.contains_many(m.project_many(x))
+    # the batch covers inside points, one active member and several
+    assert inside.any() and (one_active & ~inside).any(), name
+    assert (~one_active & ~inside).any(), name
+    p = dom.project_many(x)
+    assert np.max(np.abs(p - _dykstra(x, dom.members, inside=inside))) <= 1e-12, name
+    assert np.array_equal(p[inside], x[inside]), name
+    batch = x[inside]
+    assert dom.project_many(batch) is batch, name
 
 
 @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))

@@ -384,6 +384,17 @@ def _oblique_intersection():
                 control=constant_control(0.4, [12.0, 10.0], K=4))
 
 
+def _normal_intersection():
+    dom = Intersection([Ball(center=[0.1, 0.0], radius=0.6),
+                        Box(lower=[-0.5, -0.4], upper=[0.5, 0.45])])
+    coeffs = make_coefficients(
+        2, 1, b={"name": "constant", "value": [5.0, 4.0]},
+        sigma={"name": "constant", "matrix": [[0.5], [-0.3]]})
+    return dict(coeffs=coeffs, domain=dom, gamma=normal_gamma(dom),
+                u0=zero_start(31, d=2), n_pen=256.0, dt=1e-3, steps=300,
+                epsilon=0.05, noise=sample_brownian(1, 300, 1e-3, seed=9))
+
+
 def _box_3d():
     dom = Box(lower=[-0.3, -0.4, -0.5], upper=[0.3, 0.4, 0.5])
     coeffs = make_coefficients(
@@ -400,6 +411,7 @@ def _box_3d():
 
 @pytest.mark.parametrize("case, rtol", [(_free_noisy, 0.0),
                                         (_oblique_intersection, 1e-12),
+                                        (_normal_intersection, 1e-12),
                                         (_box_3d, 1e-12)])
 def test_step_loop_matches_reference(case, rtol) -> None:
     kwargs = case()
@@ -410,6 +422,9 @@ def test_step_loop_matches_reference(case, rtol) -> None:
     for name in TrajectorySeries.FIELDS:
         got.append(getattr(traj.series, name))
         want.append(getattr(series, name))
+    steps, (d, J) = kwargs["steps"], kwargs["u0"].values.shape
+    assert traj.measure.increments.shape == (steps, d, J)
+    assert traj.measure.increments.flags.c_contiguous
     for g, w in zip(got, want):
         if rtol == 0.0:
             assert np.array_equal(g, w)
