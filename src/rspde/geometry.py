@@ -11,14 +11,19 @@ variational-inequality diagnostics; it is built as a rank-two correction
 of the identity and certified through its smallest eigenvalue on boundary
 samples.
 
+gamma and a are defined once, on point batches (``at_many``), from the
+normals of ``_anchored_normals``; certification and the
+variational-inequality check use these batch forms.
+
 Supported bodies: balls, axis-aligned boxes, halfspace polytopes, and
-finite intersections of those.  Balls and boxes project in closed form;
-polytopes use Dykstra's alternating scheme over their halfspaces.  An
-intersection projects each exterior point onto its members in turn and
-keeps a member's projection when it lies in every other member (the
-nearest point of a superset that lies in the body is the nearest point of
-the body); only points where two or more members are active go through
-Dykstra's scheme.  Both are vectorized over batches of query points.
+finite intersections of those.  Balls and boxes project in closed form.
+Polytopes and intersections share one projection over their members
+(halfspaces or bodies): each exterior point is projected onto the members
+in turn, keeping a member's projection when it lies in every other member
+(the nearest point of a superset that lies in the body is the nearest
+point of the body); only points where two or more members are active go
+through Dykstra's alternating scheme.  All of it is vectorized over
+batches of query points.
 
 Point batches use shape (n, d) throughout this module.
 """
@@ -116,14 +121,20 @@ class ConvexDomain:
     def bounding_radius(self) -> float:
         raise NotImplementedError
 
-    def boundary_anchor(self, x: np.ndarray) -> np.ndarray:
-        """A deterministic boundary point associated with an interior x.
+    def boundary_anchor_many(self, points: np.ndarray) -> np.ndarray:
+        """Boundary point on the ray from 0 through each row (through e1
+        for the origin).
 
-        Only used to give direction fields a finite value at points where
-        the penalty vanishes anyway; any measurable, deterministic rule
-        is acceptable.
+        Only used to give direction fields a finite value at interior
+        points, where the penalty vanishes anyway; any measurable,
+        deterministic rule is acceptable.
         """
-        raise NotImplementedError
+        norms = _row_norms(points)
+        dirs = np.zeros_like(points)
+        dirs[:, 0] = 1.0
+        nonzero = norms > 0.0
+        dirs[nonzero] = points[nonzero] / norms[nonzero, None]
+        return self.ray_exit_many(dirs)[:, None] * dirs
 
     # -- convenience wrappers -----------------------------------------
 
@@ -212,15 +223,6 @@ class Ball(ConvexDomain):
     def bounding_radius(self):
         return float(np.linalg.norm(self.center)) + self.radius
 
-    def boundary_anchor(self, x):
-        v = np.asarray(x, dtype=float) - self.center
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            v = np.zeros(self.dim)
-            v[0] = 1.0
-            nv = 1.0
-        return self.center + self.radius * v / nv
-
 
 class Box(ConvexDomain):
     def __init__(self, lower, upper):
@@ -269,20 +271,6 @@ class Box(ConvexDomain):
     def bounding_radius(self):
         return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
 
-    def boundary_anchor(self, x):
-        x = np.asarray(x, dtype=float).copy()
-        lo_margin = x - self.lower
-        hi_margin = self.upper - x
-        # Push the smallest margin to its face; ties break to the lowest
-        # index, low face first.
-        i_lo = int(np.argmin(lo_margin))
-        i_hi = int(np.argmin(hi_margin))
-        if lo_margin[i_lo] <= hi_margin[i_hi]:
-            x[i_lo] = self.lower[i_lo]
-        else:
-            x[i_hi] = self.upper[i_hi]
-        return x
-
 
 class Polytope(ConvexDomain):
     """Intersection of halfspaces <n_i, x> <= b_i with unit normals n_i."""
@@ -302,6 +290,8 @@ class Polytope(ConvexDomain):
         self.dim = normals.shape[1]
         self._bounding_radius = self._audit_bounded()
         self._set_membership_slack()
+        self._faces = [_HalfspaceSet(n, b, self._slack)
+                       for n, b in zip(self.normals, self.offsets)]
 
     def _audit_bounded(self) -> float:
         # Numerical boundedness audit: every sampled direction must exit.
@@ -318,9 +308,7 @@ class Polytope(ConvexDomain):
         return np.all(slack >= -tol, axis=1)
 
     def project_many(self, points):
-        return _dykstra(points, [_HalfspaceSet(self.normals[i], self.offsets[i])
-                                 for i in range(self.offsets.size)],
-                        inside=self.contains_many(points))
+        return _project_onto_members(points, self._faces)
 
     def interior_gap_many(self, points):
         return np.min(self.offsets - points @ self.normals.T, axis=1)
@@ -346,12 +334,6 @@ class Polytope(ConvexDomain):
     def bounding_radius(self):
         return self._bounding_radius
 
-    def boundary_anchor(self, x):
-        x = np.asarray(x, dtype=float)
-        slack = self.offsets - self.normals @ x
-        i = int(np.argmin(slack))
-        return x + slack[i] * self.normals[i]
-
 
 class Intersection(ConvexDomain):
     def __init__(self, members):
@@ -372,40 +354,7 @@ class Intersection(ConvexDomain):
         return out
 
     def project_many(self, points):
-        """Exact member projections where one member is active, Dykstra's
-        scheme for the rest.
-
-        A member's projection of a point is the nearest point of a
-        superset of the body, so when it lies in every other member it is
-        the projection onto the body.  Each member tries the rows it
-        excludes that no earlier member resolved; rows left over (two or
-        more members active) go through ``_dykstra``.
-        """
-        holds = [m.contains_many(points) for m in self.members]
-        pending = ~functools.reduce(np.logical_and, holds)
-        left = np.count_nonzero(pending)
-        if not left:
-            return points
-        out = points.copy()
-        for m, inside_m in zip(self.members, holds):
-            rows = np.flatnonzero(pending & ~inside_m)
-            if not rows.size:
-                continue
-            candidates = m.project_many(points[rows])
-            exact = np.ones(rows.size, dtype=bool)
-            for other in self.members:
-                if other is not m:
-                    exact &= other.contains_many(candidates)
-            if not exact.all():
-                rows, candidates = rows[exact], candidates[exact]
-            out[rows] = candidates
-            pending[rows] = False
-            left -= rows.size
-            if not left:
-                return out
-        rows = np.flatnonzero(pending)
-        out[rows] = _dykstra(points[rows], self.members)
-        return out
+        return _project_onto_members(points, self.members)
 
     def interior_gap_many(self, points):
         return np.min([m.interior_gap_many(points) for m in self.members], axis=0)
@@ -437,17 +386,18 @@ class Intersection(ConvexDomain):
     def bounding_radius(self):
         return min(m.bounding_radius for m in self.members)
 
-    def boundary_anchor(self, x):
-        gaps = [m.interior_gap(x) for m in self.members]
-        return self.members[int(np.argmin(gaps))].boundary_anchor(x)
-
 
 class _HalfspaceSet:
-    """Single halfspace wrapped with the batch-projection interface."""
+    """Single halfspace <normal, x> <= offset with the batch-projection and
+    membership interface of a polytope's members."""
 
-    def __init__(self, normal, offset):
+    def __init__(self, normal, offset, slack):
         self.normal = normal
         self.offset = offset
+        self._slack = slack
+
+    def contains_many(self, points, tol=None):
+        return points @ self.normal <= self.offset + (self._slack if tol is None else tol)
 
     def project_many(self, points):
         excess = points @ self.normal - self.offset
@@ -455,19 +405,51 @@ class _HalfspaceSet:
         return points - excess[:, None] * self.normal[None, :]
 
 
-def _dykstra(points, sets, inside=None):
+def _project_onto_members(points, members):
+    """Projection onto the intersection of ``members``: exact member
+    projections where one member is active, Dykstra's scheme for the rest.
+
+    A member's projection of a point is the nearest point of a superset
+    of the body, so when it lies in every other member it is the
+    projection onto the body.  Each member tries the rows it excludes that
+    no earlier member resolved; rows left over (two or more members
+    active) go through ``_dykstra``.  Inside rows are returned unchanged,
+    and an all-inside batch returns ``points`` itself.
+    """
+    holds = [m.contains_many(points) for m in members]
+    pending = ~functools.reduce(np.logical_and, holds)
+    left = np.count_nonzero(pending)
+    if not left:
+        return points
+    out = points.copy()
+    for m, inside_m in zip(members, holds):
+        rows = np.flatnonzero(pending & ~inside_m)
+        if not rows.size:
+            continue
+        candidates = m.project_many(points[rows])
+        exact = np.ones(rows.size, dtype=bool)
+        for other in members:
+            if other is not m:
+                exact &= other.contains_many(candidates)
+        if not exact.all():
+            rows, candidates = rows[exact], candidates[exact]
+        out[rows] = candidates
+        pending[rows] = False
+        left -= rows.size
+        if not left:
+            return out
+    rows = np.flatnonzero(pending)
+    out[rows] = _dykstra(points[rows], members)
+    return out
+
+
+def _dykstra(points, sets):
     """Dykstra's alternating projections onto the intersection of ``sets``.
 
     Vectorized over the batch; converges when the largest point
-    displacement over a full sweep drops below DYKSTRA_TOL.  Points
-    already inside are returned unchanged (bitwise), which also makes
-    re-projection a fixed point.
+    displacement over a full sweep drops below DYKSTRA_TOL.
     """
-    points = np.asarray(points, dtype=float)
-    if inside is not None and inside.all():
-        return points
-    work = points if inside is None else points[~inside]
-    x = work.copy()
+    x = np.array(points, dtype=float)
     corrections = [np.zeros_like(x) for _ in sets]
     for _ in range(DYKSTRA_MAX_SWEEPS):
         delta = 0.0
@@ -483,11 +465,7 @@ def _dykstra(points, sets, inside=None):
         raise GeometryError(
             f"Dykstra projection did not converge in {DYKSTRA_MAX_SWEEPS} sweeps "
             f"(last sweep displacement {delta:.3e})")
-    if inside is None:
-        return x
-    out = points.copy()
-    out[~inside] = x
-    return out
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +568,42 @@ def interior_points(domain: ConvexDomain, count: int, seed: int):
 # oblique direction fields
 
 
+def _unit_gaps(points, projections, dists):
+    """(x - pi(x)) / dist(x) per row where dist > BOUNDARY_ATOL, and the
+    first basis vector as a filler elsewhere."""
+    outside = dists > BOUNDARY_ATOL
+    out = np.zeros_like(points)
+    out[:, 0] = 1.0
+    if outside.any():
+        out[outside] = (points[outside] - projections[outside]) / dists[outside, None]
+    return out
+
+
+def _anchored_normals(domain: ConvexDomain, points: np.ndarray) -> tuple:
+    """(anchors, normals) for an (n, d) batch: the boundary point each
+    row's normal belongs to, and that outward unit normal.
+
+    Exterior rows (dist > BOUNDARY_ATOL): pi(x) and (x - pi(x)) / dist.
+    Boundary rows (dist and |interior gap| <= BOUNDARY_ATOL): pi(x) and
+    n(x).  Interior rows: the ray-exit anchor of ``boundary_anchor_many``
+    and the normal there.
+    """
+    points = np.asarray(points, dtype=float)
+    anchors = domain.project_many(points)
+    dists = _row_norms(points - anchors)
+    normals = _unit_gaps(points, anchors, dists)
+    near = np.flatnonzero(dists <= BOUNDARY_ATOL)
+    if near.size:
+        at = points[near]
+        inner = np.abs(domain.interior_gap_many(at)) > BOUNDARY_ATOL
+        if inner.any():
+            at[inner] = domain.boundary_anchor_many(at[inner])
+            anchors = anchors.copy()
+            anchors[near[inner]] = at[inner]
+        normals[near] = domain.outward_normal_many(at)[0]
+    return anchors, normals
+
+
 class ObliqueField:
     """Unit direction field gamma used by the reflection penalty.
 
@@ -599,10 +613,11 @@ class ObliqueField:
       direction (x - pi(x)) / dist(x).
     * ``rotated_normal`` -- the normal rotated by a fixed angle (d = 2).
 
+    ``at_many`` defines gamma on a batch (``at`` is its one-point form).
     The time stepping uses ``scaled_directions``, which maps the gaps
-    x - pi(x) straight to dist * gamma without forming gamma.
-    ``grid_values`` returns gamma itself for a batch of points; for
-    entries with dist <= BOUNDARY_ATOL it is an arbitrary unit filler.
+    x - pi(x) straight to dist * gamma; ``grid_values`` takes precomputed
+    projections and puts a unit filler where dist <= BOUNDARY_ATOL.  All
+    three apply the rule through ``_apply_rule``.
     """
 
     def __init__(self, domain: ConvexDomain, rule: str = "normal",
@@ -618,34 +633,27 @@ class ObliqueField:
         elif rule != "normal":
             raise GeometryError(f"unknown oblique field rule {rule!r}")
 
-    def _normal_at(self, x: np.ndarray) -> np.ndarray:
-        p = self.domain.project(x)
-        diff = np.asarray(x, dtype=float) - p
-        dist = float(np.linalg.norm(diff))
-        if dist > BOUNDARY_ATOL:
-            return diff / dist
-        if abs(self.domain.interior_gap(x)) <= BOUNDARY_ATOL:
-            return self.domain.outward_normal(x).vector
-        anchor = self.domain.boundary_anchor(x)
-        return self.domain.outward_normal(anchor).vector
+    def _apply_rule(self, vectors: np.ndarray) -> np.ndarray:
+        """The rule as a fixed linear map of the last axis: the identity
+        for ``normal`` (the input itself is returned), the rotation for
+        ``rotated_normal``."""
+        if self.rule == "rotated_normal":
+            return vectors @ self._rot.T
+        return vectors
+
+    def at_many(self, points: np.ndarray) -> np.ndarray:
+        """gamma at each row of an (n, d) batch."""
+        return self._apply_rule(_anchored_normals(self.domain, points)[1])
 
     def at(self, x) -> np.ndarray:
-        n = self._normal_at(np.asarray(x, dtype=float))
-        if self.rule == "rotated_normal":
-            return self._rot @ n
-        return n
+        return self.at_many(_as_batch(x)[0])[0]
 
     def scaled_directions(self, gaps: np.ndarray) -> np.ndarray:
         """dist(x) * gamma(x) from the gaps x - pi(x) (last axis d).
 
-        For both rules this is a fixed linear map of the gap: the identity
-        for ``normal`` (the gap itself is returned) and the rotation for
-        ``rotated_normal``.  A zero gap maps to zero, so no filler
-        direction is needed.
+        A zero gap maps to zero, so no filler direction is needed.
         """
-        if self.rule == "rotated_normal":
-            return gaps @ self._rot.T
-        return gaps
+        return self._apply_rule(gaps)
 
     def grid_values(self, points: np.ndarray, projections: np.ndarray,
                     dists: np.ndarray) -> np.ndarray:
@@ -655,14 +663,7 @@ class ObliqueField:
         as a filler direction; callers multiply by the penetration
         magnitude which vanishes there.
         """
-        outside = dists > BOUNDARY_ATOL
-        out = np.zeros_like(points)
-        out[:, 0] = 1.0
-        if outside.any():
-            out[outside] = (points[outside] - projections[outside]) / dists[outside, None]
-        if self.rule == "rotated_normal":
-            return out @ self._rot.T
-        return out
+        return self._apply_rule(_unit_gaps(points, projections, dists))
 
 
 @dataclass
@@ -690,6 +691,13 @@ class ValidationReport:
         }
 
 
+def _boundary_rho(domain: ConvexDomain, gamma: ObliqueField, samples: int,
+                  seed: int) -> tuple:
+    """Boundary samples and <gamma, n> at each of them."""
+    pts, normals, _ = boundary_points(domain, samples, seed)
+    return pts, np.einsum("nd,nd->n", gamma.at_many(pts), normals)
+
+
 def validate_oblique_field(domain: ConvexDomain, gamma: ObliqueField,
                            samples: int = 1000, seed: int = 0,
                            rho_min: float = 0.0, delta_min: float = 0.0,
@@ -701,15 +709,9 @@ def validate_oblique_field(domain: ConvexDomain, gamma: ObliqueField,
     only, where the penalty actually acts.  The report fails when either
     statistic is non-positive or drops below the configured thresholds.
     """
-    pts, normals, _ = boundary_points(domain, samples, seed)
-    rho_vals = np.empty(samples)
-    for i in range(samples):
-        rho_vals[i] = gamma.at(pts[i]) @ normals[i]
+    pts, rho_vals = _boundary_rho(domain, gamma, samples, seed)
     ext = exterior_points(domain, samples, seed)
-    delta_vals = np.empty(samples)
-    proj = domain.project_many(ext)
-    for i in range(samples):
-        delta_vals[i] = proj[i] @ gamma.at(ext[i])
+    delta_vals = np.einsum("nd,nd->n", domain.project_many(ext), gamma.at_many(ext))
 
     rho_hat = float(np.min(rho_vals))
     delta_hat = float(np.min(delta_vals))
@@ -735,10 +737,11 @@ class ObliqueMatrixField:
     bounded below by theta = <n, gamma> - |n - <n, gamma> gamma|.
 
     Construction: a = <n, gamma> I + gamma q^T + q gamma^T with
-    q = n - <n, gamma> gamma, all quantities evaluated at pi(x).  The
-    correction is rank two, so the spectrum is {<n,gamma> +- |q|} on
-    span{gamma, q} and <n,gamma> elsewhere; positivity needs the angle
-    between gamma and n to stay below 45 degrees.
+    q = n - <n, gamma> gamma, n the normal of ``_anchored_normals`` and
+    gamma evaluated at its anchor.  The correction is rank two, so the
+    spectrum is {<n,gamma> +- |q|} on span{gamma, q} and <n,gamma>
+    elsewhere; positivity needs the angle between gamma and n to stay
+    below 45 degrees.
     """
 
     def __init__(self, domain: ConvexDomain, gamma: ObliqueField, theta_hat: float):
@@ -746,27 +749,17 @@ class ObliqueMatrixField:
         self.gamma = gamma
         self.theta_hat = theta_hat
 
-    def _parts_at(self, x):
-        x = np.asarray(x, dtype=float)
-        p = self.domain.project(x)
-        diff = x - p
-        dist = float(np.linalg.norm(diff))
-        if dist > BOUNDARY_ATOL:
-            n = diff / dist
-        elif abs(self.domain.interior_gap(x)) <= BOUNDARY_ATOL:
-            n = self.domain.outward_normal(x).vector
-        else:
-            anchor = self.domain.boundary_anchor(x)
-            n = self.domain.outward_normal(anchor).vector
-            p = anchor
-        return p, n
+    def at_many(self, points: np.ndarray) -> np.ndarray:
+        """a at each row of an (n, d) batch, shape (n, d, d)."""
+        anchors, n = _anchored_normals(self.domain, points)
+        g = self.gamma.at_many(anchors)
+        c = np.einsum("nd,nd->n", n, g)
+        q = n - c[:, None] * g
+        gq = g[:, :, None] * q[:, None, :]
+        return c[:, None, None] * np.eye(self.domain.dim) + gq + gq.transpose(0, 2, 1)
 
     def at(self, x) -> np.ndarray:
-        p, n = self._parts_at(x)
-        g = self.gamma.at(p)
-        c = float(n @ g)
-        q = n - c * g
-        return c * np.eye(self.domain.dim) + np.outer(g, q) + np.outer(q, g)
+        return self.at_many(_as_batch(x)[0])[0]
 
 
 SQRT_HALF = math.sqrt(0.5)
@@ -781,28 +774,18 @@ def build_oblique_matrix(domain: ConvexDomain, gamma: ObliqueField,
     construction) or when the sampled eigenvalue floor theta_hat is not
     positive; the offending sample is reported.
     """
-    pts, normals, _ = boundary_points(domain, samples, seed)
-    rho_hat = np.inf
-    rho_argmin = None
-    for i in range(samples):
-        r = float(gamma.at(pts[i]) @ normals[i])
-        if r < rho_hat:
-            rho_hat, rho_argmin = r, pts[i]
-    if not rho_hat > SQRT_HALF:
+    pts, rho_vals = _boundary_rho(domain, gamma, samples, seed)
+    i = int(np.argmin(rho_vals))
+    if not rho_vals[i] > SQRT_HALF:
         raise GeometryError(
             f"oblique matrix construction needs <gamma, n> > sqrt(1/2) on the "
-            f"boundary; sampled minimum {rho_hat:.6f} at {rho_argmin}")
+            f"boundary; sampled minimum {rho_vals[i]:.6f} at {pts[i]}")
     field_obj = ObliqueMatrixField(domain, gamma, theta_hat=np.inf)
-    theta_hat = np.inf
-    theta_argmin = None
-    for i in range(samples):
-        a = field_obj.at(pts[i])
-        lam = float(np.linalg.eigvalsh(a)[0])
-        if lam < theta_hat:
-            theta_hat, theta_argmin = lam, pts[i]
-    if not theta_hat > 0:
+    lam = np.linalg.eigvalsh(field_obj.at_many(pts))[:, 0]
+    i = int(np.argmin(lam))
+    if not lam[i] > 0:
         raise GeometryError(
-            f"certified eigenvalue floor is not positive: {theta_hat:.6f} "
-            f"at {theta_argmin}")
-    field_obj.theta_hat = theta_hat
+            f"certified eigenvalue floor is not positive: {lam[i]:.6f} "
+            f"at {pts[i]}")
+    field_obj.theta_hat = float(lam[i])
     return field_obj

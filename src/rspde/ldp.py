@@ -295,6 +295,21 @@ class MCResult:
         return out
 
 
+def _replicas(coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
+              epsilon: float, n_pen: float, dt: float, steps: int,
+              control: Control = None, generator: str = "philox"):
+    """(index, seed, trajectory) per replica index; each replica's noise
+    depends only on its own plan seed.  The sampler and the solver are
+    looked up in this module's namespace, where wrappers may replace them.
+    """
+    for i in indices:
+        seed = plan.seed_for(i)
+        noise = sample_brownian(coeffs.m, steps, dt, seed, generator)
+        yield i, seed, solve_penalized_spde(
+            coeffs, domain, gamma, u0, n_pen=n_pen, dt=dt, steps=steps,
+            epsilon=epsilon, noise=noise, control=control)
+
+
 def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
             n_pen: float, dt: float, steps: int, plan: ReplicaPlan,
             start: int, stop: int, control: Control = None,
@@ -305,19 +320,13 @@ def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
     index order reproduces the serial run exactly, because every replica's
     noise depends only on its own plan seed.
     """
-    rows = []
-    for i in range(start, stop):
-        seed = plan.seed_for(i)
-        noise = sample_brownian(coeffs.m, steps, dt, seed, generator)
-        traj = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
-                                    dt=dt, steps=steps, epsilon=epsilon,
-                                    noise=noise, control=control)
-        rows.append(ReplicaRow(
-            replica=i, seed=seed,
-            sup_pen_H=float(np.max(traj.series.pen_h)),
-            terminal_H_norm=h_norm(traj.terminal),
-            event=int(event.occurred(traj))))
-    return rows
+    return [ReplicaRow(replica=i, seed=seed,
+                       sup_pen_H=float(np.max(traj.series.pen_h)),
+                       terminal_H_norm=h_norm(traj.terminal),
+                       event=int(event.occurred(traj)))
+            for i, seed, traj in _replicas(coeffs, domain, gamma, u0, plan,
+                                           range(start, stop), epsilon, n_pen,
+                                           dt, steps, control, generator)]
 
 
 def summarize_rows(rows: list, replicas: int) -> MCResult:
@@ -397,12 +406,9 @@ def ldp_compare(coeffs, domain, gamma, u0, event: EventSpec,
         res = summarize_rows(rows, plan.count)
         neg = -eps * math.log(res.p_hat) if res.p_hat > 0 else math.nan
         strays = 0
-        for i in range(ldp1_replicas):
-            seed = ldp1_plan.seed_for(i)
-            noise = sample_brownian(coeffs.m, steps, dt, seed, generator)
-            y = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
-                                     dt=dt, steps=steps, epsilon=eps,
-                                     noise=noise, control=h_star)
+        for _, _, y in _replicas(coeffs, domain, gamma, u0, ldp1_plan,
+                                 range(ldp1_replicas), eps, n_pen, dt, steps,
+                                 h_star, generator):
             gh, gv = state_gap(y, skeleton)
             strays += int(gh + gv > ldp1_delta_sq)
         out.append(CompareRow(epsilon=float(eps), p_hat=res.p_hat,
@@ -439,12 +445,9 @@ def weighted_trend(coeffs, domain, gamma, u0, control: Control, epsilons,
     for eps in epsilons:
         sups = []
         ints = []
-        for i in range(plan.count):
-            seed = plan.seed_for(i)
-            noise = sample_brownian(coeffs.m, steps, dt_eff, seed, generator)
-            y = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
-                                     dt=dt_eff, steps=steps, epsilon=eps,
-                                     noise=noise, control=control)
+        for _, _, y in _replicas(coeffs, domain, gamma, u0, plan,
+                                 range(plan.count), eps, n_pen, dt_eff, steps,
+                                 control, generator):
             w = weighted_distance(y, skeleton, lam)
             sups.append(w["weighted_sup"])
             ints.append(w["weighted_int"])

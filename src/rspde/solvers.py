@@ -51,6 +51,7 @@ from scipy.linalg import solve_banded  # noqa: F401
 
 from .coefficients import ModelCoefficients
 from .controls import Control
+from .diagnostics import energy_report, penetration_report
 from .fields import Field, lap_series, sup_series, v_series
 from .geometry import ConvexDomain, ObliqueField
 from .trajectory import ReflectionMeasure, Trajectory, TrajectorySeries, state_gap
@@ -336,18 +337,17 @@ class SkeletonResult:
 
 def _sweep_row(traj: Trajectory, cauchy_to_next: float,
                ch: float = math.nan, cv: float = math.nan) -> PenaltySweepRow:
-    s = traj.series
-    dt = traj.dt
-    n = traj.n_pen
+    energy = energy_report(traj)
+    pen = penetration_report(traj)
     return PenaltySweepRow(
-        n_pen=n,
-        sup_pen_H=float(np.max(s.pen_h)),
-        n_times_l1_integral=n * float(np.sum(s.pen_l1[:-1])) * dt,
-        n2_times_h2_integral=n * n * float(np.sum(s.pen_h[:-1] ** 2)) * dt,
+        n_pen=traj.n_pen,
+        sup_pen_H=pen["sup_pen_H"],
+        n_times_l1_integral=pen["n_l1_integral"],
+        n2_times_h2_integral=pen["n2_h2_integral"],
         cauchy_to_next=cauchy_to_next,
-        sup_H4=float(np.max(s.h_sq)) ** 2,
-        sup_V2=float(np.max(s.v_sq)),
-        int_H2=float(np.sum(s.lap_sq[:-1])) * dt,
+        sup_H4=energy["sup_H4"],
+        sup_V2=energy["sup_V2"],
+        int_H2=energy["int_H2"],
         cauchy_H_to_next=ch,
         cauchy_V_to_next=cv,
     )

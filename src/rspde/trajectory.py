@@ -117,8 +117,13 @@ class Trajectory:
         os.makedirs(directory, exist_ok=True)
         idx = self.snapshot_indices()
         np.save(os.path.join(directory, "states.npy"), self.states[idx])
+        # one line of repr() text per step: t, then the series in FIELDS
+        # order; index.json's times are the first cells of the snapshot lines
+        table = np.column_stack([self.times] + [getattr(self.series, name)
+                                                for name in TrajectorySeries.FIELDS])
+        lines = [",".join(map(repr, row)) for row in table.tolist()]
         index = {
-            "times": [repr(float(t)) for t in self.times[idx]],
+            "times": [lines[k].split(",", 1)[0] for k in idx],
             "J": self.grid.J,
             "d": self.grid.d,
             "dt": repr(float(self.dt)),
@@ -132,15 +137,11 @@ class Trajectory:
             "meta": self.meta,
         }
         with open(os.path.join(directory, "index.json"), "w") as fh:
-            json.dump(index, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        series = self.series
+            # dumps, not dump: with indent set, dump writes every token separately
+            fh.write(json.dumps(index, indent=1, sort_keys=True) + "\n")
         with open(os.path.join(directory, "series.csv"), "w", newline="") as fh:
             fh.write("t," + ",".join(TrajectorySeries.FIELDS) + "\n")
-            for k, t in enumerate(self.times):
-                row = [repr(float(t))] + [repr(float(getattr(series, name)[k]))
-                                          for name in TrajectorySeries.FIELDS]
-                fh.write(",".join(row) + "\n")
+            fh.writelines(line + "\n" for line in lines)
 
     @classmethod
     def load(cls, directory) -> "Trajectory":

@@ -21,6 +21,9 @@ weighs the measure with the symmetrizing matrix field a:
     int int < u(t, x) - phi(t, x), a(u(t, x)) eta(dt, dx) >  >=  -tol,
 
 nonnegative in the limit because a gamma = n and the domain is convex.
+``variational_inequality_check`` evaluates a(u) eta once, in one
+``ObliqueMatrixField.at_many`` call over every (step, point) the measure
+charges, and pairs it with each probe in one sum.
 """
 
 from __future__ import annotations
@@ -174,23 +177,17 @@ def variational_inequality_check(traj: Trajectory, a_field: ObliqueMatrixField,
         tol = 1e-8 * tv
     domain = a_field.domain
 
-    active = np.argwhere(traj.measure.magnitude > 0.0)
-    a_cache = {}
+    k, j = np.nonzero(traj.measure.magnitude > 0.0)
+    u = traj.states[k, :, j]
+    a_eta = np.einsum("nde,ne->nd", a_field.at_many(u),
+                      traj.measure.increments[k, :, j])
     per_probe = []
     for probe in probes:
         arr = _probe_states(probe, K, traj.grid)
         flat = arr.transpose(0, 2, 1).reshape(-1, traj.grid.d)
         if not domain.contains_many(flat, tol=1e-9).all():
             raise ValueError("probe leaves the domain")
-        value = 0.0
-        for k, j in active:
-            u = traj.states[k, :, j]
-            key = (k, j)
-            if key not in a_cache:
-                a_cache[key] = a_field.at(u)
-            inc = traj.measure.increments[k, :, j]
-            value += float((u - arr[k, :, j]) @ (a_cache[key] @ inc))
-        per_probe.append(value)
+        per_probe.append(float(np.einsum("nd,nd->", u - arr[k, :, j], a_eta)))
     value = min(per_probe) if per_probe else 0.0
     return VICheckResult(value=value, tol=tol, passed=value >= -tol,
                          per_probe=per_probe)

@@ -109,6 +109,15 @@ def test_saved_states_round_trip_bitwise(tmp_path, stride):
     for name in back.series.FIELDS:
         assert np.array_equal(getattr(back.series, name),
                               getattr(traj.series, name))
+    # the text files match a per-value repr() rendering
+    lines = ["t," + ",".join(traj.series.FIELDS)]
+    for k, t in enumerate(traj.times):
+        lines.append(",".join([repr(float(t))] + [
+            repr(float(getattr(traj.series, name)[k])) for name in traj.series.FIELDS]))
+    assert (tmp_path / "run" / "series.csv").read_text() == "\n".join(lines) + "\n"
+    with open(tmp_path / "run" / "index.json") as fh:
+        index = json.load(fh)
+    assert index["times"] == [repr(float(traj.times[k])) for k in snaps]
 
 
 @pytest.mark.parametrize("reshape", [lambda a: a[:-1],

@@ -13,6 +13,7 @@ from rspde.geometry import (
     GeometryError,
     Intersection,
     ObliqueField,
+    ObliqueMatrixField,
     Polytope,
     _dykstra,
     boundary_points,
@@ -145,27 +146,31 @@ INTERSECTIONS = {
                                Ball(center=[-0.4, 0.1], radius=0.9)]),
     "box-polytope": Intersection([Box(lower=[-0.6, -1.0], upper=[1.0, 0.7]),
                                   diamond()]),
+    # a polytope is the intersection of its halfspaces
+    "diamond": diamond(),
+    "diamond-3d": diamond_3d(),
 }
 
 
 @pytest.mark.parametrize("name", sorted(INTERSECTIONS))
 def test_intersection_projection_matches_dykstra(name) -> None:
-    # Exact member projections where one member is active, Dykstra's
-    # scheme where several are: the result must agree with Dykstra's
-    # scheme run on every exterior point.
+    # Exact member projections where one member (or face) is active,
+    # Dykstra's scheme where several are: the result must agree with
+    # Dykstra's scheme run on every exterior point.
     dom = INTERSECTIONS[name]
+    members = dom._faces if isinstance(dom, Polytope) else dom.members
     rng = np.random.Generator(np.random.Philox(15))
     scale = 2.5 * dom.bounding_radius
     x = rng.uniform(-scale, scale, size=(2000, dom.dim))
     inside = dom.contains_many(x)
     one_active = np.zeros(len(x), dtype=bool)
-    for m in dom.members:
+    for m in members:
         one_active |= dom.contains_many(m.project_many(x))
     # the batch covers inside points, one active member and several
     assert inside.any() and (one_active & ~inside).any(), name
     assert (~one_active & ~inside).any(), name
     p = dom.project_many(x)
-    assert np.max(np.abs(p - _dykstra(x, dom.members, inside=inside))) <= 1e-12, name
+    assert np.max(np.abs(p[~inside] - _dykstra(x[~inside], members))) <= 1e-12, name
     assert np.array_equal(p[inside], x[inside]), name
     batch = x[inside]
     assert dom.project_many(batch) is batch, name
@@ -335,6 +340,117 @@ def test_ray_cast_rejects_degenerate_corners() -> None:
 
 # ---------------------------------------------------------------------------
 # oblique fields
+
+
+def _reference_anchored_normal(dom, x):
+    """(anchor, normal) at one point: the per-point rule that the batch
+    ``at_many`` methods implement."""
+    x = np.asarray(x, dtype=float)
+    p = dom.project(x)
+    diff = x - p
+    dist = float(np.linalg.norm(diff))
+    if dist > 1e-9:
+        return p, diff / dist
+    if abs(dom.interior_gap(x)) <= 1e-9:
+        return p, dom.outward_normal(x).vector
+    anchor = dom.boundary_anchor_many(x[None, :])[0]
+    return anchor, dom.outward_normal(anchor).vector
+
+
+def _reference_gamma(gamma, x):
+    n = _reference_anchored_normal(gamma.domain, x)[1]
+    if gamma.rule == "rotated_normal":
+        c, s = math.cos(gamma.angle), math.sin(gamma.angle)
+        return np.array([[c, -s], [s, c]]) @ n
+    return n
+
+
+def _reference_matrix(gamma, x):
+    p, n = _reference_anchored_normal(gamma.domain, x)
+    g = _reference_gamma(gamma, p)
+    c = float(n @ g)
+    q = n - c * g
+    return c * np.eye(len(n)) + np.outer(g, q) + np.outer(q, g)
+
+
+OBLIQUE_DOMAINS = {
+    "ball": Ball(center=[0.1, 0.0], radius=1.2),
+    "box": Box(lower=[-1.0, -0.5], upper=[0.8, 1.0]),
+    "polytope": diamond(),
+    "ball-box": Intersection([unit_ball(2), Box(lower=[-0.8, -0.9], upper=[0.8, 0.9])]),
+}
+
+
+def _oblique_probe_points(dom):
+    """(points, dykstra): boundary, exterior, near-boundary (0 < dist <=
+    1e-9) and scattered exterior points, corner regions included; the
+    flag marks rows whose projection goes through Dykstra's scheme."""
+    pts, normals, _ = boundary_points(dom, 200, seed=21)
+    rng = np.random.Generator(np.random.Philox(22))
+    near = pts + rng.uniform(1e-12, 9e-10, size=200)[:, None] * normals
+    scale = 2.5 * dom.bounding_radius
+    far = rng.uniform(-scale, scale, size=(600, 2))
+    far = far[~dom.contains_many(far)]
+    x = np.vstack([pts, exterior_points(dom, 200, seed=21), near, far])
+    dist = dom.distance_many(x)
+    assert ((dist > 0) & (dist <= 1e-9)).sum() >= 100
+    # exterior points whose projection is a corner or kink
+    corners = np.count_nonzero(dom.outward_normal_many(dom.project_many(far))[1])
+    assert corners == 0 if isinstance(dom, Ball) else corners >= 20
+    dykstra = np.zeros(len(x), dtype=bool)
+    if isinstance(dom, Intersection):
+        one_active = np.zeros(len(x), dtype=bool)
+        for m in dom.members:
+            one_active |= dom.contains_many(m.project_many(x))
+        dykstra = ~one_active & ~dom.contains_many(x)
+    return x, dykstra
+
+
+@pytest.mark.parametrize("rule", ["normal", "rotated_normal"])
+@pytest.mark.parametrize("name", sorted(OBLIQUE_DOMAINS))
+def test_at_many_matches_pointwise_reference(name, rule) -> None:
+    # Both batch methods equal the per-point rule within 1e-14.  The one
+    # exception is a row whose projection onto an intersection needs
+    # Dykstra's scheme: the scheme stops when its largest displacement
+    # over the batch is small, so a batch and a one-point call can stop
+    # at different sweeps (their projections agree to its 1e-12 accuracy).
+    dom = OBLIQUE_DOMAINS[name]
+    gamma = ObliqueField(dom, rule, angle=0.3)
+    a_field = ObliqueMatrixField(dom, gamma, theta_hat=0.0)
+    x, dykstra = _oblique_probe_points(dom)
+    gam = gamma.at_many(x)
+    mat = a_field.at_many(x)
+    assert gam.shape == x.shape and mat.shape == (len(x), 2, 2)
+    gam_err = np.max(np.abs(gam - [_reference_gamma(gamma, p) for p in x]), axis=1)
+    mat_err = np.max(np.abs(mat - [_reference_matrix(gamma, p) for p in x]), axis=(1, 2))
+    assert np.max(gam_err[~dykstra]) <= 1e-14, name
+    assert np.max(mat_err[~dykstra]) <= 1e-14, name
+    if dykstra.any():
+        assert np.max(gam_err) <= 1e-11 and np.max(mat_err) <= 1e-11, name
+    assert np.array_equal(mat, mat.transpose(0, 2, 1))
+    # the one-point forms are one-row batches
+    assert np.max(np.abs(gamma.at(x[0]) - gam[0])) <= 1e-15
+    assert np.max(np.abs(a_field.at(x[0]) - mat[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(OBLIQUE_DOMAINS))
+def test_interior_anchor_on_boundary(name) -> None:
+    # Interior points, the origin included, take the normal at the exit
+    # point of the ray from 0 through them.
+    dom = OBLIQUE_DOMAINS[name]
+    x = np.vstack([np.zeros(2), interior_points(dom, 300, seed=23)])
+    anchors = dom.boundary_anchor_many(x)
+    assert np.max(np.abs(dom.interior_gap_many(anchors))) <= 1e-12
+    assert np.allclose(anchors[0], [dom.ray_exit(np.array([1.0, 0.0])), 0.0], atol=0)
+    scale = anchors[1:] / x[1:]
+    assert np.allclose(scale[:, 0], scale[:, 1], rtol=1e-12)
+    assert np.all(scale > 1.0)
+    for rule in ("normal", "rotated_normal"):
+        gamma = ObliqueField(dom, rule, angle=0.3)
+        gam = gamma.at_many(x)
+        assert np.max(np.abs(np.linalg.norm(gam, axis=1) - 1.0)) <= 1e-14
+        normals = dom.outward_normal_many(anchors)[0]
+        assert np.max(np.abs(gam - gamma.scaled_directions(normals))) <= 1e-15
 
 
 def test_normal_field_on_exterior_points() -> None:

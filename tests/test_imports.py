@@ -69,3 +69,18 @@ def test_cli_import_leaves_scipy_stats_unloaded() -> None:
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_finds_every_name(monkeypatch) -> None:
+    # The benchmark's tracer (bench/tracing.py) patches package names such
+    # as ObliqueField.grid_values, rspde.solvers.solve_banded and
+    # solvers.state_gap; installing it fails when one has gone.
+    monkeypatch.syspath_prepend(str(PACKAGE.parent.parent / "bench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+
+    for recorder in (tracing.StepCounter(), tracing.Tracer()):
+        try:
+            recorder.install()
+        finally:
+            recorder.uninstall()

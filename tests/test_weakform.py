@@ -14,9 +14,10 @@ from conftest import (
     sine_start,
     zero_start,
 )
+from rspde.coefficients import make_coefficients
 from rspde.controls import constant_control
 from rspde.fields import Field, SpatialGrid
-from rspde.geometry import build_oblique_matrix
+from rspde.geometry import Ball, Box, Intersection, ObliqueField, build_oblique_matrix
 from rspde.solvers import sample_brownian, solve_penalized_spde
 from rspde.weakform import (
     make_test_function,
@@ -135,6 +136,38 @@ def test_vi_nonnegative_for_normal_reflection() -> None:
         np.sum(np.sum((traj.states[:-1] - proj_states[:-1]) ** 2, axis=(1, 2))))
     assert min(res.per_probe) >= -res.tol
     assert res.per_probe[1] == pytest.approx(oracle, rel=1e-10)
+
+
+def test_vi_rotated_gamma_on_ball_box() -> None:
+    # d = 2, gamma the normal rotated by 0.2 rad, a drift pressing the
+    # state out of a ball-box intersection.  Where a gamma = n, the probe
+    # pi(u) pairs to n_pen * dist^2 dt dx as for normal reflection (the
+    # oracle); each probe's value also equals the per-point sum with the
+    # matrix field's one-point form.
+    dom = Intersection([Ball(center=[0.0, 0.0], radius=0.5),
+                        Box(lower=[-0.4, -0.45], upper=[0.45, 0.4])])
+    gamma = ObliqueField(dom, "rotated_normal", angle=0.2)
+    coeffs = make_coefficients(2, 2, b={"name": "constant", "value": [4.0, 3.0]},
+                               sigma={"name": "zero"})
+    traj = solve_penalized_spde(coeffs, dom, gamma, zero_start(31, d=2),
+                                n_pen=256.0, dt=1.5e-3, steps=200)
+    a_field = build_oblique_matrix(dom, gamma, samples=64, seed=4)
+    proj_states = np.stack([dom.project_many(u.T).T for u in traj.states])
+    probes = [np.zeros_like(traj.states), proj_states]
+    res = variational_inequality_check(traj, a_field, probes)
+    assert res.passed and min(res.per_probe) > 0.0
+    oracle = traj.n_pen * traj.dt * traj.grid.dx * float(
+        np.sum((traj.states[:-1] - proj_states[:-1]) ** 2))
+    assert res.per_probe[1] == pytest.approx(oracle, rel=1e-12)
+    active = np.argwhere(traj.measure.magnitude > 0.0)
+    assert len(active) > 100
+    for arr, value in zip(probes, res.per_probe):
+        pointwise = 0.0
+        for k, j in active:
+            u = traj.states[k, :, j]
+            inc = traj.measure.increments[k, :, j]
+            pointwise += float((u - arr[k, :, j]) @ (a_field.at(u) @ inc))
+        assert value == pytest.approx(pointwise, rel=1e-12)
 
 
 def test_vi_rejects_probes_outside_domain() -> None:
