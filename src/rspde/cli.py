@@ -34,8 +34,7 @@ from .geometry import GeometryError, build_oblique_matrix, validate_oblique_fiel
 from .ldp import (CompareRow, ReplicaRow, WeightedTrendRow, ldp_compare,
                   mc_rows, minimize_rate, summarize_rows, weighted_trend)
 from .solvers import (ReplicaPlan, SolverError, resolve_time_grid,
-                      sample_brownian, solve_penalized_skeleton,
-                      solve_penalized_spde, solve_skeleton)
+                      sample_brownian, solve_penalized_spde, solve_skeleton)
 
 SUBCOMMANDS = ("validate-domain", "skeleton", "spde", "penalty-sweep",
                "cauchy", "continuity", "rate", "mc", "ldp-compare", "all")
@@ -67,7 +66,9 @@ def _say(args, message: str) -> None:
 # -- subcommand bodies (each returns the list of files it wrote) -------
 
 
-def _cmd_validate_domain(cfg: ExperimentConfig, args, out: str) -> list:
+def _validation_report(cfg: ExperimentConfig, args, out: str) -> dict:
+    """Certify the config's gamma, write the payload as report.json and
+    return it; raise GeometryError (after writing) when it fails."""
     dom = cfg.build_domain()
     gamma = cfg.build_gamma(dom)
     val = cfg.validation
@@ -87,6 +88,11 @@ def _cmd_validate_domain(cfg: ExperimentConfig, args, out: str) -> list:
     if not report.passed:
         raise GeometryError(
             f"oblique field validation failed: {payload['violations']}")
+    return payload
+
+
+def _cmd_validate_domain(cfg: ExperimentConfig, args, out: str) -> list:
+    _validation_report(cfg, args, out)
     return ["report.json"]
 
 
@@ -95,37 +101,27 @@ def _solver_pieces(cfg: ExperimentConfig):
     return cfg.build_coefficients(), dom, cfg.build_gamma(dom), cfg.build_u0()
 
 
-def _cmd_skeleton(cfg: ExperimentConfig, args, out: str) -> list:
+def _cmd_solve(cfg: ExperimentConfig, args, out: str) -> list:
+    """One penalized solve at n_event: ``skeleton`` is noise-free
+    (epsilon = 0), ``spde`` runs at the first epsilon on replica 0's
+    Brownian path."""
     coeffs, dom, gamma, u0 = _solver_pieces(cfg)
     control = cfg.build_control()
     ctl_K = control.K if control is not None else 1
     steps, dt = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, ctl_K)
-    traj = solve_penalized_skeleton(coeffs, dom, gamma, u0, control,
-                                    n_pen=cfg.n_event, dt=dt, steps=steps,
-                                    stride=cfg.snapshot_stride)
-    traj.save(os.path.join(out, "trajectory"))
-    _write_json(os.path.join(out, "report.json"),
-                estimate_report(traj).to_dict())
-    _say(args, f"skeleton: {steps} steps at dt={dt!r}, n_pen={cfg.n_event!r}")
-    return ["report.json", "trajectory"]
-
-
-def _cmd_spde(cfg: ExperimentConfig, args, out: str) -> list:
-    coeffs, dom, gamma, u0 = _solver_pieces(cfg)
-    control = cfg.build_control()
-    ctl_K = control.K if control is not None else 1
-    steps, dt = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, ctl_K)
-    seed = args.seed if args.seed is not None else cfg.base_seed
-    eps = cfg.epsilons[0]
-    noise = sample_brownian(coeffs.m, steps, dt,
-                            ReplicaPlan(base_seed=seed, count=1).seed_for(0))
+    eps, noise = 0.0, None
+    if args.subcommand == "spde":
+        seed = args.seed if args.seed is not None else cfg.base_seed
+        eps = cfg.epsilons[0]
+        noise = sample_brownian(coeffs.m, steps, dt,
+                                ReplicaPlan(base_seed=seed, count=1).seed_for(0))
     traj = solve_penalized_spde(coeffs, dom, gamma, u0, n_pen=cfg.n_event,
                                 dt=dt, steps=steps, epsilon=eps, noise=noise,
                                 control=control, stride=cfg.snapshot_stride)
     traj.save(os.path.join(out, "trajectory"))
-    _write_json(os.path.join(out, "report.json"),
-                estimate_report(traj).to_dict())
-    _say(args, f"spde: epsilon={eps!r}, {steps} steps, seed={seed}")
+    _write_json(os.path.join(out, "report.json"), estimate_report(traj))
+    _say(args, f"{args.subcommand}: epsilon={eps!r}, {steps} steps at "
+               f"dt={dt!r}, n_pen={cfg.n_event!r}")
     return ["report.json", "trajectory"]
 
 
@@ -154,7 +150,7 @@ def _emit_sweep(res, out: str) -> dict:
     return {"converged": res.converged, "tol_cauchy": res.tol_cauchy,
             "final_cauchy": res.final_cauchy,
             "members": [r.n_pen for r in res.rows],
-            **estimate_report(res.trajectory).to_dict()}
+            **estimate_report(res.trajectory)}
 
 
 def _emit_cauchy(res, out: str) -> dict:
@@ -204,8 +200,7 @@ def _cmd_continuity(cfg: ExperimentConfig, args, out: str) -> list:
     return ["continuity.csv"]
 
 
-def _compute_rate(cfg: ExperimentConfig):
-    coeffs, dom, gamma, u0 = _solver_pieces(cfg)
+def _compute_rate(cfg: ExperimentConfig, coeffs, dom, gamma, u0):
     event = cfg.build_event()
     if event is None:
         raise ConfigError("this subcommand needs an 'event' section")
@@ -220,7 +215,7 @@ def _compute_rate(cfg: ExperimentConfig):
 
 
 def _cmd_rate(cfg: ExperimentConfig, args, out: str) -> list:
-    event, res = _compute_rate(cfg)
+    event, res = _compute_rate(cfg, *_solver_pieces(cfg))
     payload = res.to_dict()
     payload["event"] = event.describe()
     _write_json(os.path.join(out, "rate.json"), payload)
@@ -275,7 +270,7 @@ def _emit_compare(cfg: ExperimentConfig, args, out: str) -> list:
     """Rate minimization plus the across-epsilon table; writes rate.json
     and comparison.csv, returns the file list."""
     coeffs, dom, gamma, u0 = _solver_pieces(cfg)
-    event, rate = _compute_rate(cfg)
+    event, rate = _compute_rate(cfg, coeffs, dom, gamma, u0)
     payload = rate.to_dict()
     payload["event"] = event.describe()
     _write_json(os.path.join(out, "rate.json"), payload)
@@ -315,14 +310,11 @@ def _cmd_weighted(cfg: ExperimentConfig, args, out: str) -> list:
 def _cmd_all(cfg: ExperimentConfig, args, out: str) -> list:
     """Every stage the config supports, sharing one report.json with a
     section per stage (and one penalty sweep feeding both CSV views)."""
-    report = {}
-    outputs = set(_cmd_validate_domain(cfg, args, out))
-    with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
-        report["validate_domain"] = json.load(fh)
+    report = {"validate_domain": _validation_report(cfg, args, out)}
     res = _run_sweep(cfg)
     report["penalty_sweep"] = _emit_sweep(res, out)
     report["cauchy"] = _emit_cauchy(res, out)
-    outputs |= {"sweep.csv", "cauchy.csv", "trajectory"}
+    outputs = {"sweep.csv", "cauchy.csv", "trajectory"}
     if cfg.raw.get("control_family"):
         outputs |= set(_cmd_continuity(cfg, args, out))
     if cfg.raw.get("control"):
@@ -339,8 +331,8 @@ def _cmd_all(cfg: ExperimentConfig, args, out: str) -> list:
 
 _HANDLERS = {
     "validate-domain": _cmd_validate_domain,
-    "skeleton": _cmd_skeleton,
-    "spde": _cmd_spde,
+    "skeleton": _cmd_solve,
+    "spde": _cmd_solve,
     "penalty-sweep": _cmd_penalty_sweep,
     "cauchy": _cmd_cauchy,
     "continuity": _cmd_continuity,

@@ -3,8 +3,9 @@
 Each report is a plain dict of floats so it can be merged into a JSON
 document without ceremony.  Quantities that bound expectations in the
 continuum (fourth-moment energy, penalty work, reflection mass) are
-reported per trajectory; the Cauchy and weighted distances compare two
-trajectories on the same grid.
+reported per trajectory (``estimate_report`` merges them); the weighted
+distance compares two trajectories on the same grid, as does the Cauchy
+gap ``trajectory.state_gap``.
 
 Left-endpoint quadrature is used for every time integral, matching the
 explicit terms of the stepping scheme, so a report recomputed from a
@@ -61,11 +62,6 @@ def penetration_report(traj: Trajectory) -> dict:
     }
 
 
-def cauchy_report(a: Trajectory, b: Trajectory) -> dict:
-    ch, cv = state_gap(a, b)
-    return {"cauchy_H": ch, "cauchy_V": cv}
-
-
 def weighted_distance(a: Trajectory, b: Trajectory, lam: float) -> dict:
     """Exponentially discounted distance between two runs.
 
@@ -94,53 +90,10 @@ def weighted_distance(a: Trajectory, b: Trajectory, lam: float) -> dict:
     }
 
 
-@dataclass
-class EstimateReport:
-    """One JSON-ready bundle of every estimate for a run (and optionally a
-    companion run for the two-trajectory distances)."""
-
-    sup_H4: float
-    sup_V2: float
-    int_H2: float
-    sup_pen_H: float
-    sup_pen_Linf: float
-    n_l1_integral: float
-    n2_h2_integral: float
-    eta_total_variation: float
-    n_weighted_energy_integral: float
-    cauchy_H: float = None
-    cauchy_V: float = None
-    weighted_sup: float = None
-    weighted_int: float = None
-
-    def to_dict(self) -> dict:
-        out = {}
-        for name in ("sup_H4", "sup_V2", "int_H2", "sup_pen_H", "sup_pen_Linf",
-                     "n_l1_integral", "n2_h2_integral", "eta_total_variation",
-                     "n_weighted_energy_integral", "cauchy_H", "cauchy_V",
-                     "weighted_sup", "weighted_int"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EstimateReport":
-        return cls(**payload)
-
-
-def estimate_report(traj: Trajectory, companion: Trajectory = None,
-                    lam: float = None) -> EstimateReport:
-    """Full report for one trajectory; add the Cauchy and weighted
-    distances when a companion run on the same grid is supplied."""
-    fields = {}
-    fields.update(energy_report(traj))
-    fields.update(penetration_report(traj))
-    if companion is not None:
-        fields.update(cauchy_report(traj, companion))
-        fields.update(weighted_distance(traj, companion,
-                                        lam if lam is not None else 0.0))
-    return EstimateReport(**fields)
+def estimate_report(traj: Trajectory) -> dict:
+    """Every single-run estimate: energy_report merged with
+    penetration_report."""
+    return {**energy_report(traj), **penetration_report(traj)}
 
 
 @dataclass

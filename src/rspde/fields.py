@@ -64,14 +64,6 @@ class Field:
     def zeros(cls, grid: SpatialGrid) -> "Field":
         return cls(grid, np.zeros((grid.d, grid.J)))
 
-    @classmethod
-    def from_function(cls, grid: SpatialGrid, fn) -> "Field":
-        """Sample fn(x) -> length-d vector at the interior points."""
-        vals = np.empty((grid.d, grid.J))
-        for j, x in enumerate(grid.xs):
-            vals[:, j] = fn(x)
-        return cls(grid, vals)
-
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 

@@ -722,7 +722,8 @@ def validate_oblique_field(domain: ConvexDomain, gamma: ObliqueField,
             (rho_vals, pts, rho_floor, "rho"),
             (delta_vals, ext, delta_floor, "delta")):
         bad = np.nonzero(vals <= floor)[0]
-        worst = bad[np.argsort(vals[bad])][:10]
+        # stable: exact ties are listed in sample order
+        worst = bad[np.argsort(vals[bad], kind="stable")][:10]
         for i in worst:
             violations.append({"point": points[i].tolist(),
                                "value": float(vals[i]),

@@ -37,7 +37,7 @@ from .diagnostics import penetration_report, weighted_distance
 from .fields import h_norm
 from .geometry import ConvexDomain, ObliqueField
 from .solvers import (ReplicaPlan, resolve_time_grid, sample_brownian,
-                      solve_penalized_skeleton, solve_penalized_spde)
+                      solve_penalized_spde)
 from .trajectory import Trajectory, state_gap
 
 # Penalty level at which rare events are posed (config can override).
@@ -197,8 +197,8 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
 
     def shortfall_at(x):
         ctrl = Control(T=T, values=x.reshape(m, K))
-        traj = solve_penalized_skeleton(coeffs, domain, gamma, u0, ctrl,
-                                        n_pen=n_pen, dt=dt_eff, steps=steps)
+        traj = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
+                                    dt=dt_eff, steps=steps, control=ctrl)
         return ctrl, event.shortfall(traj)
 
     def objective(x, mu):
@@ -338,18 +338,6 @@ def summarize_rows(rows: list, replicas: int) -> MCResult:
                     rows=rows, upper_bound=upper)
 
 
-def mc_probability(coeffs, domain, gamma, u0, event: EventSpec,
-                   epsilon: float, n_pen: float, dt: float, T: float,
-                   plan: ReplicaPlan, control: Control = None,
-                   generator: str = "philox") -> MCResult:
-    """Estimate P(event) under noise level epsilon by plain Monte Carlo."""
-    ctl_K = control.K if control is not None else 1
-    steps, dt_eff = resolve_time_grid(T, dt, n_pen, ctl_K)
-    rows = mc_rows(coeffs, domain, gamma, u0, event, epsilon, n_pen,
-                   dt_eff, steps, plan, 0, plan.count, control, generator)
-    return summarize_rows(rows, plan.count)
-
-
 # -- comparisons across noise levels -----------------------------------
 
 
@@ -393,8 +381,8 @@ def ldp_compare(coeffs, domain, gamma, u0, event: EventSpec,
     """
     n_pen, dt, steps = rate.n_pen, rate.dt, rate.steps
     h_star = rate.control
-    skeleton = solve_penalized_skeleton(coeffs, domain, gamma, u0, h_star,
-                                        n_pen=n_pen, dt=dt, steps=steps)
+    skeleton = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
+                                    dt=dt, steps=steps, control=h_star)
     if ldp1_delta_sq is None:
         ldp1_delta_sq = 0.01
     ldp1_plan = ReplicaPlan(base_seed=plan.base_seed + 1, count=ldp1_replicas)
@@ -439,8 +427,8 @@ def weighted_trend(coeffs, domain, gamma, u0, control: Control, epsilons,
     levels).  The discount rate lam multiplies the accumulated gradient
     energy of both runs; see diagnostics.weighted_distance."""
     steps, dt_eff = resolve_time_grid(T, dt, n_pen, control.K)
-    skeleton = solve_penalized_skeleton(coeffs, domain, gamma, u0, control,
-                                        n_pen=n_pen, dt=dt_eff, steps=steps)
+    skeleton = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
+                                    dt=dt_eff, steps=steps, control=control)
     out = []
     for eps in epsilons:
         sups = []
@@ -456,68 +444,3 @@ def weighted_trend(coeffs, domain, gamma, u0, control: Control, epsilons,
             mean_weighted_sup=math.fsum(sups) / plan.count,
             mean_weighted_int=math.fsum(ints) / plan.count))
     return out
-
-
-@dataclass
-class PenaltyDecayRow:
-    n_pen: float
-    mean_sup_pen_H: float
-    mean_sup_pen_Linf: float
-    mean_n_l1_integral: float
-    mean_n2_h2_integral: float
-
-    CSV_HEADER = ("n_pen,mean_sup_pen_H,mean_sup_pen_Linf,"
-                  "mean_n_l1_integral,mean_n2_h2_integral")
-
-    def csv_line(self) -> str:
-        return (f"{self.n_pen!r},{self.mean_sup_pen_H!r},"
-                f"{self.mean_sup_pen_Linf!r},{self.mean_n_l1_integral!r},"
-                f"{self.mean_n2_h2_integral!r}")
-
-
-def penetration_decay(coeffs, domain, gamma, u0, ns, dt: float, T: float,
-                      epsilon: float = 0.0, plan: ReplicaPlan = None,
-                      control: Control = None,
-                      generator: str = "philox") -> list:
-    """Mean penetration diagnostics per penalty level.
-
-    With epsilon = 0 (or no plan) each level is one deterministic solve;
-    otherwise replica means are taken with common Brownian paths across
-    levels.  The raw penetration columns should decay roughly like 1/n
-    while the n- and n^2-weighted integrals stay bounded.
-    """
-    ctl_K = control.K if control is not None else 1
-    reps = plan.count if (plan is not None and epsilon > 0) else 1
-    out = []
-    for n in ns:
-        steps, dt_eff = resolve_time_grid(T, dt, n, ctl_K)
-        sup_h, sup_linf, l1, h2 = [], [], [], []
-        for i in range(reps):
-            noise = None
-            if epsilon > 0 and plan is not None:
-                noise = sample_brownian(coeffs.m, steps, dt_eff,
-                                        plan.seed_for(i), generator)
-            traj = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n,
-                                        dt=dt_eff, steps=steps,
-                                        epsilon=epsilon, noise=noise,
-                                        control=control)
-            rep = penetration_report(traj)
-            sup_h.append(rep["sup_pen_H"])
-            sup_linf.append(rep["sup_pen_Linf"])
-            l1.append(rep["n_l1_integral"])
-            h2.append(rep["n2_h2_integral"])
-        out.append(PenaltyDecayRow(
-            n_pen=float(n),
-            mean_sup_pen_H=math.fsum(sup_h) / reps,
-            mean_sup_pen_Linf=math.fsum(sup_linf) / reps,
-            mean_n_l1_integral=math.fsum(l1) / reps,
-            mean_n2_h2_integral=math.fsum(h2) / reps))
-    return out
-
-
-def decay_slope(rows: list, column: str = "mean_sup_pen_H") -> float:
-    """Least-squares slope of log(column) against log(n_pen)."""
-    xs = np.log([r.n_pen for r in rows])
-    ys = np.log([max(getattr(r, column), 1e-300) for r in rows])
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope)

@@ -31,9 +31,9 @@ never penetrates stores nothing and records zeros.  Stability of the
 explicit penalty relaxation requires dt * n_pen <= 1/2, enforced at
 entry.
 
-The skeleton map (controlled, noise-free) and the stochastic map share
-this single code path: ``solve_penalized_skeleton`` simply calls
-``solve_penalized_spde`` with epsilon = 0, so the two agree bit for bit.
+The skeleton map (controlled, noise-free) is ``solve_penalized_spde`` at
+its default epsilon = 0, where the noise path is ignored, so the skeleton
+and the stochastic map are one code path.
 
 ``solve_skeleton`` drives n_pen through a geometric sweep and stops when
 consecutive members are Cauchy in  sup_t |.|_H^2 + int |.|_V^2 dt.
@@ -137,7 +137,7 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
                          gamma: ObliqueField, u0: Field, n_pen: float,
                          dt: float, steps: int, epsilon: float = 0.0,
                          noise: NoisePath = None, control: Control = None,
-                         stride: int = 1, meta: dict = None) -> Trajectory:
+                         stride: int = 1) -> Trajectory:
     """Run the penalized semi-implicit scheme for ``steps`` steps of ``dt``.
 
     With epsilon = 0 the noise path is ignored and the run coincides with
@@ -262,9 +262,8 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         lap_sq=lap_series(states, dx), **pen)
     measure = ReflectionMeasure(grid=grid, dt=dt, increments=increments,
                                 magnitude=magnitude)
-    info = dict(meta or {})
-    info.update({"b": coeffs.b_name, "sigma": coeffs.sigma_name,
-                 "controlled": control is not None})
+    info = {"b": coeffs.b_name, "sigma": coeffs.sigma_name,
+            "controlled": control is not None}
     if use_noise:
         info.update({"seed": noise.seed, "generator": noise.generator})
     return Trajectory(grid=grid, dt=dt, n_pen=n_pen, states=states,
@@ -293,17 +292,6 @@ def _penalty_diagnostics(states, gaps, gamma: ObliqueField, n_pen: float,
     np.multiply(dt * dx, (n_pen * scaled[:steps]).transpose(0, 2, 1),
                 out=increments)
     return pen, increments, (n_pen * dt * dx) * dist[:steps]
-
-
-def solve_penalized_skeleton(coeffs: ModelCoefficients, domain: ConvexDomain,
-                             gamma: ObliqueField, u0: Field, control: Control,
-                             n_pen: float, dt: float, steps: int,
-                             stride: int = 1, meta: dict = None) -> Trajectory:
-    """Controlled, noise-free solve: the epsilon = 0 branch of the shared
-    stepping routine, so it matches the stochastic solver bit for bit."""
-    return solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
-                                dt=dt, steps=steps, epsilon=0.0, noise=None,
-                                control=control, stride=stride, meta=meta)
 
 
 @dataclass
@@ -373,9 +361,9 @@ def solve_skeleton(coeffs: ModelCoefficients, domain: ConvexDomain,
     steps, dt_eff = resolve_time_grid(T, dt, n_max, control.K)
 
     def run(n):
-        return solve_penalized_skeleton(coeffs, domain, gamma, u0, control,
-                                        n_pen=n, dt=dt_eff, steps=steps,
-                                        stride=stride)
+        return solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n,
+                                    dt=dt_eff, steps=steps, control=control,
+                                    stride=stride)
 
     ns = []
     n = float(n_start)

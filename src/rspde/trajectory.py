@@ -38,13 +38,6 @@ class ReflectionMeasure:
         norms = np.sqrt(np.einsum("kdj,kdj->kj", self.increments, self.increments))
         return float(np.sum(norms))
 
-    def cumulative(self) -> np.ndarray:
-        """Total vector mass deposited per grid point, (d, J)."""
-        return self.increments.sum(axis=0)
-
-    def magnitude_total(self) -> float:
-        return float(np.sum(self.magnitude))
-
 
 @dataclass
 class TrajectorySeries:
@@ -91,9 +84,6 @@ class Trajectory:
     @property
     def T(self) -> float:
         return self.steps * self.dt
-
-    def field_at(self, k: int) -> Field:
-        return Field(self.grid, self.states[k])
 
     @property
     def terminal(self) -> Field:

@@ -83,13 +83,6 @@ class WeakTestFunction:
         return all(c == 0.0 for c in self.t_poly[1:])
 
 
-def make_test_function(grid: SpatialGrid, mode: int, component: int = 0,
-                  t_poly=(1.0,)) -> WeakTestFunction:
-    """Registry entry: sine spatial profile times a time polynomial."""
-    return WeakTestFunction(grid=grid, mode=mode, component=component,
-                        t_poly=tuple(float(c) for c in t_poly))
-
-
 def _require_dense(traj: Trajectory) -> None:
     if not np.all(np.isfinite(traj.states)):
         raise ValueError("weak-form diagnostics need every time step; "

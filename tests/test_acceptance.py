@@ -26,8 +26,7 @@ from rspde.geometry import (Ball, Box, Intersection, ObliqueField, Polytope,
 from rspde.ldp import (EventSpec, ReplicaPlan, ldp_compare, minimize_rate,
                        rate_functional, weighted_trend)
 from rspde.solvers import (resolve_time_grid, sample_brownian,
-                           solve_penalized_skeleton, solve_penalized_spde,
-                           solve_skeleton)
+                           solve_penalized_spde, solve_skeleton)
 from rspde.trajectory import TrajectorySeries
 
 
@@ -111,9 +110,9 @@ def test_criterion_02_heat_kernel_oracle():
         grid = SpatialGrid(J, 1)
         vals = np.zeros((1, J))
         vals[0] = np.sin(np.pi * grid.xs)
-        traj = solve_penalized_skeleton(coeffs, dom, gam, Field(grid, vals),
-                                        zero_control(T, 1), n_pen=16.0,
-                                        dt=dt, steps=steps)
+        traj = solve_penalized_spde(coeffs, dom, gam, Field(grid, vals),
+                                    n_pen=16.0, dt=dt, steps=steps,
+                                    control=zero_control(T, 1))
         ks = np.arange(steps + 1)
         sine = np.sin(np.pi * grid.xs)[None, :]
         exact = np.exp(-np.pi**2 * ks * dt)[:, None] * sine
@@ -215,8 +214,8 @@ def test_criterion_05_zero_noise_identity():
         spde = solve_penalized_spde(coeffs, dom, gam, u0, n_pen=n_pen, dt=dt,
                                     steps=steps, epsilon=0.0, noise=noise,
                                     control=ctrl)
-        skel = solve_penalized_skeleton(coeffs, dom, gam, u0, ctrl,
-                                        n_pen=n_pen, dt=dt, steps=steps)
+        skel = solve_penalized_spde(coeffs, dom, gam, u0, n_pen=n_pen, dt=dt,
+                                    steps=steps, control=ctrl)
         same = spde.states.tobytes() == skel.states.tobytes()
         for name in TrajectorySeries.FIELDS:
             same = same and (getattr(spde.series, name).tobytes()
@@ -260,8 +259,8 @@ def test_criterion_07_planted_rate_bound():
     planted = constant_control(T, [2.0], K=K)
     assert rate_functional(planted) == 0.5
     steps, dt = resolve_time_grid(T, 2e-3, 256.0, K)
-    g = solve_penalized_skeleton(coeffs, dom, gam, u0, planted, n_pen=256.0,
-                                 dt=dt, steps=steps)
+    g = solve_penalized_spde(coeffs, dom, gam, u0, n_pen=256.0, dt=dt,
+                             steps=steps, control=planted)
     gterm = math.sqrt(g.grid.dx * float(np.sum(g.states[-1] ** 2)))
     event = EventSpec(kind="terminal_ball", radius=0.98 * gterm,
                       complement=True)

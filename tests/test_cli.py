@@ -5,9 +5,13 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from rspde.cli import main
+from rspde.config import ExperimentConfig
+from rspde.solvers import (ReplicaPlan, resolve_time_grid, sample_brownian,
+                           solve_penalized_spde)
 
 BASE = {
     "domain": {"kind": "ball", "center": [0.0], "radius": 0.25},
@@ -107,6 +111,28 @@ def test_skeleton_writes_trajectory_and_report(tmp_path):
     assert os.path.exists(os.path.join(out, "trajectory", "series.csv"))
     assert os.path.exists(os.path.join(out, "trajectory", "states.npy"))
     assert not os.path.exists(os.path.join(out, "trajectory", "snapshots"))
+
+
+def test_spde_states_follow_the_seeded_replica_path(tmp_path):
+    code, out = run(tmp_path, "spde", extra=("--seed", "17"), name="s17")
+    assert code == 0
+    assert sorted(os.listdir(os.path.join(out, "trajectory"))) == [
+        "index.json", "series.csv", "states.npy"]
+    assert "eta_total_variation" in read_json(out, "report.json")
+    cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE))
+    coeffs, dom = cfg.build_coefficients(), cfg.build_domain()
+    steps, dt = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event)
+    noise = sample_brownian(coeffs.m, steps, dt,
+                            ReplicaPlan(base_seed=17, count=1).seed_for(0))
+    traj = solve_penalized_spde(coeffs, dom, cfg.build_gamma(dom),
+                                cfg.build_u0(), n_pen=cfg.n_event, dt=dt,
+                                steps=steps, epsilon=cfg.epsilons[0],
+                                noise=noise)
+    states = np.load(os.path.join(out, "trajectory", "states.npy"))
+    assert states.tobytes() == traj.states.tobytes()
+    _, other = run(tmp_path, "spde", extra=("--seed", "18"), name="s18")
+    assert not np.array_equal(
+        np.load(os.path.join(other, "trajectory", "states.npy")), states)
 
 
 def test_penalty_sweep_csv_columns(tmp_path):

@@ -491,6 +491,25 @@ def test_rotated_80_degrees_fails_threshold() -> None:
     assert any(v["check"] == "rho" for v in rep.violations)
 
 
+def test_violations_list_ties_in_sample_order() -> None:
+    # gamma rotated by 0.2 rad on the benchmark's ball-box body: <gamma, n>
+    # takes a handful of values, each shared by many boundary samples, so
+    # the ten worst are mostly exact ties and must come in sample order.
+    dom = Intersection([Ball(center=[0.0, 0.0], radius=0.5),
+                        Box(lower=[-0.4, -0.45], upper=[0.45, 0.4])])
+    gamma = ObliqueField(dom, "rotated_normal", angle=0.2)
+    rep = validate_oblique_field(dom, gamma, samples=1000, seed=0, rho_min=0.99)
+    pts, _, _ = boundary_points(dom, 1000, seed=0)
+    listed = [v for v in rep.violations if v["check"] == "rho"]
+    assert len(listed) == 10
+    values = [v["value"] for v in listed]
+    assert len(set(values)) < len(values)
+    order = [int(np.flatnonzero((pts == v["point"]).all(axis=1))[0])
+             for v in listed]
+    # values non-decreasing, and tied values in sample order
+    assert list(zip(values, order)) == sorted(zip(values, order))
+
+
 def test_validation_report_serializes() -> None:
     dom = unit_ball(2)
     rep = validate_oblique_field(dom, ObliqueField(dom, "normal"), samples=64, seed=10)

@@ -1,4 +1,5 @@
-"""Import hygiene of the package: no unused top-level imports, and no
+"""Import hygiene of the package: no unused top-level imports, no
+top-level function or class that nothing in the package reads, and no
 heavy module loaded by the command-line entry point."""
 
 import ast
@@ -51,6 +52,61 @@ def test_no_unused_top_level_imports() -> None:
             if (path.stem, name) not in ALLOWED:
                 found.append(f"{path.name}: {name}")
     assert found == []
+
+
+# (module, name) of top-level functions and classes that no module of the
+# package reads, each kept for the reason given.
+UNREAD_ALLOWED = {
+    ("coefficients", "audit_lipschitz"):
+        "samples a coefficient pair's Lipschitz ratio against the declared "
+        "constant; the coefficient tests audit the registry with it",
+    ("fields", "v_norm"): "per-field oracle of the series tests",
+    ("fields", "h2_norm"): "per-field oracle of the series tests",
+    ("fields", "l1_norm"): "per-field oracle of the series tests",
+    ("fields", "linf_norm"): "per-field oracle of the series tests",
+    ("geometry", "interior_points"):
+        "interior sampler of the geometry and acceptance tests",
+    ("weakform", "weak_form_residual"):
+        "weak-form check of solver output, run by the tests; not yet part "
+        "of report.json",
+    ("weakform", "variational_inequality_check"):
+        "variational-inequality check of solver output, run by the tests; "
+        "not yet part of report.json",
+}
+
+
+def unread_definitions(sources: dict) -> list:
+    """(module, name) of each top-level function or class in ``sources``
+    (module name -> source) whose name no module reads, as a name or as
+    an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [(module, node.name) for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in read]
+
+
+def test_scan_finds_an_unread_definition() -> None:
+    sources = {"a": "def used():\n    pass\nclass Unused:\n    pass\n"
+                    "def unused(x):\n    return x.used\n",
+               "b": "from .a import unused\ndef main():\n    return 1\n"
+                    "main()\n"}
+    assert unread_definitions(sources) == [("a", "Unused"), ("a", "unused")]
+
+
+def test_every_top_level_definition_is_read() -> None:
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(set(unread_definitions(sources)) - set(UNREAD_ALLOWED)) == []
+    # an entry whose name is read again, or gone, leaves the list
+    assert set(UNREAD_ALLOWED) <= set(unread_definitions(sources))
 
 
 def test_cli_import_leaves_scipy_stats_unloaded() -> None:

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from rspde.controls import Control, constant_control, sine_control
 from rspde.fields import h_norm
 from rspde.ldp import (CompareRow, EventSpec, MCResult, RateResult,
-                       decay_slope, ldp_compare, mc_probability, mc_rows,
-                       minimize_rate, penetration_decay, rate_functional,
-                       summarize_rows, weighted_trend)
-from rspde.solvers import (ReplicaPlan, resolve_time_grid,
-                           solve_penalized_skeleton, solve_penalized_spde)
+                       _replicas, ldp_compare, mc_rows, minimize_rate,
+                       rate_functional, summarize_rows, weighted_trend)
+from rspde.solvers import ReplicaPlan, resolve_time_grid, solve_penalized_spde
 
 from conftest import (forced_coeffs, free_domain, heat_coeffs,
                       interval_domain, normal_gamma, sine_start, zero_start)
@@ -25,9 +23,9 @@ def small_run():
     coeffs = forced_coeffs(s=1.0)
     ctrl = constant_control(0.05, [2.0], K=5)
     steps, dt = resolve_time_grid(0.05, 1e-3, 16.0, ctrl.K)
-    traj = solve_penalized_skeleton(coeffs, dom, normal_gamma(dom),
-                                    zero_start(15), ctrl, n_pen=16.0,
-                                    dt=dt, steps=steps)
+    traj = solve_penalized_spde(coeffs, dom, normal_gamma(dom),
+                                zero_start(15), n_pen=16.0, dt=dt,
+                                steps=steps, control=ctrl)
     return traj
 
 
@@ -110,8 +108,8 @@ def planted_setup(K=4, T=0.05):
     u0 = zero_start(15)
     planted = constant_control(T, [2.0], K=K)
     steps, dt = resolve_time_grid(T, 1e-3, 16.0, K)
-    target = solve_penalized_skeleton(coeffs, dom, g, u0, planted,
-                                      n_pen=16.0, dt=dt, steps=steps)
+    target = solve_penalized_spde(coeffs, dom, g, u0, n_pen=16.0, dt=dt,
+                                  steps=steps, control=planted)
     return coeffs, dom, g, u0, planted, target
 
 
@@ -178,6 +176,15 @@ def dense_propagator(J, dt):
     return np.linalg.inv(np.eye(J) - dt * lap)
 
 
+def mc_estimate(coeffs, dom, gamma, u0, event, epsilon, n_pen, dt, T, plan):
+    """P(event) on the path ``rspde mc`` takes: the time grid, one row per
+    replica, then the summary."""
+    steps, dt_eff = resolve_time_grid(T, dt, n_pen, 1)
+    rows = mc_rows(coeffs, dom, gamma, u0, event, epsilon, n_pen, dt_eff,
+                   steps, plan, 0, plan.count)
+    return summarize_rows(rows, plan.count)
+
+
 def test_mc_probability_matches_gaussian_oracle():
     # b = 0, sigma = 1: the terminal spatial mean is exactly Gaussian with
     # variance eps * dt * sum_k (dx 1^T M^(K-k) 1)^2 under the scheme.
@@ -197,10 +204,10 @@ def test_mc_probability_matches_gaussian_oracle():
     dom = free_domain()
     event = EventSpec("functional_threshold", functional="terminal_mean",
                       level=level)
-    res = mc_probability(forced_coeffs(s=1.0), dom, normal_gamma(dom),
-                         zero_start(J), event, epsilon=eps, n_pen=16.0,
-                         dt=dt, T=K * dt, plan=ReplicaPlan(base_seed=7,
-                                                           count=2000))
+    res = mc_estimate(forced_coeffs(s=1.0), dom, normal_gamma(dom),
+                      zero_start(J), event, epsilon=eps, n_pen=16.0,
+                      dt=dt, T=K * dt, plan=ReplicaPlan(base_seed=7,
+                                                        count=2000))
     assert res.replicas == 2000
     assert abs(res.p_hat - p_exact) <= 4.0 * res.stderr + 1e-12
     assert res.stderr == pytest.approx(
@@ -210,10 +217,10 @@ def test_mc_probability_matches_gaussian_oracle():
 def test_mc_zero_hits_reports_rule_of_three():
     dom = free_domain()
     event = EventSpec("terminal_ball", radius=50.0, complement=True)
-    res = mc_probability(forced_coeffs(s=1.0), dom, normal_gamma(dom),
-                         zero_start(15), event, epsilon=0.01, n_pen=16.0,
-                         dt=1e-3, T=0.02, plan=ReplicaPlan(base_seed=1,
-                                                           count=60))
+    res = mc_estimate(forced_coeffs(s=1.0), dom, normal_gamma(dom),
+                      zero_start(15), event, epsilon=0.01, n_pen=16.0,
+                      dt=1e-3, T=0.02, plan=ReplicaPlan(base_seed=1,
+                                                        count=60))
     assert res.hits == 0 and res.p_hat == 0.0 and res.stderr == 0.0
     assert res.upper_bound == pytest.approx(3.0 / 60)
 
@@ -228,10 +235,10 @@ def test_mc_agrees_with_large_replica_oracle():
     dom = interval_domain(0.25)
     event = EventSpec("functional_threshold", functional="terminal_mean",
                       level=0.203)
-    res = mc_probability(forced_coeffs(s=1.0, c=4.0), dom,
-                         normal_gamma(dom), zero_start(15), event,
-                         epsilon=0.1, n_pen=256.0, dt=2e-3, T=0.12,
-                         plan=ReplicaPlan(base_seed=606060, count=2000))
+    res = mc_estimate(forced_coeffs(s=1.0, c=4.0), dom,
+                      normal_gamma(dom), zero_start(15), event,
+                      epsilon=0.1, n_pen=256.0, dt=2e-3, T=0.12,
+                      plan=ReplicaPlan(base_seed=606060, count=2000))
     assert res.hits > 0
     assert abs(res.p_hat - p_oracle) <= 3.0 * res.stderr
 
@@ -318,26 +325,19 @@ def test_weighted_trend_decreases_with_epsilon():
     assert sups[2] <= 0.2 * sups[0]
 
 
-def test_penetration_decay_slope():
-    dom = interval_domain(0.25)
-    coeffs = forced_coeffs(s=0.0, c=4.0)
-    rows = penetration_decay(coeffs, dom, normal_gamma(dom), zero_start(31),
-                             ns=[16.0, 64.0, 256.0], dt=1e-3, T=0.1)
-    sup = [r.mean_sup_pen_H for r in rows]
-    assert sup[0] > sup[1] > sup[2] > 0.0
-    assert decay_slope(rows) <= -0.4
-    # the weighted integrals approach a limiting mass from below; uniform
-    # boundedness means no member overshoots the converged one
-    l1 = [r.mean_n_l1_integral for r in rows]
-    h2 = [r.mean_n2_h2_integral for r in rows]
-    assert max(l1) <= 2.0 * l1[-1]
-    assert max(h2) <= 2.0 * h2[-1]
-
-
-def test_penetration_decay_with_noise_uses_common_paths():
+def test_noisy_penetration_falls_with_penalty_on_common_seeds():
+    # the same five replica seeds at every penalty level: the mean
+    # sup_t |u - pi(u)|_H falls from n = 32 to n = 128
     dom = interval_domain(0.25)
     coeffs = forced_coeffs(s=0.5, c=4.0)
-    rows = penetration_decay(coeffs, dom, normal_gamma(dom), zero_start(15),
-                             ns=[32.0, 128.0], dt=1e-3, T=0.12, epsilon=0.1,
-                             plan=ReplicaPlan(base_seed=2, count=5))
-    assert rows[0].mean_sup_pen_H > rows[1].mean_sup_pen_H > 0.0
+    plan = ReplicaPlan(base_seed=2, count=5)
+    means = []
+    for n in (32.0, 128.0):
+        steps, dt = resolve_time_grid(0.12, 1e-3, n, 1)
+        sups = [float(np.max(traj.series.pen_h))
+                for _, _, traj in _replicas(coeffs, dom, normal_gamma(dom),
+                                            zero_start(15), plan,
+                                            range(plan.count), 0.1, n, dt,
+                                            steps)]
+        means.append(math.fsum(sups) / plan.count)
+    assert means[0] > means[1] > 0.0

@@ -26,7 +26,6 @@ from rspde.solvers import (
     SolverError,
     resolve_time_grid,
     sample_brownian,
-    solve_penalized_skeleton,
     solve_penalized_spde,
     solve_skeleton,
 )
@@ -139,9 +138,9 @@ def test_control_grid_must_divide_steps() -> None:
     dom = free_domain()
     ctl = Control(T=0.01, values=np.ones((1, 3)))
     with pytest.raises(ValueError, match="multiple"):
-        solve_penalized_skeleton(heat_coeffs(), dom, normal_gamma(dom),
-                                 sine_start(15), ctl, n_pen=4.0,
-                                 dt=1e-3, steps=10)
+        solve_penalized_spde(heat_coeffs(), dom, normal_gamma(dom),
+                             sine_start(15), n_pen=4.0, dt=1e-3, steps=10,
+                             control=ctl)
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +182,17 @@ def test_replica_plan_seeds_are_stable_and_distinct() -> None:
 # the shared code path and linearity
 
 
-def test_skeleton_equals_spde_at_zero_epsilon() -> None:
+def test_zero_epsilon_ignores_the_noise_path() -> None:
+    # the skeleton is the epsilon = 0 solve: a noise path changes nothing
     dom = interval_domain(0.4)
     gamma = normal_gamma(dom)
     coeffs = forced_coeffs(s=0.5, c=2.0)
     ctl = constant_control(0.1, [1.0], K=4)
-    kwargs = dict(n_pen=64.0, dt=1e-3, steps=100)
-    a = solve_penalized_skeleton(coeffs, dom, gamma, zero_start(31), ctl, **kwargs)
+    kwargs = dict(n_pen=64.0, dt=1e-3, steps=100, control=ctl)
+    a = solve_penalized_spde(coeffs, dom, gamma, zero_start(31), **kwargs)
     noise = sample_brownian(1, 100, 1e-3, seed=5)
     b = solve_penalized_spde(coeffs, dom, gamma, zero_start(31), epsilon=0.0,
-                             noise=noise, control=ctl, **kwargs)
+                             noise=noise, **kwargs)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.measure.increments, b.measure.increments)
 
@@ -220,9 +220,9 @@ def test_control_contribution_is_linear() -> None:
     two = constant_control(0.05, [2.0])
     kwargs = dict(n_pen=4.0, dt=1e-3, steps=50)
     u0 = zero_start(31)
-    r0 = solve_penalized_skeleton(coeffs, dom, gamma, u0, base, **kwargs).states
-    r1 = solve_penalized_skeleton(coeffs, dom, gamma, u0, one, **kwargs).states
-    r2 = solve_penalized_skeleton(coeffs, dom, gamma, u0, two, **kwargs).states
+    r0, r1, r2 = (solve_penalized_spde(coeffs, dom, gamma, u0, control=ctl,
+                                       **kwargs).states
+                  for ctl in (base, one, two))
     assert np.allclose(r2 - r0, 2.0 * (r1 - r0), rtol=1e-12, atol=1e-14)
 
 

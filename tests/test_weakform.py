@@ -20,7 +20,7 @@ from rspde.fields import Field, SpatialGrid
 from rspde.geometry import Ball, Box, Intersection, ObliqueField, build_oblique_matrix
 from rspde.solvers import sample_brownian, solve_penalized_spde
 from rspde.weakform import (
-    make_test_function,
+    WeakTestFunction,
     variational_inequality_check,
     weak_form_residual,
 )
@@ -34,7 +34,7 @@ def heat_run(J, dt, steps):
 
 def test_residual_small_for_heat_run() -> None:
     traj = heat_run(J=31, dt=1e-3, steps=100)
-    phi = make_test_function(traj.grid, mode=1)
+    phi = WeakTestFunction(traj.grid, mode=1)
     res = weak_form_residual(traj, phi, heat_coeffs())
     # O(dt + dx^2) scale for this configuration
     assert res <= 5e-3
@@ -44,8 +44,8 @@ def test_residual_halves_under_refinement() -> None:
     # Halving dt and dx together must reduce the defect by >= 2x.
     coarse = heat_run(J=31, dt=2e-3, steps=50)
     fine = heat_run(J=63, dt=1e-3, steps=100)
-    r_coarse = weak_form_residual(coarse, make_test_function(coarse.grid, 1), heat_coeffs())
-    r_fine = weak_form_residual(fine, make_test_function(fine.grid, 1), heat_coeffs())
+    r_coarse = weak_form_residual(coarse, WeakTestFunction(coarse.grid, 1), heat_coeffs())
+    r_fine = weak_form_residual(fine, WeakTestFunction(fine.grid, 1), heat_coeffs())
     assert r_fine <= r_coarse / 2.0
 
 
@@ -56,12 +56,10 @@ def test_residual_sees_control_and_measure_terms() -> None:
     coeffs = forced_coeffs(s=1.0, c=2.0)
     ctl = constant_control(0.2, [1.0])
     traj_kwargs = dict(n_pen=128.0, dt=1e-3, steps=200)
-    from rspde.solvers import solve_penalized_skeleton
-
-    traj = solve_penalized_skeleton(coeffs, dom, normal_gamma(dom),
-                                    zero_start(31), ctl, **traj_kwargs)
+    traj = solve_penalized_spde(coeffs, dom, normal_gamma(dom),
+                                zero_start(31), control=ctl, **traj_kwargs)
     assert traj.measure.total_variation > 0  # reflection engaged
-    phi = make_test_function(traj.grid, mode=1)
+    phi = WeakTestFunction(traj.grid, mode=1)
     closed = weak_form_residual(traj, phi, coeffs, control=ctl)
     without_control = weak_form_residual(traj, phi, coeffs, control=None)
     assert closed <= 2e-2
@@ -79,7 +77,7 @@ def test_residual_noise_sensitivity() -> None:
     traj = solve_penalized_spde(coeffs, dom, normal_gamma(dom), zero_start(31),
                                 n_pen=4.0, dt=2.5e-4, steps=400, epsilon=eps,
                                 noise=noise)
-    phi = make_test_function(traj.grid, mode=1)
+    phi = WeakTestFunction(traj.grid, mode=1)
     r_ref = weak_form_residual(traj, phi, coeffs, noise=noise)
 
     corrupted = sample_brownian(1, 400, 2.5e-4, seed=3)
@@ -99,7 +97,7 @@ def test_time_dependent_probe_still_closes() -> None:
     # phi(t, x) = (1 + t) sin(pi x): the d_t phi coupling keeps the
     # residual at discretization scale.
     traj = heat_run(J=31, dt=1e-3, steps=100)
-    phi = make_test_function(traj.grid, mode=1, t_poly=(1.0, 1.0))
+    phi = WeakTestFunction(traj.grid, mode=1, t_poly=(1.0, 1.0))
     res = weak_form_residual(traj, phi, heat_coeffs())
     assert res <= 5e-3
 
