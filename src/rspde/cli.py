@@ -9,9 +9,12 @@ written as exact float64 .npy arrays, so identical (config, seed) runs
 produce byte-identical files; wall-time fields in the manifest are the
 only exception.
 
-Replica Monte Carlo honors --workers by chunking the replica index range
-across processes; rows are merged in index order, so the output does not
-depend on the worker count.
+Every P(event) estimate, of ``mc`` and of the ``ldp-compare`` table,
+goes through ``_estimate``: it chunks the replica index range across
+--workers processes and merges the rows in index order, so the output
+does not depend on the worker count.  One run estimates each (epsilon,
+time grid) pair once, so ``all`` reuses the comparison's estimate for
+``mc`` when the two grids agree.
 """
 
 from __future__ import annotations
@@ -200,7 +203,8 @@ def _cmd_continuity(cfg: ExperimentConfig, args, out: str) -> list:
     return ["continuity.csv"]
 
 
-def _compute_rate(cfg: ExperimentConfig, coeffs, dom, gamma, u0):
+def _compute_rate(cfg: ExperimentConfig, out: str, coeffs, dom, gamma, u0):
+    """Minimize the action for the config's event and write rate.json."""
     event = cfg.build_event()
     if event is None:
         raise ConfigError("this subcommand needs an 'event' section")
@@ -211,52 +215,65 @@ def _compute_rate(cfg: ExperimentConfig, coeffs, dom, gamma, u0):
                         fd_step=opts["fd_step"], max_iters=opts["max_iters"],
                         stag_window=opts["stag_window"],
                         feas_tol=opts["feas_tol"], max_dim=opts["max_dim"])
-    return event, res
-
-
-def _cmd_rate(cfg: ExperimentConfig, args, out: str) -> list:
-    event, res = _compute_rate(cfg, *_solver_pieces(cfg))
     payload = res.to_dict()
     payload["event"] = event.describe()
     _write_json(os.path.join(out, "rate.json"), payload)
+    return res
+
+
+def _cmd_rate(cfg: ExperimentConfig, args, out: str) -> list:
+    res = _compute_rate(cfg, out, *_solver_pieces(cfg))
     _say(args, f"rate: I*={res.rate!r} feasible={res.feasible}")
     return ["rate.json"]
 
 
 def _mc_chunk(payload):
     """Worker body: rebuild the model from the raw config and run a
-    contiguous replica range.  Module-level so it pickles."""
-    raw, seed, eps, start, stop = payload
+    contiguous replica range on the time grid (n_pen, dt, steps).
+    Module-level so it pickles."""
+    raw, seed, eps, (n_pen, dt, steps), start, stop = payload
     cfg = ExperimentConfig.from_dict(raw)
     coeffs, dom, gamma, u0 = _solver_pieces(cfg)
-    event = cfg.build_event()
-    steps, dt = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, 1)
     plan = ReplicaPlan(base_seed=seed, count=cfg.replica_count)
-    return mc_rows(coeffs, dom, gamma, u0, event, eps, cfg.n_event, dt,
+    return mc_rows(coeffs, dom, gamma, u0, cfg.build_event(), eps, n_pen, dt,
                    steps, plan, start, stop)
 
 
-def _emit_mc(cfg: ExperimentConfig, args, out: str) -> dict:
+def _estimate(cfg: ExperimentConfig, args, eps, grid, estimates: dict):
+    """P(event) at noise level eps on the time grid (n_pen, dt, steps),
+    with the replica range fanned out over --workers processes.  Each
+    (eps, grid) pair is computed once per ``estimates`` dict, which lives
+    for one run."""
+    key = (eps, grid)
+    if key in estimates:
+        return estimates[key]
+    seed = args.seed if args.seed is not None else cfg.base_seed
+    count = cfg.replica_count
+    workers = max(1, args.workers)
+    bounds = [count * i // workers for i in range(workers + 1)]
+    payloads = [(cfg.raw, seed, eps, grid, lo, hi)
+                for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+    if workers == 1:
+        chunks = map(_mc_chunk, payloads)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_mc_chunk, payloads))
+    estimates[key] = summarize_rows([r for c in chunks for r in c], count)
+    return estimates[key]
+
+
+def _emit_mc(cfg: ExperimentConfig, args, out: str, estimates=None) -> dict:
     if cfg.build_event() is None:
         raise ConfigError("mc needs an 'event' section")
     seed = args.seed if args.seed is not None else cfg.base_seed
     eps = cfg.epsilons[0]
-    count = cfg.replica_count
-    workers = max(1, args.workers)
-    if workers == 1:
-        rows = _mc_chunk((cfg.raw, seed, eps, 0, count))
-    else:
-        bounds = [count * i // workers for i in range(workers + 1)]
-        payloads = [(cfg.raw, seed, eps, lo, hi)
-                    for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for chunk in pool.map(_mc_chunk, payloads)
-                    for row in chunk]
-    res = summarize_rows(rows, count)
+    steps, dt = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, 1)
+    res = _estimate(cfg, args, eps, (cfg.n_event, dt, steps),
+                    {} if estimates is None else estimates)
     _write_csv(os.path.join(out, "mc.csv"), ReplicaRow.CSV_HEADER,
-               [r.csv_line() for r in rows])
+               [r.csv_line() for r in res.rows])
     _say(args, f"mc: p_hat={res.p_hat!r} +- {res.stderr!r} "
-               f"({res.hits}/{count} hits)")
+               f"({res.hits}/{res.replicas} hits)")
     return {"epsilon": eps, "seed": seed, **res.to_dict()}
 
 
@@ -266,20 +283,20 @@ def _cmd_mc(cfg: ExperimentConfig, args, out: str) -> list:
     return ["mc.csv", "report.json"]
 
 
-def _emit_compare(cfg: ExperimentConfig, args, out: str) -> list:
-    """Rate minimization plus the across-epsilon table; writes rate.json
-    and comparison.csv, returns the file list."""
+def _emit_compare(cfg: ExperimentConfig, args, out: str,
+                  estimates=None) -> list:
+    """Rate minimization plus the across-epsilon table, estimated on the
+    rate's time grid; writes rate.json and comparison.csv."""
     coeffs, dom, gamma, u0 = _solver_pieces(cfg)
-    event, rate = _compute_rate(cfg, coeffs, dom, gamma, u0)
-    payload = rate.to_dict()
-    payload["event"] = event.describe()
-    _write_json(os.path.join(out, "rate.json"), payload)
+    rate = _compute_rate(cfg, out, coeffs, dom, gamma, u0)
     seed = args.seed if args.seed is not None else cfg.base_seed
-    plan = ReplicaPlan(base_seed=seed, count=cfg.replica_count)
+    grid = (rate.n_pen, rate.dt, rate.steps)
+    estimates = {} if estimates is None else estimates
     ldp1 = cfg.ldp1
-    rows = ldp_compare(coeffs, dom, gamma, u0, event, rate,
-                       epsilons=cfg.epsilons, plan=plan, T=cfg.T,
-                       ldp1_delta_sq=ldp1["delta_sq"],
+    rows = ldp_compare(coeffs, dom, gamma, u0, rate,
+                       [(eps, _estimate(cfg, args, eps, grid, estimates))
+                        for eps in cfg.epsilons],
+                       base_seed=seed, ldp1_delta_sq=ldp1["delta_sq"],
                        ldp1_replicas=ldp1["replicas"])
     _write_csv(os.path.join(out, "comparison.csv"), CompareRow.CSV_HEADER,
                [r.csv_line() for r in rows])
@@ -309,7 +326,8 @@ def _cmd_weighted(cfg: ExperimentConfig, args, out: str) -> list:
 
 def _cmd_all(cfg: ExperimentConfig, args, out: str) -> list:
     """Every stage the config supports, sharing one report.json with a
-    section per stage (and one penalty sweep feeding both CSV views)."""
+    section per stage (one penalty sweep feeding both CSV views, and one
+    Monte Carlo estimate per (epsilon, time grid) pair)."""
     report = {"validate_domain": _validation_report(cfg, args, out)}
     res = _run_sweep(cfg)
     report["penalty_sweep"] = _emit_sweep(res, out)
@@ -320,10 +338,11 @@ def _cmd_all(cfg: ExperimentConfig, args, out: str) -> list:
     if cfg.raw.get("control"):
         outputs |= set(_cmd_weighted(cfg, args, out))
     if cfg.raw.get("event") is not None:
-        report["mc"] = _emit_mc(cfg, args, out)
+        estimates = {}
+        report["mc"] = _emit_mc(cfg, args, out, estimates)
         outputs.add("mc.csv")
         if "rate" in cfg.raw:
-            outputs |= set(_emit_compare(cfg, args, out))
+            outputs |= set(_emit_compare(cfg, args, out, estimates))
     _write_json(os.path.join(out, "report.json"), report)
     outputs.add("report.json")
     return sorted(outputs)

@@ -22,8 +22,9 @@ Polytopes and intersections share one projection over their members
 in turn, keeping a member's projection when it lies in every other member
 (the nearest point of a superset that lies in the body is the nearest
 point of the body); only points where two or more members are active go
-through Dykstra's alternating scheme.  All of it is vectorized over
-batches of query points.
+through Dykstra's alternating scheme, where each point's iteration stops
+on its own displacement, so its projection does not depend on the batch
+it came in.  All of it is vectorized over batches of query points.
 
 Point batches use shape (n, d) throughout this module.
 """
@@ -446,26 +447,30 @@ def _project_onto_members(points, members):
 def _dykstra(points, sets):
     """Dykstra's alternating projections onto the intersection of ``sets``.
 
-    Vectorized over the batch; converges when the largest point
-    displacement over a full sweep drops below DYKSTRA_TOL.
+    Vectorized over the batch; each row stops when its own displacement
+    over a full sweep drops below DYKSTRA_TOL and leaves the sweep, so a
+    row's result does not depend on the other rows of its batch.
     """
-    x = np.array(points, dtype=float)
+    x = out = np.array(points, dtype=float)
+    rows = np.arange(len(out))
     corrections = [np.zeros_like(x) for _ in sets]
     for _ in range(DYKSTRA_MAX_SWEEPS):
-        delta = 0.0
+        delta = np.zeros(len(x))
         for i, s in enumerate(sets):
             y = x + corrections[i]
             x_new = s.project_many(y)
             corrections[i] = y - x_new
-            delta = max(delta, float(np.max(np.abs(x_new - x))) if x.size else 0.0)
+            np.maximum(delta, np.max(np.abs(x_new - x), axis=1), out=delta)
             x = x_new
-        if delta < DYKSTRA_TOL:
-            break
-    else:
-        raise GeometryError(
-            f"Dykstra projection did not converge in {DYKSTRA_MAX_SWEEPS} sweeps "
-            f"(last sweep displacement {delta:.3e})")
-    return x
+        going = delta >= DYKSTRA_TOL
+        out[rows[~going]] = x[~going]
+        if not going.any():
+            return out
+        rows, x = rows[going], x[going]
+        corrections = [c[going] for c in corrections]
+    raise GeometryError(
+        f"Dykstra projection did not converge in {DYKSTRA_MAX_SWEEPS} sweeps "
+        f"(last sweep displacement {delta.max():.3e})")
 
 
 # ---------------------------------------------------------------------------

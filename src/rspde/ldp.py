@@ -19,9 +19,9 @@ is approached by quadratic-penalty continuation: minimize
 over the control's (m, K) table by gradient descent with forward-difference
 gradients and Armijo backtracking, for an increasing schedule of mu.
 
-Monte Carlo estimates run the stochastic solver over a ReplicaPlan, so
-replica seeds are independent of worker count and order, and the same
-replica index reuses the same Brownian path across noise levels.
+Monte Carlo runs the stochastic solver over a ReplicaPlan, so replica
+seeds are independent of worker count and order, and the same replica
+index reuses the same Brownian path across noise levels.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ from .trajectory import Trajectory, state_gap
 
 # Penalty level at which rare events are posed (config can override).
 EVENT_N_PEN = 1024.0
+
+# minimize_rate: Armijo sufficient-decrease constant, and the relative
+# objective drop below which an accepted step counts toward stagnation.
+ARMIJO_C1 = 1e-4
+STAG_REL = 1e-8
 
 
 def _terminal_mean(traj: Trajectory) -> float:
@@ -146,10 +151,6 @@ class RateResult:
     dt: float
     steps: int
 
-    @property
-    def i_star(self) -> float:
-        return self.rate
-
     def to_dict(self) -> dict:
         return {
             "I_star": self.rate,
@@ -169,11 +170,9 @@ class RateResult:
 
 def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
                   gamma: ObliqueField, u0, event: EventSpec, T: float, K: int,
-                  dt: float = None, n_pen: float = EVENT_N_PEN,
-                  h0: Control = None,
+                  dt: float, n_pen: float = EVENT_N_PEN,
                   mu_schedule=(1e1, 1e2, 1e3, 1e4), fd_step: float = 1e-4,
-                  max_iters: int = 150, armijo_c1: float = 1e-4,
-                  stag_rel: float = 1e-8, stag_window: int = 50,
+                  max_iters: int = 150, stag_window: int = 50,
                   feas_tol: float = 1e-3, max_dim: int = 64) -> RateResult:
     """Penalized minimization of the action over controls on an (m, K) grid.
 
@@ -192,8 +191,7 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
     if dim > max_dim:
         raise ValueError(f"control dimension m*K = {dim} exceeds {max_dim}; "
                          "coarsen the control grid")
-    dt_target = dt if dt is not None else T / (4 * K)
-    steps, dt_eff = resolve_time_grid(T, dt_target, n_pen, K)
+    steps, dt_eff = resolve_time_grid(T, dt, n_pen, K)
 
     def shortfall_at(x):
         ctrl = Control(T=T, values=x.reshape(m, K))
@@ -205,11 +203,7 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
         ctrl, v = shortfall_at(x)
         return 0.5 * ctrl.cm_norm_sq() + mu * v * v, v
 
-    x = (np.zeros(dim) if h0 is None else
-         np.asarray(h0.values, dtype=float).reshape(dim).copy())
-    if h0 is not None and (h0.m != m or h0.K != K):
-        raise ValueError("warm start control is not on the requested grid")
-
+    x = np.zeros(dim)
     trace = []
     stagnated = False
     step0 = 1.0
@@ -233,7 +227,7 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
             while step > 1e-14:
                 trial = x - step * grad
                 ftrial, vtrial = objective(trial, mu)
-                if ftrial <= fcur - armijo_c1 * step * gnorm_sq:
+                if ftrial <= fcur - ARMIJO_C1 * step * gnorm_sq:
                     accepted = True
                     break
                 step *= 0.5
@@ -242,7 +236,7 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
             rel_drop = (fcur - ftrial) / max(abs(fcur), 1e-30)
             x, fcur, vcur = trial, ftrial, vtrial
             step0 = min(4.0 * step, 1e3)
-            stall = stall + 1 if rel_drop < stag_rel else 0
+            stall = stall + 1 if rel_drop < STAG_REL else 0
             if stall >= stag_window:
                 stagnated = True
                 break
@@ -297,14 +291,14 @@ class MCResult:
 
 def _replicas(coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
               epsilon: float, n_pen: float, dt: float, steps: int,
-              control: Control = None, generator: str = "philox"):
+              control: Control = None):
     """(index, seed, trajectory) per replica index; each replica's noise
     depends only on its own plan seed.  The sampler and the solver are
     looked up in this module's namespace, where wrappers may replace them.
     """
     for i in indices:
         seed = plan.seed_for(i)
-        noise = sample_brownian(coeffs.m, steps, dt, seed, generator)
+        noise = sample_brownian(coeffs.m, steps, dt, seed)
         yield i, seed, solve_penalized_spde(
             coeffs, domain, gamma, u0, n_pen=n_pen, dt=dt, steps=steps,
             epsilon=epsilon, noise=noise, control=control)
@@ -312,13 +306,14 @@ def _replicas(coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
 
 def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
             n_pen: float, dt: float, steps: int, plan: ReplicaPlan,
-            start: int, stop: int, control: Control = None,
-            generator: str = "philox") -> list:
+            start: int, stop: int, control: Control = None) -> list:
     """Replica rows for indices [start, stop) of the plan.
 
     Splitting a plan across workers and concatenating the row lists in
     index order reproduces the serial run exactly, because every replica's
-    noise depends only on its own plan seed.
+    noise depends only on its own plan seed.  The runner estimates every
+    P(event), the comparison table's too, by fanning replica ranges out
+    to its workers and passing the merged rows to ``summarize_rows``.
     """
     return [ReplicaRow(replica=i, seed=seed,
                        sup_pen_H=float(np.max(traj.series.pen_h)),
@@ -326,7 +321,7 @@ def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
                        event=int(event.occurred(traj)))
             for i, seed, traj in _replicas(coeffs, domain, gamma, u0, plan,
                                            range(start, stop), epsilon, n_pen,
-                                           dt, steps, control, generator)]
+                                           dt, steps, control)]
 
 
 def summarize_rows(rows: list, replicas: int) -> MCResult:
@@ -364,39 +359,33 @@ class CompareRow:
                 f"{self.neg_eps_log_p!r},{self.i_star!r},{self.ldp1_prob!r}")
 
 
-def ldp_compare(coeffs, domain, gamma, u0, event: EventSpec,
-                rate: RateResult, epsilons, plan: ReplicaPlan, T: float,
-                ldp1_delta_sq: float = None, ldp1_replicas: int = 50,
-                generator: str = "philox") -> list:
-    """For each noise level: sampled -eps*log P(event) against I*, plus the
-    fraction of controlled replicas that stray from the skeleton.
+def ldp_compare(coeffs, domain, gamma, u0, rate: RateResult, estimates,
+                base_seed: int, ldp1_delta_sq: float,
+                ldp1_replicas: int) -> list:
+    """One row per (epsilon, MCResult) pair of ``estimates``: sampled
+    -eps*log P(event) against I*, plus the fraction of controlled
+    replicas that stray from the skeleton.
 
-    Uses the rate result's own time grid and penalty level throughout.
-    The same replica index reuses the same underlying Brownian increments
-    at every epsilon, so the table's trend is not confounded by sampling
-    noise between rows.  ldp1_prob estimates
+    The estimates must come from the rate result's own time grid and
+    penalty level, which the stray count uses too.  ldp1_prob estimates
         P( sup|Y^eps - Z|_H^2 + int |Y^eps - Z|_V^2 dt > delta^2 )
     for Y^eps the controlled stochastic solution at the optimizer's h and
-    Z = G0(h); it should fall to zero with epsilon.
+    Z = G0(h), on ldp1_replicas replicas seeded from base_seed + 1 (the
+    same paths at every epsilon); it should fall to zero with epsilon.
     """
     n_pen, dt, steps = rate.n_pen, rate.dt, rate.steps
     h_star = rate.control
     skeleton = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
                                     dt=dt, steps=steps, control=h_star)
-    if ldp1_delta_sq is None:
-        ldp1_delta_sq = 0.01
-    ldp1_plan = ReplicaPlan(base_seed=plan.base_seed + 1, count=ldp1_replicas)
+    ldp1_plan = ReplicaPlan(base_seed=base_seed + 1, count=ldp1_replicas)
 
     out = []
-    for eps in epsilons:
-        rows = mc_rows(coeffs, domain, gamma, u0, event, eps, n_pen, dt,
-                       steps, plan, 0, plan.count, None, generator)
-        res = summarize_rows(rows, plan.count)
+    for eps, res in estimates:
         neg = -eps * math.log(res.p_hat) if res.p_hat > 0 else math.nan
         strays = 0
         for _, _, y in _replicas(coeffs, domain, gamma, u0, ldp1_plan,
                                  range(ldp1_replicas), eps, n_pen, dt, steps,
-                                 h_star, generator):
+                                 h_star):
             gh, gv = state_gap(y, skeleton)
             strays += int(gh + gv > ldp1_delta_sq)
         out.append(CompareRow(epsilon=float(eps), p_hat=res.p_hat,
@@ -421,7 +410,7 @@ class WeightedTrendRow:
 
 def weighted_trend(coeffs, domain, gamma, u0, control: Control, epsilons,
                    plan: ReplicaPlan, lam: float, n_pen: float, dt: float,
-                   T: float, generator: str = "philox") -> list:
+                   T: float) -> list:
     """Mean discounted distance between the controlled stochastic solution
     and its skeleton, per noise level (common Brownian paths across
     levels).  The discount rate lam multiplies the accumulated gradient
@@ -435,7 +424,7 @@ def weighted_trend(coeffs, domain, gamma, u0, control: Control, epsilons,
         ints = []
         for _, _, y in _replicas(coeffs, domain, gamma, u0, plan,
                                  range(plan.count), eps, n_pen, dt_eff, steps,
-                                 control, generator):
+                                 control):
             w = weighted_distance(y, skeleton, lam)
             sups.append(w["weighted_sup"])
             ints.append(w["weighted_int"])

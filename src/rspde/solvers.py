@@ -70,36 +70,21 @@ class SolverError(RuntimeError):
 
 @dataclass
 class NoisePath:
-    """Brownian increments (m, K) with their provenance.
+    """Brownian increments (m, K) with their seed.
 
-    Reproducible bit for bit from (seed, generator, shape): increments are
-    i.i.d. N(0, dt) drawn from the named counter-based generator.
+    Reproducible bit for bit from (seed, shape): increments are i.i.d.
+    N(0, dt) drawn from numpy's counter-based Philox generator.
     """
 
     dt: float
     increments: np.ndarray
     seed: int
-    generator: str = "philox"
-
-    @property
-    def m(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.increments.shape[1]
 
 
-_GENERATORS = {"philox": np.random.Philox, "pcg64": np.random.PCG64}
-
-
-def sample_brownian(m: int, K: int, dt: float, seed: int,
-                    generator: str = "philox") -> NoisePath:
-    if generator not in _GENERATORS:
-        raise SolverError(f"unknown generator {generator!r}")
-    rng = np.random.Generator(_GENERATORS[generator](seed))
+def sample_brownian(m: int, K: int, dt: float, seed: int) -> NoisePath:
+    rng = np.random.Generator(np.random.Philox(seed))
     inc = rng.normal(0.0, math.sqrt(dt), size=(m, K))
-    return NoisePath(dt=dt, increments=inc, seed=seed, generator=generator)
+    return NoisePath(dt=dt, increments=inc, seed=seed)
 
 
 @dataclass
@@ -265,7 +250,7 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     info = {"b": coeffs.b_name, "sigma": coeffs.sigma_name,
             "controlled": control is not None}
     if use_noise:
-        info.update({"seed": noise.seed, "generator": noise.generator})
+        info.update({"seed": noise.seed, "generator": "philox"})
     return Trajectory(grid=grid, dt=dt, n_pen=n_pen, states=states,
                       series=series, measure=measure, stride=stride,
                       epsilon=epsilon, meta=info)

@@ -6,6 +6,7 @@ minimization, the 4000-replica small-noise comparison) run for minutes.
 `pytest -s tests/test_acceptance.py` shows the lines as they appear.
 """
 
+import csv
 import json
 import math
 import os
@@ -23,8 +24,8 @@ from rspde.fields import Field, SpatialGrid
 from rspde.geometry import (Ball, Box, Intersection, ObliqueField, Polytope,
                             boundary_points, build_oblique_matrix,
                             exterior_points, interior_points)
-from rspde.ldp import (EventSpec, ReplicaPlan, ldp_compare, minimize_rate,
-                       rate_functional, weighted_trend)
+from rspde.ldp import (EventSpec, ReplicaPlan, minimize_rate, rate_functional,
+                       weighted_trend)
 from rspde.solvers import (resolve_time_grid, sample_brownian,
                            solve_penalized_spde, solve_skeleton)
 from rspde.trajectory import TrajectorySeries
@@ -290,36 +291,35 @@ def test_criterion_08_weighted_distance_trend():
                   f"{sups[-1] / sups[0]:.3f} <= 0.1", el, 300.0)
 
 
-# terminal-ball radius calibrated so the minimal rate for this grid
-# (J=15, T=0.25, dt=1/512) sits at 0.4
-DESK_DELTA = 0.17982651009675618
+SMALL_NOISE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "small_noise.json")
 
 
-def test_criterion_09_small_noise_trend():
+def test_criterion_09_small_noise_trend(tmp_path):
+    # configs/small_noise.json: free interval, additive noise, and a
+    # terminal-ball exit event whose radius puts the minimal rate for its
+    # grid (J=15, T=0.25, dt=1/512) at 0.4
     t0 = time.perf_counter()
-    dom = interval(100.0)
-    gam = oblique(dom)
-    coeffs = make_coefficients(1, 1, b={"name": "zero"},
-                               sigma={"name": "constant", "matrix": [[1.0]]})
-    u0 = Field.zeros(SpatialGrid(15, 1))
-    event = EventSpec(kind="terminal_ball", radius=DESK_DELTA,
-                      complement=True)
-    rate = minimize_rate(coeffs, dom, gam, u0, event, T=0.25, K=16, dt=2e-3,
-                         n_pen=256.0)
-    rows = ldp_compare(coeffs, dom, gam, u0, event, rate, (0.5, 0.2, 0.1),
-                       ReplicaPlan(base_seed=20260823, count=4000), T=0.25,
-                       ldp1_delta_sq=0.08)
+    out = str(tmp_path / "cmp")
+    assert main(["ldp-compare", "--config", SMALL_NOISE, "--out", out,
+                 "--workers", "2", "--quiet"]) == 0
+    with open(os.path.join(out, "rate.json")) as fh:
+        rate = json.load(fh)
+    with open(os.path.join(out, "comparison.csv")) as fh:
+        rows = list(csv.DictReader(fh))
     el = time.perf_counter() - t0
-    negs = [r.neg_eps_log_p for r in rows]
-    gaps = [abs(a - rate.rate) for a in negs]
-    ldp1 = [r.ldp1_prob for r in rows]
-    ok = (rate.feasible and all(map(math.isfinite, negs))
+    i_star = rate["I_star"]
+    negs = [float(r["neg_eps_log_p"]) for r in rows]
+    gaps = [abs(a - i_star) for a in negs]
+    ldp1 = [float(r["ldp1_prob"]) for r in rows]
+    ok = (rate["feasible"] and len(rows) == 3
+          and all(map(math.isfinite, negs))
           and all(b < a for a, b in zip(gaps, gaps[1:]))
-          and gaps[-1] <= 0.5 * rate.rate
+          and gaps[-1] <= 0.5 * i_star
           and all(a >= b for a, b in zip(ldp1, ldp1[1:]))
           and el < 600.0)
     report(9, ok, f"-eps log p {negs[0]:.3f} -> {negs[-1]:.3f} toward I* "
-                  f"{rate.rate:.3f} (gap {gaps[-1] / rate.rate:.0%}), ldp1 "
+                  f"{i_star:.3f} (gap {gaps[-1] / i_star:.0%}), ldp1 "
                   f"{ldp1[0]:.2f} -> {ldp1[-1]:.2f}", el, 600.0)
 
 

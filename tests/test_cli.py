@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from rspde import ldp
 from rspde.cli import main
 from rspde.config import ExperimentConfig
 from rspde.solvers import (ReplicaPlan, resolve_time_grid, sample_brownian,
@@ -178,6 +179,63 @@ def test_mc_outputs_and_worker_invariance(tmp_path):
     lines = read_bytes(out1, "mc.csv").decode().splitlines()
     assert lines[0] == "replica,seed,sup_pen_H,terminal_H_norm,event"
     assert len(lines) == 13
+
+
+# BASE with a reachable event, two noise levels and a rate section whose
+# control grid (K = 4) refines to the same 120 steps of 1e-3 as the mc
+# grid, so `all` needs each noise level's estimate once
+COMPARE = {**copy.deepcopy(BASE),
+           "epsilons": [0.5, 0.2],
+           "event": {"kind": "terminal_ball", "radius": 0.05,
+                     "complement": True},
+           "rate": {"K": 4, "max_iters": 20, "stag_window": 8},
+           "ldp1": {"delta_sq": 0.05, "replicas": 5}}
+
+
+def test_ldp_compare_outputs_do_not_depend_on_workers(tmp_path):
+    code, out1 = run(tmp_path, "ldp-compare", COMPARE,
+                     extra=("--workers", "1"), name="w1")
+    assert code == 0
+    code, out3 = run(tmp_path, "ldp-compare", COMPARE,
+                     extra=("--workers", "3"), name="w3")
+    assert code == 0
+    for name in ("comparison.csv", "rate.json"):
+        assert read_bytes(out1, name) == read_bytes(out3, name)
+    lines = read_bytes(out1, "comparison.csv").decode().splitlines()
+    assert [float(l.split(",")[0]) for l in lines[1:]] == [0.5, 0.2]
+
+
+def test_all_estimates_each_noise_level_once(tmp_path, monkeypatch):
+    cfg = ExperimentConfig.from_dict(copy.deepcopy(COMPARE))
+    mc_grid = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, 1)
+    assert mc_grid == resolve_time_grid(cfg.T, cfg.dt, cfg.n_event,
+                                        cfg.rate_options["K"])
+    noisy = []
+    solve = ldp.solve_penalized_spde
+
+    def counted(*args, **kwargs):
+        noisy.append(kwargs.get("epsilon", 0.0) > 0.0)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ldp, "solve_penalized_spde", counted)
+    outs, counts = [], []
+    for name in ("a", "b"):
+        noisy.clear()
+        code, out = run(tmp_path, "all", COMPARE, extra=("--workers", "1"),
+                        name=name)
+        assert code == 0
+        outs.append(out)
+        counts.append(sum(noisy))
+    # every replica at every noise level, plus the ldp1 replicas
+    expected = (cfg.replica_count * len(cfg.epsilons)
+                + cfg.ldp1["replicas"] * len(cfg.epsilons))
+    assert counts == [expected, expected]
+    # mc.csv holds the comparison's first row
+    mc = read_json(outs[0], "report.json")["mc"]
+    first = read_bytes(outs[0], "comparison.csv").decode().splitlines()[1]
+    assert first.split(",")[1:3] == [repr(mc["p_hat"]), repr(mc["stderr"])]
+    for name in ("mc.csv", "comparison.csv", "report.json"):
+        assert read_bytes(outs[0], name) == read_bytes(outs[1], name)
 
 
 def test_seed_flag_overrides_config(tmp_path):

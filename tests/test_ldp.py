@@ -145,7 +145,8 @@ def test_minimize_rate_rejects_oversized_control_grid():
     coeffs, dom, g, u0, _, _ = planted_setup()
     event = EventSpec("terminal_ball", radius=1.0)
     with pytest.raises(ValueError):
-        minimize_rate(coeffs, dom, g, u0, event, T=0.05, K=100, max_dim=64)
+        minimize_rate(coeffs, dom, g, u0, event, T=0.05, K=100, dt=1e-3,
+                      max_dim=64)
 
 
 def test_minimum_energy_scales_quadratically_in_radius():
@@ -272,15 +273,28 @@ def manual_rate_result(T=0.05, n_pen=32.0):
                       trace=[], n_pen=n_pen, dt=dt, steps=steps)
 
 
+def compare(coeffs, dom, gamma, u0, event, rate, epsilons, plan,
+            ldp1_delta_sq, ldp1_replicas):
+    """The table on the path ``rspde ldp-compare`` takes: each epsilon
+    estimated on the rate's time grid, then ldp_compare."""
+    estimates = [(eps, summarize_rows(
+        mc_rows(coeffs, dom, gamma, u0, event, eps, rate.n_pen, rate.dt,
+                rate.steps, plan, 0, plan.count), plan.count))
+        for eps in epsilons]
+    return ldp_compare(coeffs, dom, gamma, u0, rate, estimates,
+                       base_seed=plan.base_seed, ldp1_delta_sq=ldp1_delta_sq,
+                       ldp1_replicas=ldp1_replicas)
+
+
 def test_ldp_compare_rows_and_zero_hit_marking():
     dom = interval_domain(1.0)
     coeffs = forced_coeffs(s=1.0)
     g = normal_gamma(dom)
     rate = manual_rate_result()
     reachable = EventSpec("terminal_ball", radius=0.01, complement=True)
-    rows = ldp_compare(coeffs, dom, g, zero_start(15), reachable, rate,
-                       epsilons=[0.5], plan=ReplicaPlan(base_seed=3, count=60),
-                       T=0.05, ldp1_delta_sq=0.05, ldp1_replicas=12)
+    rows = compare(coeffs, dom, g, zero_start(15), reachable, rate,
+                   epsilons=[0.5], plan=ReplicaPlan(base_seed=3, count=60),
+                   ldp1_delta_sq=0.05, ldp1_replicas=12)
     (row,) = rows
     assert isinstance(row, CompareRow)
     assert row.i_star == rate.rate
@@ -289,9 +303,9 @@ def test_ldp_compare_rows_and_zero_hit_marking():
     assert row.neg_eps_log_p == pytest.approx(-0.5 * math.log(row.p_hat))
 
     impossible = EventSpec("terminal_ball", radius=40.0, complement=True)
-    rows = ldp_compare(coeffs, dom, g, zero_start(15), impossible, rate,
-                       epsilons=[0.1], plan=ReplicaPlan(base_seed=3, count=30),
-                       T=0.05, ldp1_replicas=5)
+    rows = compare(coeffs, dom, g, zero_start(15), impossible, rate,
+                   epsilons=[0.1], plan=ReplicaPlan(base_seed=3, count=30),
+                   ldp1_delta_sq=0.01, ldp1_replicas=5)
     assert rows[0].p_hat == 0.0 and math.isnan(rows[0].neg_eps_log_p)
     assert "nan" in rows[0].csv_line()
 
@@ -301,10 +315,10 @@ def test_ldp1_deviation_probability_falls_with_epsilon():
     coeffs = forced_coeffs(s=1.0)
     rate = manual_rate_result()
     event = EventSpec("terminal_ball", radius=0.01, complement=True)
-    rows = ldp_compare(coeffs, dom, normal_gamma(dom), zero_start(15), event,
-                       rate, epsilons=[1.0, 0.01],
-                       plan=ReplicaPlan(base_seed=5, count=10), T=0.05,
-                       ldp1_delta_sq=0.01, ldp1_replicas=25)
+    rows = compare(coeffs, dom, normal_gamma(dom), zero_start(15), event,
+                   rate, epsilons=[1.0, 0.01],
+                   plan=ReplicaPlan(base_seed=5, count=10),
+                   ldp1_delta_sq=0.01, ldp1_replicas=25)
     assert rows[0].ldp1_prob >= rows[1].ldp1_prob
     assert rows[1].ldp1_prob == 0.0
 
