@@ -21,7 +21,10 @@ gradients and Armijo backtracking, for an increasing schedule of mu.
 
 Monte Carlo runs the stochastic solver over a ReplicaPlan, so replica
 seeds are independent of worker count and order, and the same replica
-index reuses the same Brownian path across noise levels.
+index reuses the same Brownian path across noise levels.  Replicas are
+solved in chunks: one batched solve steps as many of them as CHUNK_BYTES
+of (B, steps + 1, d, J) state stack holds, and a chunk's members do not
+interact, so no result depends on how the replicas are chunked.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ from .trajectory import Trajectory, state_gap
 
 # Penalty level at which rare events are posed (config can override).
 EVENT_N_PEN = 1024.0
+
+# Monte Carlo steps replicas as chunks of one batched solve: as many
+# members as keep a chunk's state stack, members * (steps + 1) * d * J
+# float64 values, within this many bytes (at least one member).
+CHUNK_BYTES = 1 << 19
 
 # minimize_rate: Armijo sufficient-decrease constant, and the relative
 # objective drop below which an accepted step counts toward stagnation.
@@ -289,19 +297,31 @@ class MCResult:
         return out
 
 
-def _replicas(coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
+def _replicas(read, coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
               epsilon: float, n_pen: float, dt: float, steps: int,
-              control: Control = None):
-    """(index, seed, trajectory) per replica index; each replica's noise
-    depends only on its own plan seed.  The sampler and the solver are
-    looked up in this module's namespace, where wrappers may replace them.
+              control: Control = None) -> list:
+    """read(index, seed, trajectory) of each replica index, in order.
+
+    Each replica's noise depends only on its own plan seed.  The replicas
+    are solved a chunk at a time, as many members as CHUNK_BYTES of state
+    stack holds; a chunk's arrays are dropped before the next one starts,
+    so ``read`` must not keep the trajectory it is given.  The sampler and
+    the solver are looked up in this module's namespace, where wrappers
+    may replace them.
     """
-    for i in indices:
-        seed = plan.seed_for(i)
-        noise = sample_brownian(coeffs.m, steps, dt, seed)
-        yield i, seed, solve_penalized_spde(
+    per = max(1, CHUNK_BYTES // (8 * (steps + 1) * u0.grid.d * u0.grid.J))
+    out = []
+    for lo in range(0, len(indices), per):
+        part = indices[lo:lo + per]
+        seeds = [plan.seed_for(i) for i in part]
+        chunk = solve_penalized_spde(
             coeffs, domain, gamma, u0, n_pen=n_pen, dt=dt, steps=steps,
-            epsilon=epsilon, noise=noise, control=control)
+            epsilon=epsilon, control=control,
+            noise=[sample_brownian(coeffs.m, steps, dt, s) for s in seeds])
+        out += [read(i, s, chunk.member(b))
+                for b, (i, s) in enumerate(zip(part, seeds))]
+        del chunk
+    return out
 
 
 def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
@@ -311,17 +331,19 @@ def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
 
     Splitting a plan across workers and concatenating the row lists in
     index order reproduces the serial run exactly, because every replica's
-    noise depends only on its own plan seed.  The runner estimates every
-    P(event), the comparison table's too, by fanning replica ranges out
-    to its workers and passing the merged rows to ``summarize_rows``.
+    noise depends only on its own plan seed and a chunk's members do not
+    interact.  The runner estimates every P(event), the comparison table's
+    too, by fanning replica ranges out to its workers and passing the
+    merged rows to ``summarize_rows``.
     """
-    return [ReplicaRow(replica=i, seed=seed,
-                       sup_pen_H=float(np.max(traj.series.pen_h)),
-                       terminal_H_norm=h_norm(traj.terminal),
-                       event=int(event.occurred(traj)))
-            for i, seed, traj in _replicas(coeffs, domain, gamma, u0, plan,
-                                           range(start, stop), epsilon, n_pen,
-                                           dt, steps, control)]
+    def row(i, seed, traj):
+        return ReplicaRow(replica=i, seed=seed,
+                          sup_pen_H=float(np.max(traj.series.pen_h)),
+                          terminal_H_norm=h_norm(traj.terminal),
+                          event=int(event.occurred(traj)))
+
+    return _replicas(row, coeffs, domain, gamma, u0, plan, range(start, stop),
+                     epsilon, n_pen, dt, steps, control)
 
 
 def summarize_rows(rows: list, replicas: int) -> MCResult:
@@ -379,15 +401,16 @@ def ldp_compare(coeffs, domain, gamma, u0, rate: RateResult, estimates,
                                     dt=dt, steps=steps, control=h_star)
     ldp1_plan = ReplicaPlan(base_seed=base_seed + 1, count=ldp1_replicas)
 
+    def stray(i, seed, y):
+        gh, gv = state_gap(y, skeleton)
+        return int(gh + gv > ldp1_delta_sq)
+
     out = []
     for eps, res in estimates:
         neg = -eps * math.log(res.p_hat) if res.p_hat > 0 else math.nan
-        strays = 0
-        for _, _, y in _replicas(coeffs, domain, gamma, u0, ldp1_plan,
-                                 range(ldp1_replicas), eps, n_pen, dt, steps,
-                                 h_star):
-            gh, gv = state_gap(y, skeleton)
-            strays += int(gh + gv > ldp1_delta_sq)
+        strays = sum(_replicas(stray, coeffs, domain, gamma, u0, ldp1_plan,
+                               range(ldp1_replicas), eps, n_pen, dt, steps,
+                               h_star))
         out.append(CompareRow(epsilon=float(eps), p_hat=res.p_hat,
                               stderr=res.stderr, neg_eps_log_p=neg,
                               i_star=rate.rate,
@@ -420,14 +443,11 @@ def weighted_trend(coeffs, domain, gamma, u0, control: Control, epsilons,
                                     dt=dt_eff, steps=steps, control=control)
     out = []
     for eps in epsilons:
-        sups = []
-        ints = []
-        for _, _, y in _replicas(coeffs, domain, gamma, u0, plan,
-                                 range(plan.count), eps, n_pen, dt_eff, steps,
-                                 control):
-            w = weighted_distance(y, skeleton, lam)
-            sups.append(w["weighted_sup"])
-            ints.append(w["weighted_int"])
+        ws = _replicas(lambda i, seed, y: weighted_distance(y, skeleton, lam),
+                       coeffs, domain, gamma, u0, plan, range(plan.count),
+                       eps, n_pen, dt_eff, steps, control)
+        sups = [w["weighted_sup"] for w in ws]
+        ints = [w["weighted_int"] for w in ws]
         out.append(WeightedTrendRow(
             epsilon=float(eps),
             mean_weighted_sup=math.fsum(sups) / plan.count,

@@ -13,23 +13,31 @@ else explicitly at the pre-step state:
                                - n_pen gamma(u_k) |u_k - pi(u_k)| ]
                                + sqrt(eps) * sigma(u_k) dB_k
 
-I - dt * Lap_h is the same tridiagonal matrix for every component and
-step, so each solve factors it once (LAPACK dgttrf) and every step only
-back-substitutes (dgttrs), all components at once.  Work that does not
-depend on the state is done before the loop: a zero or constant drift is
-evaluated once, and for a constant sigma the control and noise terms of
-every step come from one product each (sigma = 0 adds nothing).
+One loop steps a chunk of B independent members, which share the model,
+the control and the grid and differ in their noise paths, as one
+(d, B * J) state; a single run is the chunk of one.  The coefficients and
+the projection act pointwise, so every step evaluates them once on the
+chunk's B * J points.  I - dt * Lap_h is the same tridiagonal matrix for
+every component, member and step, so each solve factors it once (LAPACK
+dgttrf) and every step only back-substitutes (dgttrs), all B * d
+columns at once.  Work that does not depend on the state is done before
+the loop: a zero or constant drift is evaluated once, and for a constant
+sigma the control and noise terms of every step come from one product
+per path (sigma = 0 adds nothing).  Members never mix: each member's
+states equal those of its own single run bit for bit.  A chunk comes back
+as a TrajectoryChunk, whose ``steps`` counts member-steps (B * K); the
+Monte Carlo callers size their chunks by ``ldp.CHUNK_BYTES``.
 
-Each step projects the state once.  A step in which no grid point lies
-outside O adds no penalty.  Otherwise the step needs only the gap
+Each step projects the state once and adds no penalty to a member with
+no grid point outside O.  A penetrating member needs only its gap
 u - pi(u): for both supported gamma rules dist * gamma is a fixed linear
 map of it (``ObliqueField.scaled_directions``), so no direction field is
 formed.  The gaps of the penetrating states are stored, and the
 penetration series (pen_h, pen_l1, pen_linf, pen_gamma) and the
-reflection measure are computed from them after the loop; a run that
-never penetrates stores nothing and records zeros.  Stability of the
-explicit penalty relaxation requires dt * n_pen <= 1/2, enforced at
-entry.
+reflection measure are computed from them after the loop; a chunk that
+never penetrates stores nothing and shares one array of zeros among its
+members.  Stability of the explicit penalty relaxation requires
+dt * n_pen <= 1/2, enforced at entry.
 
 The skeleton map (controlled, noise-free) is ``solve_penalized_spde`` at
 its default epsilon = 0, where the noise path is ignored, so the skeleton
@@ -54,7 +62,8 @@ from .controls import Control
 from .diagnostics import energy_report, penetration_report
 from .fields import Field, lap_series, sup_series, v_series
 from .geometry import ConvexDomain, ObliqueField
-from .trajectory import ReflectionMeasure, Trajectory, TrajectorySeries, state_gap
+from .trajectory import (ReflectionMeasure, Trajectory, TrajectoryChunk,
+                         TrajectorySeries, state_gap)
 
 # Explicit penalty relaxation factor dt * n_pen must stay at or below this.
 PENALTY_STABILITY = 0.5
@@ -121,19 +130,27 @@ def resolve_time_grid(T: float, dt_target: float, n_pen: float,
 def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
                          gamma: ObliqueField, u0: Field, n_pen: float,
                          dt: float, steps: int, epsilon: float = 0.0,
-                         noise: NoisePath = None, control: Control = None,
-                         stride: int = 1) -> Trajectory:
+                         noise: NoisePath | list = None,
+                         control: Control = None,
+                         stride: int = 1) -> Trajectory | TrajectoryChunk:
     """Run the penalized semi-implicit scheme for ``steps`` steps of ``dt``.
 
-    With epsilon = 0 the noise path is ignored and the run coincides with
-    the skeleton solve for the same control.  Raises SolverError when the
-    initial state leaves the domain, the stability bound fails, the
-    control or noise grids are incompatible, or the state blows up (the
-    offending step index is attached).
+    ``noise`` is one NoisePath, and the result one Trajectory; or a list
+    of NoisePaths, one per member of a chunk that shares everything else,
+    and the result a TrajectoryChunk.  With epsilon = 0 the noise is
+    ignored and the run coincides with the skeleton solve for the same
+    control.  Raises SolverError when the initial state leaves the
+    domain, the stability bound fails, the control or noise grids are
+    incompatible, or the state blows up (the offending step index is
+    attached; in a chunk, that of the lowest-index member that blows up).
     """
     grid = u0.grid
     d, J = grid.d, grid.J
     dx = grid.dx
+    members = noise if isinstance(noise, list) else [noise]
+    B = len(members)
+    if not B:
+        raise SolverError("a chunk needs at least one member")
     if not n_pen > 0:
         raise SolverError("n_pen must be positive")
     if dt * n_pen > PENALTY_STABILITY * (1 + 1e-12):
@@ -156,15 +173,18 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         hdot = control.values_on(steps)
     use_noise = epsilon > 0.0
     if use_noise:
-        if noise is None:
-            raise SolverError("epsilon > 0 needs a noise path")
-        if noise.increments.shape != (coeffs.m, steps):
-            raise SolverError(
-                f"noise shape {noise.increments.shape} != ({coeffs.m}, {steps})")
+        for path in members:
+            if path is None:
+                raise SolverError("epsilon > 0 needs a noise path")
+            if path.increments.shape != (coeffs.m, steps):
+                raise SolverError(
+                    f"noise shape {path.increments.shape} != ({coeffs.m}, {steps})")
+            if abs(path.dt - dt) > 1e-12 * dt:
+                raise SolverError(f"noise dt {path.dt!r} != solver dt {dt!r}")
         sqrt_eps = math.sqrt(epsilon)
 
-    # I - dt*Lap_h is one tridiagonal matrix for every component and step:
-    # factor it here, back-substitute per step.
+    # I - dt*Lap_h is one tridiagonal matrix for every component, member
+    # and step: factor it here, back-substitute all B*d columns per step.
     r = dt / (dx * dx)
     off = np.full(J - 1, -r)
     *lu, info = dgttrf(off, np.full(J, 1.0 + 2.0 * r), off)
@@ -176,107 +196,193 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     b_fixed = coeffs.state_free_drift()
     if b_fixed is not None:
         b_fixed = b_fixed[:, None]
-    paths = []                                    # (scale, (m, steps) path)
+    paths = []                       # (scale, (1 or B, m, steps) paths)
     if hdot is not None:
-        paths.append((dt, hdot))
+        paths.append((dt, hdot[None]))
     if use_noise:
-        paths.append((sqrt_eps, noise.increments))
+        paths.append((sqrt_eps, np.stack([p.increments for p in members])))
     sig_fixed = coeffs.state_free_diffusion()
+    state_sig = sig_fixed is None and bool(paths)
+    terms = []
     if sig_fixed is not None:
         if not sig_fixed.any():
             paths = []
-        terms = [(c * np.einsum("dm,mk->kd", sig_fixed, path))[:, :, None]
-                 for c, path in paths]            # each (steps, d, 1)
+        # each (steps, d, 1 or B, 1), stacked from one path's product at a
+        # time, as a single run forms it
+        terms = [np.stack([c * np.einsum("dm,mk->kd", sig_fixed, path)
+                           for path in stack], axis=2)[..., None]
+                 for c, stack in paths]
 
-    states = np.empty((steps + 1, d, J))
-    states[0] = u0.values
-    # u - pi(u) of every state, (steps + 1, J, d), allocated at the first
-    # state that penetrates; the penalty diagnostics come from it after
-    # the loop
+    # The state is one (d, B * J) array, member b in columns b*J:(b+1)*J,
+    # updated in place: u.T is the (B * J, d) batch of points, ``blocks``
+    # its (d, B, J) view by member, and ``cols`` its (J, B * d) view, the
+    # right-hand sides that dgttrs overwrites with the next state.  The
+    # states are stored by member, (B, steps + 1, d, J), through their
+    # (steps + 1, d, B, J) view ``by_step``.
+    u = np.empty((d, B * J))
+    blocks = u.reshape(d, B, J)
+    cols = u.reshape(d * B, J).T
+    blocks[:] = u0.values[:, None, :]
+    states = np.empty((B, steps + 1, d, J))
+    by_step = states.transpose(1, 2, 0, 3)
+    by_step[0] = blocks
+    # u - pi(u) of every state, (steps + 1, B * J, d), allocated at the
+    # first state that penetrates; the penalty diagnostics come from it
+    # after the loop
     gaps = None
 
-    def record_gap(u, k):
-        """Store and return u - pi(u) of state k as (J, d), or return None
-        when no grid point lies outside the domain."""
+    def record_gap(k):
+        """Store u - pi(u) of state k.  Return None when no grid point lies
+        outside the domain, else (members, gaps): members is None when
+        every member has a point outside, with gaps (J, d) for a single
+        run and (B, J, d) for a chunk; otherwise the indices of the n
+        members that do, with their (n, J, d) gaps."""
         nonlocal gaps
-        ut = u.T
-        proj = domain.project_many(ut)
-        if proj is ut:                            # all inside, returned as is
+        points = u.T
+        proj = domain.project_many(points)
+        if proj is points:                        # all inside, returned as is
             return None
-        gap = ut - proj
+        gap = points - proj
         if not gap.any():
             return None
         if gaps is None:
-            gaps = np.zeros((steps + 1, J, d))
+            gaps = np.zeros((steps + 1, B * J, d))
         gaps[k] = gap
-        return gap
+        if B == 1:
+            return None, gap
+        gap = gap.reshape(B, J, d)
+        hit = gap.any(axis=(1, 2))
+        if hit.all():
+            return None, gap
+        hit = np.flatnonzero(hit)
+        return hit, gap[hit]
 
-    u = u0.values.copy()
+    blown = {}                                    # member -> step
+
+    def retire(bad, step):
+        """Record the members flagged in ``bad`` as blown up at ``step``.
+        Member 0's failure is final; any other member restarts from u0 so
+        the rest run on, and the loop's end reports the lowest member."""
+        for b in np.flatnonzero(bad):
+            blown.setdefault(int(b), step)
+        if 0 in blown:
+            raise SolverError(f"state blew up at step {step}", step=step)
+        blocks[:, bad] = u0.values[:, None, :]
+        return float(np.abs(u).max())
+
     top = float(np.abs(u).max())
     for k in range(steps):
-        # guard before any squaring can overflow to inf
+        # guard before any squaring can overflow
         if top > 1e150:
-            raise SolverError(f"state blew up at step {k}", step=k)
+            top = retire(np.abs(blocks).max(axis=(0, 2)) > 1e150, k)
+        # everything the step reads from u_k, before u is overwritten
         b = coeffs.drift(u) if b_fixed is None else b_fixed
-        gap = record_gap(u, k)
-        if gap is None:
-            rhs = u + dt * b
+        if state_sig:
+            sig = coeffs.diffusion(u).reshape(d, coeffs.m, B, J)
+        outside = record_gap(k)
+        if outside is None:
+            u += dt * b
         else:
-            rhs = u + dt * (b - n_pen * gamma.scaled_directions(gap).T)
-        if sig_fixed is not None:
-            for term in terms:
-                rhs += term[k]
-        elif paths:
-            sig = coeffs.diffusion(u)             # (d, m, J)
-            for c, path in paths:
-                rhs += c * np.einsum("dmj,m->dj", sig, path[:, k])
-        u = dgttrs(*lu, rhs.T, overwrite_b=True)[0].T
+            hit, gap = outside
+            push = gamma.scaled_directions(gap)   # dist * gamma
+            if hit is None:
+                push = (push.T if B == 1
+                        else push.transpose(2, 0, 1).reshape(d, B * J))
+                u += dt * (b - n_pen * push)
+            else:
+                bh = (b[:, :, None] if b_fixed is not None
+                      else b.reshape(d, B, J)[:, hit])
+                moved = blocks[:, hit] + dt * (
+                    bh - n_pen * push.transpose(2, 0, 1))
+                u += dt * b
+                blocks[:, hit] = moved
+        for term in terms:
+            blocks += term[k]
+        if state_sig:
+            for c, stack in paths:
+                blocks += c * np.einsum("dmbj,bm->dbj", sig, stack[:, :, k])
+        dgttrs(*lu, cols, overwrite_b=True)       # solves in place: u is u_{k+1}
         top = float(np.abs(u).max())
         if not math.isfinite(top):
-            raise SolverError(f"state blew up at step {k + 1}", step=k + 1)
-        states[k + 1] = u
+            top = retire(~np.isfinite(np.abs(blocks).max(axis=(0, 2))), k + 1)
+        by_step[k + 1] = blocks
+    if blown:
+        first = blown[min(blown)]
+        raise SolverError(f"state blew up at step {first}", step=first)
 
     # terminal penetration for the sup statistics
-    record_gap(u, steps)
+    record_gap(steps)
 
+    if gaps is not None:
+        gaps = gaps.reshape(steps + 1, B, J, d).transpose(1, 0, 2, 3)
+    flat = states.reshape(B * (steps + 1), d, J)
     pen, increments, magnitude = _penalty_diagnostics(states, gaps, gamma,
                                                       n_pen, dt, dx)
     series = TrajectorySeries(
-        h_sq=sup_series(states, dx),
-        v_sq=v_series(states, dx),
-        lap_sq=lap_series(states, dx), **pen)
+        h_sq=sup_series(flat, dx).reshape(B, steps + 1),
+        v_sq=v_series(flat, dx).reshape(B, steps + 1),
+        lap_sq=lap_series(flat, dx).reshape(B, steps + 1), **pen)
     measure = ReflectionMeasure(grid=grid, dt=dt, increments=increments,
                                 magnitude=magnitude)
     info = {"b": coeffs.b_name, "sigma": coeffs.sigma_name,
             "controlled": control is not None}
-    if use_noise:
-        info.update({"seed": noise.seed, "generator": "philox"})
-    return Trajectory(grid=grid, dt=dt, n_pen=n_pen, states=states,
-                      series=series, measure=measure, stride=stride,
-                      epsilon=epsilon, meta=info)
+    metas = [dict(info, seed=p.seed, generator="philox") if use_noise
+             else dict(info) for p in members]
+    chunk = TrajectoryChunk(grid=grid, dt=dt, n_pen=n_pen, states=states,
+                            series=series, measure=measure, metas=metas,
+                            stride=stride, epsilon=epsilon)
+    return chunk if isinstance(noise, list) else chunk.member(0)
 
 
 def _penalty_diagnostics(states, gaps, gamma: ObliqueField, n_pen: float,
                          dt: float, dx: float) -> tuple:
-    """The pen_* series of every state and the reflection measure's
-    (increments, magnitude), from the gaps u - pi(u) of every state
-    ((steps + 1, J, d), or None when no state penetrated)."""
-    count, d, J = states.shape
+    """The pen_* series of every member's states and the reflection
+    measure's (increments, magnitude), from the gaps u - pi(u) of every
+    state ((B, steps + 1, J, d), or None when no state penetrated).
+    The members that penetrated are computed as one (n * (steps + 1), J, d)
+    stack; the others get zeros, one shared array when none penetrated."""
+    B, count, d, J = states.shape
     steps = count - 1
     if gaps is None:
-        pen = {name: np.zeros(count)
-               for name in ("pen_h", "pen_l1", "pen_linf", "pen_gamma")}
-        return pen, np.zeros((steps, d, J)), np.zeros((steps, J))
+        zero = _shared_zeros(B, (count,))
+        return (dict.fromkeys(("pen_h", "pen_l1", "pen_linf", "pen_gamma"), zero),
+                _shared_zeros(B, (steps, d, J)), _shared_zeros(B, (steps, J)))
+    hit = np.flatnonzero(gaps.any(axis=(1, 2, 3)))
+    n = hit.size
+    if n < B:
+        states, gaps = states[hit], gaps[hit]
+    gaps = np.ascontiguousarray(gaps).reshape(n * count, J, d)
     dist = np.sqrt(np.einsum("kjd,kjd->kj", gaps, gaps))
     scaled = gamma.scaled_directions(gaps)        # dist * gamma
     pen = {"pen_h": np.sqrt(dx * np.sum(dist * dist, axis=1)),
            "pen_l1": dx * np.sum(dist, axis=1),
            "pen_linf": np.abs(gaps).max(axis=(1, 2)),
-           "pen_gamma": dx * np.einsum("kdj,kjd->k", states, scaled)}
-    increments = np.empty((steps, d, J))
-    np.multiply(dt * dx, (n_pen * scaled[:steps]).transpose(0, 2, 1),
-                out=increments)
-    return pen, increments, (n_pen * dt * dx) * dist[:steps]
+           "pen_gamma": dx * np.einsum("kdj,kjd->k",
+                                       states.reshape(n * count, d, J), scaled)}
+    push = (n_pen * scaled).reshape(n, count, J, d)[:, :steps]
+    increments = np.empty((n, steps, d, J))
+    np.multiply(dt * dx, push.transpose(0, 1, 3, 2), out=increments)
+    magnitude = (n_pen * dt * dx) * dist.reshape(n, count, J)[:, :steps]
+    pen = {name: value.reshape(n, count) for name, value in pen.items()}
+    if n < B:                                     # zeros for the others
+        increments, magnitude = (_scatter(increments, hit, B),
+                                 _scatter(magnitude, hit, B))
+        pen = {name: _scatter(value, hit, B) for name, value in pen.items()}
+    return pen, increments, magnitude
+
+
+def _shared_zeros(B: int, shape: tuple) -> np.ndarray:
+    """Zeros of shape (B,) + shape, one row that the B members share (a
+    read-only view when B > 1)."""
+    zero = np.zeros((1,) + shape)
+    return zero if B == 1 else np.broadcast_to(zero, (B,) + shape)
+
+
+def _scatter(part: np.ndarray, rows: np.ndarray, B: int) -> np.ndarray:
+    """``part`` as the rows ``rows`` of B rows, zeros elsewhere."""
+    out = np.zeros((B,) + part.shape[1:])
+    out[rows] = part
+    return out
 
 
 @dataclass

@@ -165,6 +165,44 @@ class Trajectory:
                    stride=index["stride"], epsilon=index["epsilon"], meta=meta)
 
 
+@dataclass
+class TrajectoryChunk:
+    """B independent runs on one grid, time step and penalty level, held
+    as batch arrays: states (B, K+1, d, J), each series field (B, K+1)
+    and the measure's increments (B, K, d, J) and magnitude (B, K, J).
+
+    ``member(b)`` is run b as a Trajectory whose arrays are views of
+    these, so every single-run report applies to it unchanged.  ``steps``
+    counts the scheme steps the chunk holds summed over its members,
+    B * K, as a solve of the B runs one at a time would.
+    """
+
+    grid: SpatialGrid
+    dt: float
+    n_pen: float
+    states: np.ndarray
+    series: TrajectorySeries
+    measure: ReflectionMeasure
+    metas: list
+    stride: int = 1
+    epsilon: float = 0.0
+
+    @property
+    def steps(self) -> int:
+        return self.states.shape[0] * (self.states.shape[1] - 1)
+
+    def member(self, b: int) -> Trajectory:
+        s, m = self.series, self.measure
+        return Trajectory(
+            grid=self.grid, dt=self.dt, n_pen=self.n_pen,
+            states=self.states[b],
+            series=TrajectorySeries(*[getattr(s, f)[b] for f in s.FIELDS]),
+            measure=ReflectionMeasure(grid=self.grid, dt=self.dt,
+                                      increments=m.increments[b],
+                                      magnitude=m.magnitude[b]),
+            stride=self.stride, epsilon=self.epsilon, meta=self.metas[b])
+
+
 def state_gap(a: Trajectory, b: Trajectory) -> tuple:
     """Cauchy gap between two runs on identical grids and time steps:
 

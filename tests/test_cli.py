@@ -11,8 +11,8 @@ import pytest
 from rspde import ldp
 from rspde.cli import main
 from rspde.config import ExperimentConfig
-from rspde.solvers import (ReplicaPlan, resolve_time_grid, sample_brownian,
-                           solve_penalized_spde)
+from rspde.solvers import (ReplicaPlan, SolverError, resolve_time_grid,
+                           sample_brownian, solve_penalized_spde)
 
 BASE = {
     "domain": {"kind": "ball", "center": [0.0], "radius": 0.25},
@@ -205,6 +205,105 @@ def test_ldp_compare_outputs_do_not_depend_on_workers(tmp_path):
     assert [float(l.split(",")[0]) for l in lines[1:]] == [0.5, 0.2]
 
 
+# ball-box in d = 2 with rotated gamma, a linear drift, a state-dependent
+# sigma and a control: the replicas penetrate (some of them), so the
+# chunked penalty and coefficient paths run
+CHUNKED = {
+    "domain": {"kind": "intersection", "members": [
+        {"kind": "ball", "center": [0.0, 0.0], "radius": 0.5},
+        {"kind": "box", "lower": [-0.4, -0.45], "upper": [0.45, 0.4]}]},
+    "gamma": {"rule": "rotated_normal", "angle": 0.2},
+    "coefficients": {
+        "d": 2, "m": 2,
+        "b": {"name": "linear", "matrix": [[8.0, 1.0], [-1.0, 6.0]]},
+        "sigma": {"name": "diag_affine", "base": [0.4, 0.3],
+                  "slope": [0.5, -0.2]}},
+    "u0": {"kind": "sine", "amplitude": 0.35},
+    "grid": {"J": 15, "dt": 2e-3, "T": 0.1},
+    "penalty": {"n_event": 64.0,
+                "sweep": {"n_start": 16.0, "factor": 4.0, "n_max": 64.0,
+                          "tol_cauchy": 0.0}},
+    "replicas": {"base_seed": 5, "count": 20},
+    "epsilons": [2.0, 0.5],
+    "control": {"kind": "constant", "vector": [12.0, 10.0]},
+    "event": {"kind": "terminal_ball", "radius": 0.2, "complement": True},
+    "rate": {"K": 2, "max_iters": 5, "mu_schedule": [10.0, 100.0]},
+    "ldp1": {"delta_sq": 0.01, "replicas": 9},
+    "validation": {"samples": 200},
+}
+
+# multiplicative noise on a linear drift: replica 0 runs through, and
+# several later replicas blow up, higher indices at earlier steps
+BLOWING = {
+    "domain": {"kind": "ball", "center": [0.0], "radius": 1e100},
+    "gamma": {"rule": "normal"},
+    "coefficients": {
+        "d": 1, "m": 1, "b": {"name": "linear", "matrix": [[2000.0]]},
+        "sigma": {"name": "diag_affine", "base": [0.0], "slope": [200.0]}},
+    "u0": {"kind": "sine", "amplitude": 0.1},
+    "grid": {"J": 15, "dt": 0.01, "T": 1.3},
+    "penalty": {"n_event": 50.0},
+    "replicas": {"base_seed": 3, "count": 12},
+    "epsilons": [1.0],
+    "event": {"kind": "terminal_ball", "radius": 0.2, "complement": True},
+}
+
+
+def chunk_budgets(raw) -> list:
+    """CHUNK_BYTES for chunks of one member, of seven, and the default,
+    which must hold every replica of ``raw`` in one chunk."""
+    cfg = ExperimentConfig.from_dict(copy.deepcopy(raw))
+    steps, _ = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, 1)
+    member = 8 * (steps + 1) * raw["coefficients"]["d"] * raw["grid"]["J"]
+    assert ldp.CHUNK_BYTES >= cfg.replica_count * member
+    return [member, 7 * member, ldp.CHUNK_BYTES]
+
+
+def test_outputs_do_not_depend_on_chunk_composition(tmp_path, monkeypatch):
+    outs = []
+    for budget in chunk_budgets(CHUNKED):
+        monkeypatch.setattr(ldp, "CHUNK_BYTES", budget)
+        code, out = run(tmp_path, "all", CHUNKED, extra=("--workers", "1"),
+                        name=f"chunk{budget}")
+        assert code == 0
+        outs.append(out)
+    for name in ("mc.csv", "comparison.csv", "weighted.csv"):
+        assert [read_bytes(o, name) for o in outs[1:]] == [read_bytes(outs[0], name)] * 2
+    pen = [float(line.split(",")[2]) for line in
+           read_bytes(outs[0], "mc.csv").decode().splitlines()[1:]]
+    assert 0 < sum(p > 0.0 for p in pen) < len(pen)
+
+
+def test_blow_up_error_does_not_depend_on_chunk_composition(tmp_path,
+                                                            monkeypatch):
+    # the error of a solve of the replicas one at a time, in order
+    cfg = ExperimentConfig.from_dict(copy.deepcopy(BLOWING))
+    coeffs, dom, u0 = cfg.build_coefficients(), cfg.build_domain(), cfg.build_u0()
+    steps, dt = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, 1)
+    plan = ReplicaPlan(base_seed=cfg.base_seed, count=cfg.replica_count)
+    failed = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(plan.count):
+            try:
+                solve_penalized_spde(
+                    coeffs, dom, cfg.build_gamma(dom), u0, n_pen=cfg.n_event,
+                    dt=dt, steps=steps, epsilon=cfg.epsilons[0],
+                    noise=sample_brownian(1, steps, dt, plan.seed_for(i)))
+            except SolverError as err:
+                failed.append((i, err))
+        assert failed[0][0] > 0
+        assert min(err.step for _, err in failed) < failed[0][1].step
+        errors = []
+        for budget in chunk_budgets(BLOWING):
+            monkeypatch.setattr(ldp, "CHUNK_BYTES", budget)
+            code, out = run(tmp_path, "mc", BLOWING, extra=("--workers", "1"),
+                            name=f"blow{budget}")
+            assert code == 1
+            errors.append(read_json(out, "error.json"))
+    assert errors == [{"error": "SolverError",
+                       "detail": str(failed[0][1])}] * 3
+
+
 def test_all_estimates_each_noise_level_once(tmp_path, monkeypatch):
     cfg = ExperimentConfig.from_dict(copy.deepcopy(COMPARE))
     mc_grid = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, 1)
@@ -214,7 +313,10 @@ def test_all_estimates_each_noise_level_once(tmp_path, monkeypatch):
     solve = ldp.solve_penalized_spde
 
     def counted(*args, **kwargs):
-        noisy.append(kwargs.get("epsilon", 0.0) > 0.0)
+        # solved members: a chunk's noise is a list with one path each
+        noise = kwargs.get("noise")
+        members = len(noise) if isinstance(noise, list) else 1
+        noisy.append(members if kwargs.get("epsilon", 0.0) > 0.0 else 0)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(ldp, "solve_penalized_spde", counted)

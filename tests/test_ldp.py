@@ -348,10 +348,8 @@ def test_noisy_penetration_falls_with_penalty_on_common_seeds():
     means = []
     for n in (32.0, 128.0):
         steps, dt = resolve_time_grid(0.12, 1e-3, n, 1)
-        sups = [float(np.max(traj.series.pen_h))
-                for _, _, traj in _replicas(coeffs, dom, normal_gamma(dom),
-                                            zero_start(15), plan,
-                                            range(plan.count), 0.1, n, dt,
-                                            steps)]
+        sups = _replicas(lambda i, seed, traj: float(np.max(traj.series.pen_h)),
+                         coeffs, dom, normal_gamma(dom), zero_start(15), plan,
+                         range(plan.count), 0.1, n, dt, steps)
         means.append(math.fsum(sups) / plan.count)
     assert means[0] > means[1] > 0.0

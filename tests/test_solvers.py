@@ -106,6 +106,37 @@ def test_overflow_reports_step_index() -> None:
     assert blow_up(gain=1e308, amplitude=50.0).step == 1
 
 
+def test_chunk_blow_up_reports_lowest_member_at_its_own_step() -> None:
+    # member 0 stays at zero, and member 2 blows up before member 1: the
+    # chunk reports member 1 at its own step, as solving them in order does
+    dom = free_domain()
+    coeffs = make_coefficients(1, 1, b={"name": "linear", "matrix": [[200.0]]},
+                               sigma={"name": "constant", "matrix": [[1.0]]})
+    steps = 400
+
+    def kick(size):
+        inc = np.zeros((1, steps))
+        inc[0, 0] = size
+        return NoisePath(dt=0.25, increments=inc, seed=0)
+
+    kwargs = dict(coeffs=coeffs, domain=dom, gamma=normal_gamma(dom),
+                  u0=zero_start(15), n_pen=1.0, dt=0.25, steps=steps,
+                  epsilon=1.0)
+    paths = [kick(0.0), kick(1e-100), kick(1.0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not solve_penalized_spde(noise=paths[0], **kwargs).states.any()
+        want = []
+        for path in paths[1:]:
+            with pytest.raises(SolverError) as err:
+                solve_penalized_spde(noise=path, **kwargs)
+            want.append(err.value)
+        with pytest.raises(SolverError) as got:
+            solve_penalized_spde(noise=paths, **kwargs)
+    assert want[1].step < want[0].step
+    assert got.value.step == want[0].step
+    assert str(got.value) == str(want[0])
+
+
 def blow_up(gain, amplitude) -> SolverError:
     """The solver's blow-up error for a linear drift b(u) = gain * u,
     checked against the reference loop's (defined below)."""
@@ -132,6 +163,19 @@ def test_noise_grid_mismatch_rejected() -> None:
         solve_penalized_spde(forced_coeffs(), dom, normal_gamma(dom),
                              sine_start(15), n_pen=4.0, dt=1e-3, steps=10,
                              epsilon=0.5, noise=noise)
+
+
+@pytest.mark.parametrize("chunk", [False, True])
+def test_noise_step_mismatch_rejected(chunk) -> None:
+    # increments drawn at dt = 0.5 for a solve at dt = 1/512
+    dom = free_domain()
+    wrong = sample_brownian(1, 128, 0.5, seed=3)
+    noise = ([sample_brownian(1, 128, 1.0 / 512.0, seed=2), wrong]
+             if chunk else wrong)
+    with pytest.raises(SolverError, match="noise dt"):
+        solve_penalized_spde(forced_coeffs(), dom, normal_gamma(dom),
+                             sine_start(15), n_pen=4.0, dt=1.0 / 512.0,
+                             steps=128, epsilon=0.5, noise=noise)
 
 
 def test_control_grid_must_divide_steps() -> None:
@@ -411,13 +455,52 @@ def _box_3d():
                 control=ctl)
 
 
-@pytest.mark.parametrize("case, rtol", [(_free_noisy, 0.0),
-                                        (_oblique_intersection, 1e-12),
-                                        (_normal_intersection, 1e-12),
-                                        (_box_3d, 1e-12)])
+def _chunk(case, members=3):
+    """The case's model with a chunk of noise paths: the case's own path
+    and members - 1 more drawn on its grid."""
+    def chunked():
+        kwargs = case()
+        path = kwargs["noise"]
+        m, steps = path.increments.shape
+        kwargs["noise"] = [path] + [
+            sample_brownian(m, steps, path.dt, seed=path.seed + 100 + i)
+            for i in range(members - 1)]
+        return kwargs
+    chunked.__name__ = case.__name__ + "_chunk"
+    return chunked
+
+
+REFERENCE_CASES = [(_free_noisy, 0.0), (_oblique_intersection, 1e-12),
+                   (_normal_intersection, 1e-12), (_box_3d, 1e-12)]
+
+
+@pytest.mark.parametrize("case, rtol", REFERENCE_CASES + [
+    (_chunk(case), rtol) for case, rtol in REFERENCE_CASES])
 def test_step_loop_matches_reference(case, rtol) -> None:
     kwargs = case()
-    traj = solve_penalized_spde(**kwargs)
+    penetrates = not case.__name__.startswith("_free_noisy")
+    result = solve_penalized_spde(**kwargs)
+    paths = kwargs["noise"]
+    if not isinstance(paths, list):
+        check_against_reference(result, kwargs, rtol, penetrates)
+        return
+    # a chunk: each member against its own reference run
+    assert len(result.metas) == len(paths)
+    assert result.steps == len(paths) * kwargs["steps"]
+    if penetrates:
+        # some step penetrates in some members only
+        hits = result.series.pen_h[:, :-1] > 0
+        assert (hits.any(axis=0) & ~hits.all(axis=0)).any()
+    for b, path in enumerate(paths):
+        member = result.member(b)
+        assert member.meta["seed"] == path.seed
+        check_against_reference(member, dict(kwargs, noise=path), rtol,
+                                penetrates)
+
+
+def check_against_reference(traj, kwargs, rtol, penetrates) -> None:
+    """Every state, series and measure column of ``traj`` against the
+    reference loop's run of ``kwargs``: bitwise when rtol = 0."""
     states, series, increments, magnitude = reference_solve(**kwargs)
     got = [traj.states, traj.measure.increments, traj.measure.magnitude]
     want = [states, increments, magnitude]
@@ -432,6 +515,6 @@ def test_step_loop_matches_reference(case, rtol) -> None:
             assert np.array_equal(g, w)
         else:
             np.testing.assert_allclose(g, w, rtol=rtol, atol=0.0)
-    if case is not _free_noisy:
+    if penetrates:
         # both branches of the loop ran: steps inside and steps outside
         assert 0 < np.count_nonzero(series.pen_h) < len(series.pen_h)
