@@ -20,6 +20,7 @@ time grid) pair once, so ``all`` reuses the comparison's estimate for
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -362,7 +363,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The runner's argument parser, built once per process; parsing does
+    not change it, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="rspde",
         description="Penalized reflected SPDE laboratory: run experiments "

@@ -17,14 +17,19 @@ is approached by quadratic-penalty continuation: minimize
     1/2 |h|_CM^2 + mu * shortfall(G0(h))^2
 
 over the control's (m, K) table by gradient descent with forward-difference
-gradients and Armijo backtracking, for an increasing schedule of mu.
+gradients and Armijo backtracking, for an increasing schedule of mu.  The
+dim perturbed controls of a gradient are solved as one batch, and the
+backtrack solves a ladder of LADDER step sizes as one batch, speculatively:
+it accepts the first that passes, as the sequential search would, and the
+members after it are wasted.
 
 Monte Carlo runs the stochastic solver over a ReplicaPlan, so replica
 seeds are independent of worker count and order, and the same replica
-index reuses the same Brownian path across noise levels.  Replicas are
-solved in chunks: one batched solve steps as many of them as CHUNK_BYTES
-of (B, steps + 1, d, J) state stack holds, and a chunk's members do not
-interact, so no result depends on how the replicas are chunked.
+index reuses the same Brownian path across noise levels.  Replicas, and
+the minimizer's controls, are solved in chunks: one batched solve steps
+as many of them as CHUNK_BYTES of (B, steps + 1, d, J) state stack holds,
+and a chunk's members do not interact, so no result depends on how they
+are chunked.
 """
 
 from __future__ import annotations
@@ -46,15 +51,28 @@ from .trajectory import Trajectory, state_gap
 # Penalty level at which rare events are posed (config can override).
 EVENT_N_PEN = 1024.0
 
-# Monte Carlo steps replicas as chunks of one batched solve: as many
-# members as keep a chunk's state stack, members * (steps + 1) * d * J
-# float64 values, within this many bytes (at least one member).
+# Replicas and the minimizer's controls are stepped as chunks of one
+# batched solve: as many members as keep a chunk's state stack, members *
+# (steps + 1) * d * J float64 values, within this many bytes (at least one
+# member).
 CHUNK_BYTES = 1 << 19
 
 # minimize_rate: Armijo sufficient-decrease constant, and the relative
 # objective drop below which an accepted step counts toward stagnation.
 ARMIJO_C1 = 1e-4
 STAG_REL = 1e-8
+
+# minimize_rate tries this many halvings of the step as one batch, step,
+# step/2, ...; a backtrack rarely needs more, and the members after the
+# accepted one are wasted solves.
+LADDER = 4
+
+
+def _chunks(items, steps: int, grid) -> list:
+    """``items`` in consecutive slices of as many members as keep a chunk's
+    state stack within CHUNK_BYTES (at least one member each)."""
+    per = max(1, CHUNK_BYTES // (8 * (steps + 1) * grid.d * grid.J))
+    return [items[lo:lo + per] for lo in range(0, len(items), per)]
 
 
 def _terminal_mean(traj: Trajectory) -> float:
@@ -186,8 +204,13 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
 
     Gradient descent with numerical gradients is deliberate: it treats the
     solver as a black box, so the same routine works for every event kind
-    and every coefficient choice.  The control dimension m * K is capped
-    (each gradient costs dim + 1 skeleton solves).
+    and every coefficient choice.  The control dimension m * K is capped:
+    each gradient costs dim skeleton solves, run as one batch of controls.
+    The Armijo backtrack solves LADDER halvings of the step as one batch
+    and accepts the first that passes, which is the step the sequential
+    search would accept; the members after it are wasted.  Each member of
+    a batch equals its own single solve bit for bit, so the iterates do
+    not depend on the batching.
 
     When no control can realize the event (e.g. sigma = 0), the shortfall
     cannot be driven down and the result comes back feasible=False with
@@ -201,46 +224,67 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
                          "coarsen the control grid")
     steps, dt_eff = resolve_time_grid(T, dt, n_pen, K)
 
-    def shortfall_at(x):
-        ctrl = Control(T=T, values=x.reshape(m, K))
-        traj = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
-                                    dt=dt_eff, steps=steps, control=ctrl)
-        return ctrl, event.shortfall(traj)
+    def control_at(x):
+        return Control(T=T, values=x.reshape(m, K))
 
-    def objective(x, mu):
-        ctrl, v = shortfall_at(x)
-        return 0.5 * ctrl.cm_norm_sq() + mu * v * v, v
+    def objective(ctrl, v, mu):
+        return rate_functional(ctrl) + mu * v * v
+
+    def evaluate(points, mu):
+        """(objective, shortfall) at each point, the skeleton solves run a
+        chunk of controls at a time."""
+        out = []
+        for part in _chunks(points, steps, u0.grid):
+            ctrls = [control_at(x) for x in part]
+            chunk = solve_penalized_spde(coeffs, domain, gamma, u0,
+                                         n_pen=n_pen, dt=dt_eff, steps=steps,
+                                         control=ctrls)
+            for b, ctrl in enumerate(ctrls):
+                v = event.shortfall(chunk.member(b))
+                out.append((objective(ctrl, v, mu), v))
+        return out
+
+    def backtrack(x, grad, fcur, gnorm_sq, mu, step):
+        """(step, point, objective, shortfall) of the first of step,
+        step/2, ... (down to 1e-14) that passes the Armijo test, or None,
+        trying LADDER of them per batch."""
+        halvings = []
+        while step > 1e-14:
+            halvings.append(step)
+            step *= 0.5
+        for lo in range(0, len(halvings), LADDER):
+            ladder = halvings[lo:lo + LADDER]
+            trials = [x - s * grad for s in ladder]
+            for s, trial, (f, v) in zip(ladder, trials, evaluate(trials, mu)):
+                if f <= fcur - ARMIJO_C1 * s * gnorm_sq:
+                    return s, trial, f, v
+        return None
 
     x = np.zeros(dim)
+    ((_, vcur),) = evaluate([x], 0.0)
     trace = []
     stagnated = False
     step0 = 1.0
     for stage, mu in enumerate(mu_schedule):
-        fcur, vcur = objective(x, mu)
+        fcur = objective(control_at(x), vcur, mu)
         stall = 0
         iters_done = 0
         for _ in range(max_iters):
             iters_done += 1
-            grad = np.empty(dim)
+            points = []
             for i in range(dim):
                 xp = x.copy()
                 xp[i] += fd_step
-                fp, _ = objective(xp, mu)
-                grad[i] = (fp - fcur) / fd_step
+                points.append(xp)
+            grad = np.array([(fp - fcur) / fd_step
+                             for fp, _ in evaluate(points, mu)])
             gnorm_sq = float(grad @ grad)
             if gnorm_sq < 1e-24:
                 break
-            step = step0
-            accepted = False
-            while step > 1e-14:
-                trial = x - step * grad
-                ftrial, vtrial = objective(trial, mu)
-                if ftrial <= fcur - ARMIJO_C1 * step * gnorm_sq:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
+            accepted = backtrack(x, grad, fcur, gnorm_sq, mu, step0)
+            if accepted is None:
                 break
+            step, trial, ftrial, vtrial = accepted
             rel_drop = (fcur - ftrial) / max(abs(fcur), 1e-30)
             x, fcur, vcur = trial, ftrial, vtrial
             step0 = min(4.0 * step, 1e3)
@@ -255,9 +299,9 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
             # re-verify the same point
             break
 
-    ctrl, v_final = shortfall_at(x)
+    ctrl = control_at(x)
     return RateResult(control=ctrl, rate=rate_functional(ctrl),
-                      violation=v_final, feasible=v_final <= feas_tol,
+                      violation=vcur, feasible=vcur <= feas_tol,
                       stagnated=stagnated, trace=trace, n_pen=n_pen,
                       dt=dt_eff, steps=steps)
 
@@ -309,10 +353,8 @@ def _replicas(read, coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
     the solver are looked up in this module's namespace, where wrappers
     may replace them.
     """
-    per = max(1, CHUNK_BYTES // (8 * (steps + 1) * u0.grid.d * u0.grid.J))
     out = []
-    for lo in range(0, len(indices), per):
-        part = indices[lo:lo + per]
+    for part in _chunks(indices, steps, u0.grid):
         seeds = [plan.seed_for(i) for i in part]
         chunk = solve_penalized_spde(
             coeffs, domain, gamma, u0, n_pen=n_pen, dt=dt, steps=steps,

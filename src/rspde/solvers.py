@@ -13,20 +13,22 @@ else explicitly at the pre-step state:
                                - n_pen gamma(u_k) |u_k - pi(u_k)| ]
                                + sqrt(eps) * sigma(u_k) dB_k
 
-One loop steps a chunk of B independent members, which share the model,
-the control and the grid and differ in their noise paths, as one
-(d, B * J) state; a single run is the chunk of one.  The coefficients and
-the projection act pointwise, so every step evaluates them once on the
-chunk's B * J points.  I - dt * Lap_h is the same tridiagonal matrix for
-every component, member and step, so each solve factors it once (LAPACK
-dgttrf) and every step only back-substitutes (dgttrs), all B * d
-columns at once.  Work that does not depend on the state is done before
-the loop: a zero or constant drift is evaluated once, and for a constant
-sigma the control and noise terms of every step come from one product
-per path (sigma = 0 adds nothing).  Members never mix: each member's
-states equal those of its own single run bit for bit.  A chunk comes back
-as a TrajectoryChunk, whose ``steps`` counts member-steps (B * K); the
-Monte Carlo callers size their chunks by ``ldp.CHUNK_BYTES``.
+One loop steps a chunk of B independent members, which share the model
+and the grid and may differ in their noise paths and in their controls,
+as one (d, B * J) state; a single run is the chunk of one.  The
+coefficients and the projection act pointwise, so every step evaluates
+them once on the chunk's B * J points.  I - dt * Lap_h is the same
+tridiagonal matrix for every component, member and step, so each solve
+factors it once (LAPACK dgttrf) and every step only back-substitutes
+(dgttrs), all B * d columns at once.  Work that does not depend on the
+state is done before the loop: a zero or constant drift is evaluated
+once, and for a constant sigma the control and noise terms of every step
+come from one product per path (sigma = 0 adds nothing).  Members never
+mix: each member's states equal those of its own single run bit for bit.
+A chunk comes back as a TrajectoryChunk, whose ``steps`` counts
+member-steps (B * K); the Monte Carlo replicas and the rate minimizer's
+skeleton solves (one control per member) size their chunks by
+``ldp.CHUNK_BYTES``.
 
 Each step projects the state once and adds no penalty to a member with
 no grid point outside O.  A penetrating member needs only its gap
@@ -131,26 +133,31 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
                          gamma: ObliqueField, u0: Field, n_pen: float,
                          dt: float, steps: int, epsilon: float = 0.0,
                          noise: NoisePath | list = None,
-                         control: Control = None,
+                         control: Control | list = None,
                          stride: int = 1) -> Trajectory | TrajectoryChunk:
     """Run the penalized semi-implicit scheme for ``steps`` steps of ``dt``.
 
-    ``noise`` is one NoisePath, and the result one Trajectory; or a list
-    of NoisePaths, one per member of a chunk that shares everything else,
-    and the result a TrajectoryChunk.  With epsilon = 0 the noise is
-    ignored and the run coincides with the skeleton solve for the same
-    control.  Raises SolverError when the initial state leaves the
-    domain, the stability bound fails, the control or noise grids are
-    incompatible, or the state blows up (the offending step index is
-    attached; in a chunk, that of the lowest-index member that blows up).
+    ``noise`` and ``control`` are each one value, and the result one
+    Trajectory; or either is a list with one entry per member of a chunk
+    that shares everything else, and the result a TrajectoryChunk.  A
+    single value is shared by every member; two lists must have the same
+    length.  With epsilon = 0 the noise is ignored and the run coincides
+    with the skeleton solve for the same control.  Raises SolverError
+    when the initial state leaves the domain, the stability bound fails,
+    the control or noise grids are incompatible, or the state blows up
+    (the offending step index is attached; in a chunk, that of the
+    lowest-index member that blows up).
     """
     grid = u0.grid
     d, J = grid.d, grid.J
     dx = grid.dx
-    members = noise if isinstance(noise, list) else [noise]
+    controls = control if isinstance(control, list) else [control]
+    members = noise if isinstance(noise, list) else [noise] * len(controls)
     B = len(members)
-    if not B:
+    if not B or not controls:
         raise SolverError("a chunk needs at least one member")
+    if isinstance(control, list) and len(controls) != B:
+        raise SolverError(f"{len(controls)} controls for {B} noise paths")
     if not n_pen > 0:
         raise SolverError("n_pen must be positive")
     if dt * n_pen > PENALTY_STABILITY * (1 + 1e-12):
@@ -164,13 +171,13 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     if epsilon < 0:
         raise SolverError("epsilon must be nonnegative")
 
-    hdot = None
     if control is not None:
-        if control.m != coeffs.m:
-            raise SolverError("control dimension does not match the noise dimension")
-        if abs(control.T - steps * dt) > 1e-9 * max(1.0, control.T):
-            raise SolverError("control horizon does not match steps * dt")
-        hdot = control.values_on(steps)
+        for ctl in controls:
+            if ctl.m != coeffs.m:
+                raise SolverError(
+                    "control dimension does not match the noise dimension")
+            if abs(ctl.T - steps * dt) > 1e-9 * max(1.0, ctl.T):
+                raise SolverError("control horizon does not match steps * dt")
     use_noise = epsilon > 0.0
     if use_noise:
         for path in members:
@@ -197,8 +204,8 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     if b_fixed is not None:
         b_fixed = b_fixed[:, None]
     paths = []                       # (scale, (1 or B, m, steps) paths)
-    if hdot is not None:
-        paths.append((dt, hdot[None]))
+    if control is not None:
+        paths.append((dt, np.stack([ctl.values_on(steps) for ctl in controls])))
     if use_noise:
         paths.append((sqrt_eps, np.stack([p.increments for p in members])))
     sig_fixed = coeffs.state_free_diffusion()
@@ -331,7 +338,8 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     chunk = TrajectoryChunk(grid=grid, dt=dt, n_pen=n_pen, states=states,
                             series=series, measure=measure, metas=metas,
                             stride=stride, epsilon=epsilon)
-    return chunk if isinstance(noise, list) else chunk.member(0)
+    return (chunk if isinstance(noise, list) or isinstance(control, list)
+            else chunk.member(0))
 
 
 def _penalty_diagnostics(states, gaps, gamma: ObliqueField, n_pen: float,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rspde import ldp
-from rspde.cli import main
+from rspde.cli import build_parser, main
 from rspde.config import ExperimentConfig
 from rspde.solvers import (ReplicaPlan, SolverError, resolve_time_grid,
                            sample_brownian, solve_penalized_spde)
@@ -338,6 +338,30 @@ def test_all_estimates_each_noise_level_once(tmp_path, monkeypatch):
     assert first.split(",")[1:3] == [repr(mc["p_hat"]), repr(mc["stderr"])]
     for name in ("mc.csv", "comparison.csv", "report.json"):
         assert read_bytes(outs[0], name) == read_bytes(outs[1], name)
+
+
+def test_consecutive_main_calls_parse_independently(tmp_path, capsys):
+    # one parser serves every call in the process; no call's subcommand,
+    # --quiet or --seed carries over to the next
+    assert build_parser() is build_parser()
+    payload = copy.deepcopy(BASE)
+    payload["event"] = {"kind": "terminal_ball", "radius": 0.05,
+                        "complement": True}
+    cfg = write_config(tmp_path, payload)
+    calls = [(["mc", "--seed", "101", "--quiet"], "mc", 101, ""),
+             (["validate-domain"], "validate-domain", 3, "validate-domain: "),
+             (["mc"], "mc", 3, "mc: p_hat="),
+             (["validate-domain", "--seed", "7", "--quiet"],
+              "validate-domain", 7, "")]
+    for i, (argv, sub, seed, said) in enumerate(calls):
+        out = str(tmp_path / f"call{i}")
+        assert main([*argv, "--config", cfg, "--out", out]) == 0
+        manifest = read_json(out, "manifest.json")
+        assert (manifest["subcommand"], manifest["seed"]) == (sub, seed)
+        if sub == "mc":
+            assert read_json(out, "report.json")["seed"] == seed
+        printed = capsys.readouterr().out
+        assert printed.startswith(said) and bool(printed) == bool(said)
 
 
 def test_seed_flag_overrides_config(tmp_path):

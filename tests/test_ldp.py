@@ -1,5 +1,6 @@
 """Events, the action minimizer, and Monte Carlo against a Gaussian oracle."""
 
+import copy
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rspde.config import ExperimentConfig
 from rspde.controls import Control, constant_control, sine_control
 from rspde.fields import h_norm
-from rspde.ldp import (CompareRow, EventSpec, MCResult, RateResult,
-                       _replicas, ldp_compare, mc_rows, minimize_rate,
+from rspde import ldp
+from rspde.ldp import (ARMIJO_C1, LADDER, STAG_REL, CompareRow, EventSpec,
+                       MCResult, RateResult, _replicas, ldp_compare, mc_rows, minimize_rate,
                        rate_functional, summarize_rows, weighted_trend)
 from rspde.solvers import ReplicaPlan, resolve_time_grid, solve_penalized_spde
 
@@ -139,6 +142,163 @@ def test_minimize_rate_flags_unreachable_event():
     assert res.violation == pytest.approx(0.1, rel=1e-12)
     # forward differences bias the quadratic's minimizer by O(fd_step)
     assert res.rate <= 1e-10
+
+
+def reference_minimize_rate(coeffs, domain, gamma, u0, event, T, K, dt,
+                            n_pen=16.0, mu_schedule=(1e1, 1e2, 1e3, 1e4),
+                            fd_step=1e-4, max_iters=150, stag_window=50,
+                            feas_tol=1e-3):
+    """minimize_rate as a plain loop of single skeleton solves, one per
+    objective evaluation, with a sequential Armijo backtrack.  Returns the
+    result and the most halvings any accepted step needed."""
+    m = coeffs.m
+    dim = m * K
+    steps, dt_eff = resolve_time_grid(T, dt, n_pen, K)
+
+    def shortfall_at(x):
+        ctrl = Control(T=T, values=x.reshape(m, K))
+        traj = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
+                                    dt=dt_eff, steps=steps, control=ctrl)
+        return ctrl, event.shortfall(traj)
+
+    def objective(x, mu):
+        ctrl, v = shortfall_at(x)
+        return 0.5 * ctrl.cm_norm_sq() + mu * v * v, v
+
+    x = np.zeros(dim)
+    trace = []
+    stagnated = False
+    step0 = 1.0
+    most_halvings = 0
+    for stage, mu in enumerate(mu_schedule):
+        fcur, vcur = objective(x, mu)
+        stall = 0
+        iters_done = 0
+        for _ in range(max_iters):
+            iters_done += 1
+            grad = np.empty(dim)
+            for i in range(dim):
+                xp = x.copy()
+                xp[i] += fd_step
+                fp, _ = objective(xp, mu)
+                grad[i] = (fp - fcur) / fd_step
+            gnorm_sq = float(grad @ grad)
+            if gnorm_sq < 1e-24:
+                break
+            step = step0
+            halvings = 0
+            accepted = False
+            while step > 1e-14:
+                trial = x - step * grad
+                ftrial, vtrial = objective(trial, mu)
+                if ftrial <= fcur - ARMIJO_C1 * step * gnorm_sq:
+                    accepted = True
+                    break
+                step *= 0.5
+                halvings += 1
+            if not accepted:
+                break
+            most_halvings = max(most_halvings, halvings)
+            rel_drop = (fcur - ftrial) / max(abs(fcur), 1e-30)
+            x, fcur, vcur = trial, ftrial, vtrial
+            step0 = min(4.0 * step, 1e3)
+            stall = stall + 1 if rel_drop < STAG_REL else 0
+            if stall >= stag_window:
+                stagnated = True
+                break
+        trace.append({"mu": float(mu), "objective": float(fcur),
+                      "shortfall": float(vcur), "iterations": iters_done})
+        if vcur <= feas_tol and stage > 0:
+            break
+
+    ctrl, v_final = shortfall_at(x)
+    res = RateResult(control=ctrl, rate=rate_functional(ctrl),
+                     violation=v_final, feasible=v_final <= feas_tol,
+                     stagnated=stagnated, trace=trace, n_pen=n_pen,
+                     dt=dt_eff, steps=steps)
+    return res, most_halvings
+
+
+# rate problems as configs: the benchmark's rate workload (terminal-ball
+# exit on the free interval); a sup_exceed event in d = 2 on ball-box with
+# rotated gamma, whose batches mix members that reach the wall and members
+# that do not, and whose backtracks go past the first ladder; and sigma = 0,
+# where no control moves the state
+FREE = {"domain": {"kind": "ball", "center": [0.0], "radius": 100.0},
+        "gamma": {"rule": "normal"}, "u0": {"kind": "zero"},
+        "replicas": {"base_seed": 1, "count": 1}}
+RATE_PROBLEMS = {
+    "rate-free-1d": dict(
+        FREE,
+        coefficients={"d": 1, "m": 1, "b": {"name": "zero"},
+                      "sigma": {"name": "constant", "matrix": [[1.0]]}},
+        grid={"J": 15, "dt": 2e-3, "T": 0.25}, penalty={"n_event": 256.0},
+        event={"kind": "terminal_ball", "radius": 0.17982651009675618,
+               "complement": True},
+        rate={"K": 4, "mu_schedule": [1e2, 1e4], "stag_window": 10}),
+    "ball-box-sup": {
+        "domain": {"kind": "intersection", "members": [
+            {"kind": "ball", "center": [0.0, 0.0], "radius": 0.5},
+            {"kind": "box", "lower": [-0.4, -0.45], "upper": [0.45, 0.4]}]},
+        "gamma": {"rule": "rotated_normal", "angle": 0.2},
+        "coefficients": {"d": 2, "m": 2, "b": {"name": "zero"},
+                         "sigma": {"name": "constant",
+                                   "matrix": [[1.0, 0.3], [-0.2, 0.8]]}},
+        "u0": {"kind": "zero"},
+        "grid": {"J": 15, "dt": 2e-3, "T": 0.1},
+        "penalty": {"n_event": 256.0},
+        "replicas": {"base_seed": 1, "count": 1},
+        "event": {"kind": "sup_exceed", "radius": 0.38},
+        "rate": {"K": 2, "mu_schedule": [1e2, 1e4], "stag_window": 10,
+                 "max_iters": 10}},
+    "unreachable": dict(
+        FREE,
+        coefficients={"d": 1, "m": 1, "b": {"name": "zero"},
+                      "sigma": {"name": "zero"}},
+        grid={"J": 15, "dt": 1e-3, "T": 0.05}, penalty={"n_event": 16.0},
+        event={"kind": "terminal_ball", "radius": 0.1, "complement": True},
+        rate={"K": 4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATE_PROBLEMS))
+def test_batched_minimizer_matches_sequential_reference(name, monkeypatch):
+    # the result, trace and control bit for bit, with the default chunks
+    # and with chunks of one member
+    cfg = ExperimentConfig.from_dict(copy.deepcopy(RATE_PROBLEMS[name]))
+    dom = cfg.build_domain()
+    args = (cfg.build_coefficients(), dom, cfg.build_gamma(dom),
+            cfg.build_u0(), cfg.build_event())
+    opts = cfg.rate_options
+    kwargs = dict(T=cfg.T, K=opts["K"], dt=cfg.dt, n_pen=cfg.n_event,
+                  mu_schedule=tuple(opts["mu_schedule"]),
+                  fd_step=opts["fd_step"], max_iters=opts["max_iters"],
+                  stag_window=opts["stag_window"], feas_tol=opts["feas_tol"])
+    want, halvings = reference_minimize_rate(*args, **kwargs)
+    steps, _ = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, opts["K"])
+    grid = args[3].grid
+    member = 8 * (steps + 1) * grid.d * grid.J
+    assert ldp.CHUNK_BYTES >= LADDER * member
+    mixed = []
+    solve = ldp.solve_penalized_spde
+
+    def solve_recording(*a, **kw):
+        chunk = solve(*a, **kw)
+        hit = chunk.series.pen_h.any(axis=1)
+        mixed.append(hit.any() and not hit.all())
+        return chunk
+
+    monkeypatch.setattr(ldp, "solve_penalized_spde", solve_recording)
+    for budget in (ldp.CHUNK_BYTES, member):
+        monkeypatch.setattr(ldp, "CHUNK_BYTES", budget)
+        got = minimize_rate(*args, **kwargs)
+        assert got.to_dict() == want.to_dict()
+    assert want.feasible == (name != "unreachable")
+    if name == "ball-box-sup":
+        # an accepted step lies past the first ladder, and some batches
+        # hold members that reach the wall beside members that do not
+        assert halvings >= LADDER
+        assert any(mixed)
 
 
 def test_minimize_rate_rejects_oversized_control_grid():

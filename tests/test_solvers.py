@@ -470,12 +470,31 @@ def _chunk(case, members=3):
     return chunked
 
 
+def _controls(case, scales=(1.0, 0.0, -0.5)):
+    """The case's chunk with one control per member: the case's control
+    (a constant one where it has none) times each scale."""
+    def controlled():
+        kwargs = _chunk(case, len(scales))()
+        T = kwargs["steps"] * kwargs["dt"]
+        ctl = kwargs.get("control") or constant_control(
+            T, [4.0] * kwargs["coeffs"].m, K=4)
+        kwargs["control"] = [ctl.scaled(c) for c in scales]
+        return kwargs
+    controlled.__name__ = case.__name__ + "_controls"
+    return controlled
+
+
 REFERENCE_CASES = [(_free_noisy, 0.0), (_oblique_intersection, 1e-12),
                    (_normal_intersection, 1e-12), (_box_3d, 1e-12)]
 
 
 @pytest.mark.parametrize("case, rtol", REFERENCE_CASES + [
-    (_chunk(case), rtol) for case, rtol in REFERENCE_CASES])
+    (_chunk(case), rtol) for case, rtol in REFERENCE_CASES] + [
+    # constant sigma (free and in a box, m = 2), and state-dependent sigma
+    # on ball-box with oblique gamma, where members of some controls
+    # penetrate and the unforced one does not
+    (_controls(_free_noisy), 0.0), (_controls(_box_3d), 1e-12),
+    (_controls(_oblique_intersection), 1e-12)])
 def test_step_loop_matches_reference(case, rtol) -> None:
     kwargs = case()
     penetrates = not case.__name__.startswith("_free_noisy")
@@ -484,18 +503,53 @@ def test_step_loop_matches_reference(case, rtol) -> None:
     if not isinstance(paths, list):
         check_against_reference(result, kwargs, rtol, penetrates)
         return
-    # a chunk: each member against its own reference run
+    # a chunk: each member against its own reference run, and bitwise
+    # against its own single solve
+    controls = kwargs.get("control")
+    if not isinstance(controls, list):
+        controls = [controls] * len(paths)
     assert len(result.metas) == len(paths)
     assert result.steps == len(paths) * kwargs["steps"]
     if penetrates:
         # some step penetrates in some members only
         hits = result.series.pen_h[:, :-1] > 0
         assert (hits.any(axis=0) & ~hits.all(axis=0)).any()
-    for b, path in enumerate(paths):
+    if case.__name__ == "_oblique_intersection_controls":
+        hit = result.series.pen_h.any(axis=1)
+        assert hit.any() and not hit.all()
+    for b, (path, ctl) in enumerate(zip(paths, controls)):
         member = result.member(b)
         assert member.meta["seed"] == path.seed
-        check_against_reference(member, dict(kwargs, noise=path), rtol,
-                                penetrates)
+        alone = dict(kwargs, noise=path, control=ctl)
+        check_against_reference(member, alone, rtol,
+                                penetrates and member.series.pen_h.any())
+        single = solve_penalized_spde(**alone)
+        assert np.array_equal(member.states, single.states)
+        assert np.array_equal(member.measure.increments,
+                              single.measure.increments)
+        assert np.array_equal(member.measure.magnitude,
+                              single.measure.magnitude)
+        for name in TrajectorySeries.FIELDS:
+            assert np.array_equal(getattr(member.series, name),
+                                  getattr(single.series, name))
+
+
+def test_control_list_is_checked() -> None:
+    kwargs = _controls(_box_3d)()
+    controls, paths = kwargs.pop("control"), kwargs.pop("noise")
+    T = kwargs["steps"] * kwargs["dt"]
+    with pytest.raises(SolverError, match="at least one member"):
+        solve_penalized_spde(control=[], noise=paths, **kwargs)
+    with pytest.raises(SolverError, match="at least one member"):
+        solve_penalized_spde(control=[], **dict(kwargs, epsilon=0.0))
+    wrong_m = constant_control(T, [1.0, 2.0, 3.0], K=2)
+    wrong_T = constant_control(2.0 * T, [1.0, 2.0], K=2)
+    for bad in (wrong_m, wrong_T):
+        with pytest.raises(SolverError, match="control"):
+            solve_penalized_spde(control=controls[:2] + [bad], noise=paths,
+                                 **kwargs)
+    with pytest.raises(SolverError, match="3 controls for 2 noise paths"):
+        solve_penalized_spde(control=controls, noise=paths[:2], **kwargs)
 
 
 def check_against_reference(traj, kwargs, rtol, penetrates) -> None:
