@@ -3,7 +3,8 @@
 Every subcommand reads a schema-validated JSON config, writes its outputs
 under --out with fixed names, and always leaves a manifest.json recording
 the config hash, effective seed, library versions, wall time, and status
-(also on failure paths, with the error mirrored in error.json).  Floats
+(also on failure paths: a config, geometry or solver error is mirrored
+in error.json, and any other exception is recorded, then re-raised).  Floats
 in JSON and CSV output go through repr(), and trajectory states are
 written as exact float64 .npy arrays, so identical (config, seed) runs
 produce byte-identical files; wall-time fields in the manifest are the
@@ -420,6 +421,10 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(f"error: {err}", file=sys.stderr)
         code = 1
+    except Exception as err:                      # a defect: record, re-raise
+        manifest["status"] = "error"
+        manifest["error"] = f"{type(err).__name__}: {err}"
+        raise
     finally:
         manifest["wall_time_seconds"] = time.time() - started
         _write_json(os.path.join(out, "manifest.json"), manifest)

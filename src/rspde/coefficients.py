@@ -108,7 +108,9 @@ def make_coefficients(d: int, m: int, b: dict, sigma: dict) -> ModelCoefficients
 
     The declared Lipschitz constant is derived from the entry parameters:
     zero/constant contribute 0, linear drifts their spectral norm,
-    diag_affine diffusions their largest |slope|.
+    diag_affine diffusions their largest |slope|.  Each rule is evaluated
+    once on a zero state, so a parameter it needs but the spec lacks
+    raises here and not inside a solve.
     """
     b_name, b_params = b["name"], {k: v for k, v in b.items() if k != "name"}
     s_name, s_params = sigma["name"], {k: v for k, v in sigma.items() if k != "name"}
@@ -121,9 +123,13 @@ def make_coefficients(d: int, m: int, b: dict, sigma: dict) -> ModelCoefficients
         lip += float(np.linalg.norm(np.asarray(b_params["matrix"]), 2))
     if s_name == "diag_affine":
         lip += float(np.max(np.abs(s_params["slope"])))
-    return ModelCoefficients(d=d, m=m, b_name=b_name, sigma_name=s_name,
-                             b_params=b_params, sigma_params=s_params,
-                             lipschitz=lip)
+    coeffs = ModelCoefficients(d=d, m=m, b_name=b_name, sigma_name=s_name,
+                               b_params=b_params, sigma_params=s_params,
+                               lipschitz=lip)
+    zero = np.zeros((d, 1))
+    coeffs.drift(zero)
+    coeffs.diffusion(zero)
+    return coeffs
 
 
 def audit_lipschitz(coeffs: ModelCoefficients, pairs: int = 10000,

@@ -40,6 +40,13 @@ _INT_POS = {"type": "integer", "minimum": 1}
 _VEC = {"type": "array", "items": _NUM, "minItems": 1}
 _MAT = {"type": "array", "items": _VEC, "minItems": 1}
 
+
+def _kind_needs(fields: dict) -> list:
+    """``allOf`` clauses requiring, for each kind, the fields it reads."""
+    return [{"if": {"required": ["kind"], "properties": {"kind": {"const": k}}},
+             "then": {"required": need}} for k, need in fields.items()]
+
+
 _DOMAIN_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -55,6 +62,10 @@ _DOMAIN_SCHEMA = {
         "members": {"type": "array", "items": {"$ref": "#/$defs/domain"},
                     "minItems": 1},
     },
+    "allOf": _kind_needs({"ball": ["center", "radius"],
+                          "box": ["lower", "upper"],
+                          "polytope": ["normals", "offsets"],
+                          "intersection": ["members"]}),
 }
 
 _CONTROL_SCHEMA = {
@@ -70,6 +81,8 @@ _CONTROL_SCHEMA = {
         "component": {"type": "integer", "minimum": 0},
         "values": _MAT,
     },
+    "allOf": _kind_needs({"constant": ["vector"], "sine": ["K", "rate"],
+                          "tabulated": ["values"]}),
 }
 
 _PROFILE_SCHEMA = {
@@ -171,6 +184,8 @@ SCHEMA = {
                 "base": {"$ref": "#/$defs/control"},
                 "factors": {"type": "array", "items": _NUM, "minItems": 1},
             },
+            "allOf": _kind_needs({"sine_rates": ["rates"],
+                                  "scaled": ["base", "factors"]}),
         },
         "epsilons": {"type": "array", "items": _POS, "minItems": 1},
         "replicas": {

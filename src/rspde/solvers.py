@@ -30,15 +30,16 @@ member-steps (B * K); the Monte Carlo replicas and the rate minimizer's
 skeleton solves (one control per member) size their chunks by
 ``ldp.CHUNK_BYTES``.
 
-Each step projects the state once and adds no penalty to a member with
-no grid point outside O.  A penetrating member needs only its gap
-u - pi(u): for both supported gamma rules dist * gamma is a fixed linear
-map of it (``ObliqueField.scaled_directions``), so no direction field is
-formed.  The gaps of the penetrating states are stored, and the
-penetration series (pen_h, pen_l1, pen_linf, pen_gamma) and the
-reflection measure are computed from them after the loop; a chunk that
-never penetrates stores nothing and shares one array of zeros among its
-members.  Stability of the explicit penalty relaxation requires
+Each step projects the state once.  A step with no point outside skips
+the penalty; otherwise every member takes dist * gamma, zero at its
+inside points.  dist * gamma needs only the gap u - pi(u): for both
+supported gamma rules it is a fixed linear map of it
+(``ObliqueField.scaled_directions``), so no direction field is formed.
+The gaps of the penetrating states are stored, and the penetration
+series (pen_h, pen_l1, pen_linf, pen_gamma) and the reflection measure
+are computed from them after the loop; a chunk that never penetrates
+stores nothing and shares one array of zeros among its members.
+Stability of the explicit penalty relaxation requires
 dt * n_pen <= 1/2, enforced at entry.
 
 The skeleton map (controlled, noise-free) is ``solve_penalized_spde`` at
@@ -239,11 +240,8 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     gaps = None
 
     def record_gap(k):
-        """Store u - pi(u) of state k.  Return None when no grid point lies
-        outside the domain, else (members, gaps): members is None when
-        every member has a point outside, with gaps (J, d) for a single
-        run and (B, J, d) for a chunk; otherwise the indices of the n
-        members that do, with their (n, J, d) gaps."""
+        """Store u - pi(u) of state k and return it as one (B * J, d)
+        array, or None when every grid point lies inside the domain."""
         nonlocal gaps
         points = u.T
         proj = domain.project_many(points)
@@ -255,14 +253,7 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         if gaps is None:
             gaps = np.zeros((steps + 1, B * J, d))
         gaps[k] = gap
-        if B == 1:
-            return None, gap
-        gap = gap.reshape(B, J, d)
-        hit = gap.any(axis=(1, 2))
-        if hit.all():
-            return None, gap
-        hit = np.flatnonzero(hit)
-        return hit, gap[hit]
+        return gap
 
     blown = {}                                    # member -> step
 
@@ -286,23 +277,11 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         b = coeffs.drift(u) if b_fixed is None else b_fixed
         if state_sig:
             sig = coeffs.diffusion(u).reshape(d, coeffs.m, B, J)
-        outside = record_gap(k)
-        if outside is None:
+        gap = record_gap(k)
+        if gap is None:
             u += dt * b
-        else:
-            hit, gap = outside
-            push = gamma.scaled_directions(gap)   # dist * gamma
-            if hit is None:
-                push = (push.T if B == 1
-                        else push.transpose(2, 0, 1).reshape(d, B * J))
-                u += dt * (b - n_pen * push)
-            else:
-                bh = (b[:, :, None] if b_fixed is not None
-                      else b.reshape(d, B, J)[:, hit])
-                moved = blocks[:, hit] + dt * (
-                    bh - n_pen * push.transpose(2, 0, 1))
-                u += dt * b
-                blocks[:, hit] = moved
+        else:                                     # dist * gamma, 0 inside
+            u += dt * (b - n_pen * gamma.scaled_directions(gap).T)
         for term in terms:
             blocks += term[k]
         if state_sig:
@@ -347,35 +326,28 @@ def _penalty_diagnostics(states, gaps, gamma: ObliqueField, n_pen: float,
     """The pen_* series of every member's states and the reflection
     measure's (increments, magnitude), from the gaps u - pi(u) of every
     state ((B, steps + 1, J, d), or None when no state penetrated).
-    The members that penetrated are computed as one (n * (steps + 1), J, d)
-    stack; the others get zeros, one shared array when none penetrated."""
+    All members are computed as one (B * (steps + 1), J, d) stack, a
+    member that stays inside getting zeros from its zero gaps; when none
+    penetrated, the members share one array of zeros."""
     B, count, d, J = states.shape
     steps = count - 1
     if gaps is None:
         zero = _shared_zeros(B, (count,))
         return (dict.fromkeys(("pen_h", "pen_l1", "pen_linf", "pen_gamma"), zero),
                 _shared_zeros(B, (steps, d, J)), _shared_zeros(B, (steps, J)))
-    hit = np.flatnonzero(gaps.any(axis=(1, 2, 3)))
-    n = hit.size
-    if n < B:
-        states, gaps = states[hit], gaps[hit]
-    gaps = np.ascontiguousarray(gaps).reshape(n * count, J, d)
+    gaps = np.ascontiguousarray(gaps).reshape(B * count, J, d)
     dist = np.sqrt(np.einsum("kjd,kjd->kj", gaps, gaps))
     scaled = gamma.scaled_directions(gaps)        # dist * gamma
     pen = {"pen_h": np.sqrt(dx * np.sum(dist * dist, axis=1)),
            "pen_l1": dx * np.sum(dist, axis=1),
            "pen_linf": np.abs(gaps).max(axis=(1, 2)),
            "pen_gamma": dx * np.einsum("kdj,kjd->k",
-                                       states.reshape(n * count, d, J), scaled)}
-    push = (n_pen * scaled).reshape(n, count, J, d)[:, :steps]
-    increments = np.empty((n, steps, d, J))
+                                       states.reshape(B * count, d, J), scaled)}
+    push = (n_pen * scaled).reshape(B, count, J, d)[:, :steps]
+    increments = np.empty((B, steps, d, J))
     np.multiply(dt * dx, push.transpose(0, 1, 3, 2), out=increments)
-    magnitude = (n_pen * dt * dx) * dist.reshape(n, count, J)[:, :steps]
-    pen = {name: value.reshape(n, count) for name, value in pen.items()}
-    if n < B:                                     # zeros for the others
-        increments, magnitude = (_scatter(increments, hit, B),
-                                 _scatter(magnitude, hit, B))
-        pen = {name: _scatter(value, hit, B) for name, value in pen.items()}
+    magnitude = (n_pen * dt * dx) * dist.reshape(B, count, J)[:, :steps]
+    pen = {name: value.reshape(B, count) for name, value in pen.items()}
     return pen, increments, magnitude
 
 
@@ -384,13 +356,6 @@ def _shared_zeros(B: int, shape: tuple) -> np.ndarray:
     read-only view when B > 1)."""
     zero = np.zeros((1,) + shape)
     return zero if B == 1 else np.broadcast_to(zero, (B,) + shape)
-
-
-def _scatter(part: np.ndarray, rows: np.ndarray, B: int) -> np.ndarray:
-    """``part`` as the rows ``rows`` of B rows, zeros elsewhere."""
-    out = np.zeros((B,) + part.shape[1:])
-    out[rows] = part
-    return out
 
 
 @dataclass

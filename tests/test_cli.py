@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from rspde import ldp
+from rspde import cli, ldp
 from rspde.cli import build_parser, main
 from rspde.config import ExperimentConfig
 from rspde.solvers import (ReplicaPlan, SolverError, resolve_time_grid,
@@ -99,6 +99,47 @@ def test_unknown_config_key_reports_field(tmp_path):
     code, out = run(tmp_path, "skeleton", payload)
     assert code == 1
     assert "grid" in read_json(out, "error.json")["detail"]
+
+
+MISSING_FIELDS = {
+    "ball-center": ("validate-domain", "domain",
+                    {"kind": "ball", "radius": 0.25}, "center"),
+    "box-upper": ("validate-domain", "domain",
+                  {"kind": "intersection", "members": [
+                      {"kind": "ball", "center": [0.0], "radius": 0.25},
+                      {"kind": "box", "lower": [-0.2]}]}, "upper"),
+    "constant-control-vector": ("skeleton", "control",
+                                {"kind": "constant", "K": 2}, "vector"),
+    "sine-control-K": ("skeleton", "control",
+                       {"kind": "sine", "rate": 1}, "K"),
+    "constant-drift-value": ("skeleton", "coefficients",
+                             dict(BASE["coefficients"],
+                                  b={"name": "constant"}), "value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_FIELDS))
+def test_missing_kind_field_is_a_config_error(tmp_path, case):
+    sub, section, spec, field = MISSING_FIELDS[case]
+    payload = copy.deepcopy(BASE)
+    payload[section] = spec
+    code, out = run(tmp_path, sub, payload)
+    assert code == 1
+    err = read_json(out, "error.json")
+    assert err["error"] == "ConfigError" and repr(field) in err["detail"]
+    assert read_json(out, "manifest.json")["status"] == "error"
+
+
+def test_unlisted_exception_is_recorded_then_raised(tmp_path, monkeypatch):
+    def broken(cfg, args, out):
+        raise RuntimeError("handler defect")
+
+    monkeypatch.setitem(cli._HANDLERS, "skeleton", broken)
+    with pytest.raises(RuntimeError, match="handler defect"):
+        run(tmp_path, "skeleton")
+    man = read_json(str(tmp_path / "out"), "manifest.json")
+    assert man["status"] == "error"
+    assert man["error"] == "RuntimeError: handler defect"
 
 
 def test_skeleton_writes_trajectory_and_report(tmp_path):
