@@ -58,8 +58,16 @@ def _b_zero(u, params):
     return np.zeros_like(u)
 
 
+def _vector(params, name, d):
+    """params[name] as a length-d vector, never broadcast from another."""
+    v = np.asarray(params[name], dtype=float)
+    if v.shape != (d,):
+        raise ValueError(f"{name} has shape {v.shape}, not ({d},)")
+    return v
+
+
 def _b_constant(u, params):
-    c = np.asarray(params["value"], dtype=float)
+    c = _vector(params, "value", u.shape[0])
     return np.broadcast_to(c[:, None], u.shape)
 
 
@@ -88,8 +96,8 @@ def _sigma_diag_affine(u, m, params):
     d = u.shape[0]
     if m != d:
         raise ValueError("diag_affine diffusion needs m == d")
-    base = np.asarray(params["base"], dtype=float)
-    slope = np.asarray(params["slope"], dtype=float)
+    base = _vector(params, "base", d)
+    slope = _vector(params, "slope", d)
     out = np.zeros((d, d, u.shape[1]))
     idx = np.arange(d)
     out[idx, idx, :] = base[:, None] + slope[:, None] * u

@@ -129,13 +129,16 @@ def sup_series(values_per_state: np.ndarray, dx: float) -> np.ndarray:
 
 def v_series(values_per_state: np.ndarray, dx: float) -> np.ndarray:
     """v_norm^2 of every state in a (K+1, d, J) stack."""
-    padded = np.zeros(values_per_state.shape[:-1] + (values_per_state.shape[-1] + 2,))
-    padded[..., 1:-1] = values_per_state
-    d = np.diff(padded, axis=-1)
+    v = values_per_state
+    # differences against the zero end values, formed in one array
+    d = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
+    d[..., 0] = v[..., 0]
+    np.subtract(v[..., 1:], v[..., :-1], out=d[..., 1:-1])
+    np.negative(v[..., -1], out=d[..., -1])
     return np.einsum("kij,kij->k", d, d) / dx
 
 
 def lap_series(values_per_state: np.ndarray, dx: float) -> np.ndarray:
     """h2_norm^2 of every state in a (K+1, d, J) stack."""
-    lap = laplacian_values(values_per_state.copy(), dx)
+    lap = laplacian_values(values_per_state, dx)
     return dx * np.einsum("kij,kij->k", lap, lap)

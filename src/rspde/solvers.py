@@ -13,41 +13,44 @@ else explicitly at the pre-step state:
                                - n_pen gamma(u_k) |u_k - pi(u_k)| ]
                                + sqrt(eps) * sigma(u_k) dB_k
 
-One loop steps a chunk of B independent members, which share the model
-and the grid and may differ in their noise paths and in their controls,
-as one (d, B * J) state; a single run is the chunk of one.  The
-coefficients and the projection act pointwise, so every step evaluates
-them once on the chunk's B * J points.  I - dt * Lap_h is the same
-tridiagonal matrix for every component, member and step, so each solve
-factors it once (LAPACK dgttrf) and every step only back-substitutes
-(dgttrs), all B * d columns at once.  Work that does not depend on the
-state is done before the loop: a zero or constant drift is evaluated
-once, and for a constant sigma the control and noise terms of every step
-come from one product per path (sigma = 0 adds nothing).  Members never
-mix: each member's states equal those of its own single run bit for bit.
-A chunk comes back as a TrajectoryChunk, whose ``steps`` counts
-member-steps (B * K); the Monte Carlo replicas and the rate minimizer's
-skeleton solves (one control per member) size their chunks by
-``ldp.CHUNK_BYTES``.
+One loop steps a chunk of B independent members, which share the model,
+the grid and the time step and may differ in their noise paths, their
+controls and their penalty levels n_pen, as one (d, B * J) state; a
+single run is the chunk of one.  The coefficients and the projection act
+pointwise, so every step evaluates them once on the chunk's B * J
+points.  I - dt * Lap_h is the same tridiagonal matrix for every
+component, member and step, so each solve factors it once (LAPACK
+dgttrf) and every step only back-substitutes (dgttrs), all B * d columns
+at once.  Work that does not depend on the state is done before the
+loop: a zero or constant drift is evaluated once, and for a constant
+sigma the control and noise terms of every step come from one product
+per path (sigma = 0 adds nothing).  Members never mix: each member's
+states equal those of its own single run bit for bit.  A chunk comes
+back as a TrajectoryChunk, whose ``steps`` counts member-steps (B * K);
+the Monte Carlo replicas and the rate minimizer's skeleton solves (one
+control per member) size their chunks by ``ldp.CHUNK_BYTES``, and a
+penalty sweep is one chunk (one n_pen per member).
 
 Each step projects the state once.  A step with no point outside skips
-the penalty; otherwise every member takes dist * gamma, zero at its
-inside points.  dist * gamma needs only the gap u - pi(u): for both
-supported gamma rules it is a fixed linear map of it
-(``ObliqueField.scaled_directions``), so no direction field is formed.
-The gaps of the penetrating states are stored, and the penetration
-series (pen_h, pen_l1, pen_linf, pen_gamma) and the reflection measure
-are computed from them after the loop; a chunk that never penetrates
-stores nothing and shares one array of zeros among its members.
-Stability of the explicit penalty relaxation requires
-dt * n_pen <= 1/2, enforced at entry.
+the penalty; otherwise every member takes its own n_pen times
+dist * gamma, zero at its inside points.  dist * gamma needs only the
+gap u - pi(u): for both supported gamma rules it is a fixed linear map
+of it (``ObliqueField.scaled_directions``), so no direction field is
+formed.  The gaps of the penetrating states are stored by member, and
+the penetration series (pen_h, pen_l1, pen_linf, pen_gamma) and the
+reflection measure are computed from them after the loop; a chunk that
+never penetrates stores nothing and shares one array of zeros among its
+members.  Stability of the explicit penalty relaxation requires
+dt * n_pen <= 1/2 for every member, enforced at entry.
 
 The skeleton map (controlled, noise-free) is ``solve_penalized_spde`` at
 its default epsilon = 0, where the noise path is ignored, so the skeleton
 and the stochastic map are one code path.
 
-``solve_skeleton`` drives n_pen through a geometric sweep and stops when
-consecutive members are Cauchy in  sup_t |.|_H^2 + int |.|_V^2 dt.
+``solve_skeleton`` solves a geometric ladder of n_pen as one chunk and
+reports it up to the first pair of consecutive members that are Cauchy
+in  sup_t |.|_H^2 + int |.|_V^2 dt; the members after that pair are
+speculative work.
 """
 
 from __future__ import annotations
@@ -131,40 +134,47 @@ def resolve_time_grid(T: float, dt_target: float, n_pen: float,
 
 
 def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
-                         gamma: ObliqueField, u0: Field, n_pen: float,
+                         gamma: ObliqueField, u0: Field, n_pen: float | list,
                          dt: float, steps: int, epsilon: float = 0.0,
                          noise: NoisePath | list = None,
                          control: Control | list = None,
                          stride: int = 1) -> Trajectory | TrajectoryChunk:
     """Run the penalized semi-implicit scheme for ``steps`` steps of ``dt``.
 
-    ``noise`` and ``control`` are each one value, and the result one
-    Trajectory; or either is a list with one entry per member of a chunk
-    that shares everything else, and the result a TrajectoryChunk.  A
-    single value is shared by every member; two lists must have the same
+    ``n_pen``, ``noise`` and ``control`` are each one value, and the result
+    one Trajectory; or any of them is a list with one entry per member of
+    a chunk that shares everything else, and the result a TrajectoryChunk.
+    A single value is shared by every member; lists must have the same
     length.  With epsilon = 0 the noise is ignored and the run coincides
     with the skeleton solve for the same control.  Raises SolverError
-    when the initial state leaves the domain, the stability bound fails,
-    the control or noise grids are incompatible, or the state blows up
-    (the offending step index is attached; in a chunk, that of the
-    lowest-index member that blows up).
+    when the initial state leaves the domain, the stability bound fails
+    (for the stiffest member), the control or noise grids are
+    incompatible, or the state blows up (the offending step index is
+    attached; in a chunk, that of the lowest-index member that blows up).
     """
     grid = u0.grid
     d, J = grid.d, grid.J
     dx = grid.dx
-    controls = control if isinstance(control, list) else [control]
-    members = noise if isinstance(noise, list) else [noise] * len(controls)
-    B = len(members)
-    if not B or not controls:
+    lists = [(name, value) for name, value in (
+        ("noise paths", noise), ("controls", control), ("n_pen values", n_pen))
+        if isinstance(value, list)]
+    if any(not value for _, value in lists):
         raise SolverError("a chunk needs at least one member")
-    if isinstance(control, list) and len(controls) != B:
-        raise SolverError(f"{len(controls)} controls for {B} noise paths")
-    if not n_pen > 0:
+    B = len(lists[0][1]) if lists else 1
+    for name, value in lists[1:]:
+        if len(value) != B:
+            raise SolverError(f"{len(value)} {name} for {B} {lists[0][0]}")
+    controls = control if isinstance(control, list) else [control]
+    members = noise if isinstance(noise, list) else [noise] * B
+    pens = list(n_pen) if isinstance(n_pen, list) else [n_pen] * B
+    if not all(n > 0 for n in pens):
         raise SolverError("n_pen must be positive")
-    if dt * n_pen > PENALTY_STABILITY * (1 + 1e-12):
+    stiffest = max(pens)
+    if dt * stiffest > PENALTY_STABILITY * (1 + 1e-12):
         raise SolverError(
             f"dt = {dt:g} violates the penalty stability bound "
-            f"{PENALTY_STABILITY:g}/n_pen = {PENALTY_STABILITY / n_pen:g}")
+            f"{PENALTY_STABILITY:g}/n_pen = {PENALTY_STABILITY / stiffest:g} "
+            f"for n_pen = {stiffest:g}")
     if domain.dim != d:
         raise SolverError("domain dimension does not match the field")
     if not domain.contains_many(u0.values.T, tol=1e-9).all():
@@ -234,9 +244,9 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     states = np.empty((B, steps + 1, d, J))
     by_step = states.transpose(1, 2, 0, 3)
     by_step[0] = blocks
-    # u - pi(u) of every state, (steps + 1, B * J, d), allocated at the
-    # first state that penetrates; the penalty diagnostics come from it
-    # after the loop
+    # u - pi(u) of every state, stored by member as (B, steps + 1, J, d)
+    # and allocated at the first state that penetrates; the penalty
+    # diagnostics come from it after the loop
     gaps = None
 
     def record_gap(k):
@@ -251,8 +261,8 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         if not gap.any():
             return None
         if gaps is None:
-            gaps = np.zeros((steps + 1, B * J, d))
-        gaps[k] = gap
+            gaps = np.zeros((B, steps + 1, J, d))
+        gaps[:, k] = gap.reshape(B, J, d)
         return gap
 
     blown = {}                                    # member -> step
@@ -268,6 +278,7 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         blocks[:, bad] = u0.values[:, None, :]
         return float(np.abs(u).max())
 
+    n_cols = np.repeat(np.asarray(pens, dtype=float), J)  # n_pen per point
     top = float(np.abs(u).max())
     for k in range(steps):
         # guard before any squaring can overflow
@@ -280,8 +291,8 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         gap = record_gap(k)
         if gap is None:
             u += dt * b
-        else:                                     # dist * gamma, 0 inside
-            u += dt * (b - n_pen * gamma.scaled_directions(gap).T)
+        else:                                     # n * dist * gamma, 0 inside
+            u += dt * (b - n_cols * gamma.scaled_directions(gap).T)
         for term in terms:
             blocks += term[k]
         if state_sig:
@@ -299,56 +310,57 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     # terminal penetration for the sup statistics
     record_gap(steps)
 
-    if gaps is not None:
-        gaps = gaps.reshape(steps + 1, B, J, d).transpose(1, 0, 2, 3)
+    # the norms first: their temporaries then never sit beside the increments
     flat = states.reshape(B * (steps + 1), d, J)
+    norms = [series_of(flat, dx).reshape(B, steps + 1)
+             for series_of in (sup_series, v_series, lap_series)]
     pen, increments, magnitude = _penalty_diagnostics(states, gaps, gamma,
-                                                      n_pen, dt, dx)
-    series = TrajectorySeries(
-        h_sq=sup_series(flat, dx).reshape(B, steps + 1),
-        v_sq=v_series(flat, dx).reshape(B, steps + 1),
-        lap_sq=lap_series(flat, dx).reshape(B, steps + 1), **pen)
+                                                      pens, dt, dx)
+    series = TrajectorySeries(*norms, **pen)
     measure = ReflectionMeasure(grid=grid, dt=dt, increments=increments,
                                 magnitude=magnitude)
     info = {"b": coeffs.b_name, "sigma": coeffs.sigma_name,
             "controlled": control is not None}
     metas = [dict(info, seed=p.seed, generator="philox") if use_noise
              else dict(info) for p in members]
-    chunk = TrajectoryChunk(grid=grid, dt=dt, n_pen=n_pen, states=states,
+    chunk = TrajectoryChunk(grid=grid, dt=dt, n_pen=pens, states=states,
                             series=series, measure=measure, metas=metas,
                             stride=stride, epsilon=epsilon)
-    return (chunk if isinstance(noise, list) or isinstance(control, list)
-            else chunk.member(0))
+    return chunk if lists else chunk.member(0)
 
 
-def _penalty_diagnostics(states, gaps, gamma: ObliqueField, n_pen: float,
+def _penalty_diagnostics(states, gaps, gamma: ObliqueField, pens: list,
                          dt: float, dx: float) -> tuple:
     """The pen_* series of every member's states and the reflection
     measure's (increments, magnitude), from the gaps u - pi(u) of every
-    state ((B, steps + 1, J, d), or None when no state penetrated).
-    All members are computed as one (B * (steps + 1), J, d) stack, a
-    member that stays inside getting zeros from its zero gaps; when none
-    penetrated, the members share one array of zeros."""
+    state ((B, steps + 1, J, d), or None when no state penetrated) and
+    each member's n_pen.  Each member is computed on its own block, as
+    its single run computes it, a member that stays inside getting zeros
+    from its zero gaps; when none penetrated, the members share one array
+    of zeros.  The gaps are overwritten with n * dist * gamma and the
+    magnitude is a view of the scaled distances, so the increments are
+    the only new array of the gaps' size."""
     B, count, d, J = states.shape
     steps = count - 1
     if gaps is None:
         zero = _shared_zeros(B, (count,))
         return (dict.fromkeys(("pen_h", "pen_l1", "pen_linf", "pen_gamma"), zero),
                 _shared_zeros(B, (steps, d, J)), _shared_zeros(B, (steps, J)))
-    gaps = np.ascontiguousarray(gaps).reshape(B * count, J, d)
-    dist = np.sqrt(np.einsum("kjd,kjd->kj", gaps, gaps))
-    scaled = gamma.scaled_directions(gaps)        # dist * gamma
-    pen = {"pen_h": np.sqrt(dx * np.sum(dist * dist, axis=1)),
-           "pen_l1": dx * np.sum(dist, axis=1),
-           "pen_linf": np.abs(gaps).max(axis=(1, 2)),
-           "pen_gamma": dx * np.einsum("kdj,kjd->k",
-                                       states.reshape(B * count, d, J), scaled)}
-    push = (n_pen * scaled).reshape(B, count, J, d)[:, :steps]
+    pen = {name: np.empty((B, count))
+           for name in ("pen_h", "pen_l1", "pen_linf", "pen_gamma")}
+    dist = np.empty((B, count, J))
+    for b, (gap, n) in enumerate(zip(gaps, pens)):
+        np.sqrt(np.einsum("kjd,kjd->kj", gap, gap), out=dist[b])
+        pen["pen_h"][b] = np.sqrt(dx * np.sum(dist[b] * dist[b], axis=1))
+        pen["pen_l1"][b] = dx * np.sum(dist[b], axis=1)
+        pen["pen_linf"][b] = np.abs(gap).max(axis=(1, 2))
+        gap[...] = gamma.scaled_directions(gap)   # dist * gamma
+        pen["pen_gamma"][b] = dx * np.einsum("kdj,kjd->k", states[b], gap)
+        gap *= n
+        dist[b] *= n * dt * dx
     increments = np.empty((B, steps, d, J))
-    np.multiply(dt * dx, push.transpose(0, 1, 3, 2), out=increments)
-    magnitude = (n_pen * dt * dx) * dist.reshape(B, count, J)[:, :steps]
-    pen = {name: value.reshape(B, count) for name, value in pen.items()}
-    return pen, increments, magnitude
+    np.multiply(dt * dx, gaps[:, :steps].transpose(0, 1, 3, 2), out=increments)
+    return pen, increments, dist[:, :steps]
 
 
 def _shared_zeros(B: int, shape: tuple) -> np.ndarray:
@@ -413,21 +425,19 @@ def solve_skeleton(coeffs: ModelCoefficients, domain: ConvexDomain,
     """Penalty sweep n_pen = n_start, n_start*factor, ... up to n_max.
 
     All members share one time grid, fine enough for the stiffest member
-    (dt <= 1/(2 n_max)), so consecutive trajectories compare directly.
-    The sweep stops once  sup_t |u_n - u_{n f}|_H^2 + int |u_n - u_{n f}|_V^2 dt
-    drops strictly below tol_cauchy; reaching n_max without that flags the
-    result as non-converged but still returns the finest trajectory.
+    (dt <= 1/(2 n_max)), so consecutive trajectories compare directly, and
+    the whole ladder is solved as one chunk with one n_pen per member.
+    The rows stop once  sup_t |u_n - u_{n f}|_H^2 + int |u_n - u_{n f}|_V^2 dt
+    drops strictly below tol_cauchy (the members after that pair were
+    solved speculatively and are not reported); reaching n_max without
+    that flags the result as non-converged but still returns the finest
+    trajectory.
     """
     if factor <= 1.0:
         raise SolverError("sweep factor must exceed 1")
     if control is None:
         raise SolverError("the skeleton sweep needs a control (possibly zero)")
     steps, dt_eff = resolve_time_grid(T, dt, n_max, control.K)
-
-    def run(n):
-        return solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n,
-                                    dt=dt_eff, steps=steps, control=control,
-                                    stride=stride)
 
     ns = []
     n = float(n_start)
@@ -437,11 +447,14 @@ def solve_skeleton(coeffs: ModelCoefficients, domain: ConvexDomain,
     if len(ns) < 2:
         raise SolverError("sweep range contains fewer than two members")
 
+    chunk = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=ns,
+                                 dt=dt_eff, steps=steps, control=control,
+                                 stride=stride)
     rows = []
-    prev = run(ns[0])
+    prev = chunk.member(0)
     converged = False
-    for n_next in ns[1:]:
-        cur = run(n_next)
+    for i in range(1, len(ns)):
+        cur = chunk.member(i)
         ch, cv = state_gap(prev, cur)
         rows.append(_sweep_row(prev, ch + cv, ch, cv))
         prev = cur

@@ -167,9 +167,11 @@ class Trajectory:
 
 @dataclass
 class TrajectoryChunk:
-    """B independent runs on one grid, time step and penalty level, held
-    as batch arrays: states (B, K+1, d, J), each series field (B, K+1)
-    and the measure's increments (B, K, d, J) and magnitude (B, K, J).
+    """B independent runs on one grid and time step, held as batch arrays:
+    states (B, K+1, d, J), each series field (B, K+1) and the measure's
+    increments (B, K, d, J) and magnitude (B, K, J).  The runs may differ
+    in their noise paths, their controls and their penalty levels;
+    ``n_pen`` lists each run's.
 
     ``member(b)`` is run b as a Trajectory whose arrays are views of
     these, so every single-run report applies to it unchanged.  ``steps``
@@ -179,7 +181,7 @@ class TrajectoryChunk:
 
     grid: SpatialGrid
     dt: float
-    n_pen: float
+    n_pen: list
     states: np.ndarray
     series: TrajectorySeries
     measure: ReflectionMeasure
@@ -194,7 +196,7 @@ class TrajectoryChunk:
     def member(self, b: int) -> Trajectory:
         s, m = self.series, self.measure
         return Trajectory(
-            grid=self.grid, dt=self.dt, n_pen=self.n_pen,
+            grid=self.grid, dt=self.dt, n_pen=self.n_pen[b],
             states=self.states[b],
             series=TrajectorySeries(*[getattr(s, f)[b] for f in s.FIELDS]),
             measure=ReflectionMeasure(grid=self.grid, dt=self.dt,

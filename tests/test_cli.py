@@ -130,6 +130,31 @@ def test_missing_kind_field_is_a_config_error(tmp_path, case):
     assert read_json(out, "manifest.json")["status"] == "error"
 
 
+SHORT_VECTORS = {
+    "constant-drift-value": ({"name": "constant", "value": [4.0]},
+                             {"name": "zero"}),
+    "diag-affine-base": ({"name": "zero"},
+                         {"name": "diag_affine", "base": [0.1], "slope": [0.5, 0.5]}),
+    "diag-affine-slope": ({"name": "zero"},
+                          {"name": "diag_affine", "base": [0.1, 0.1], "slope": [0.5]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_VECTORS))
+def test_coefficient_vector_of_wrong_length_is_a_config_error(tmp_path, case):
+    # a length-1 vector at d = 2 is rejected, not broadcast to [v, v]
+    b, sigma = SHORT_VECTORS[case]
+    payload = copy.deepcopy(BASE)
+    payload["domain"] = {"kind": "ball", "center": [0.0, 0.0], "radius": 0.25}
+    payload["coefficients"] = {"d": 2, "m": 2, "b": b, "sigma": sigma}
+    code, out = run(tmp_path, "skeleton", payload)
+    assert code == 1
+    err = read_json(out, "error.json")
+    assert err["error"] == "ConfigError" and "coefficients" in err["detail"]
+    assert "(2,)" in err["detail"]
+    assert read_json(out, "manifest.json")["status"] == "error"
+
+
 def test_unlisted_exception_is_recorded_then_raised(tmp_path, monkeypatch):
     def broken(cfg, args, out):
         raise RuntimeError("handler defect")

@@ -1,5 +1,6 @@
 """Tests for the penalized semi-implicit solvers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from rspde.solvers import (
     NoisePath,
     ReplicaPlan,
     SolverError,
+    _sweep_row,
     resolve_time_grid,
     sample_brownian,
     solve_penalized_spde,
@@ -135,6 +137,49 @@ def test_chunk_blow_up_reports_lowest_member_at_its_own_step() -> None:
     assert want[1].step < want[0].step
     assert got.value.step == want[0].step
     assert str(got.value) == str(want[0])
+
+
+def test_ladder_blow_up_reports_lowest_member_at_its_own_step() -> None:
+    # b(u) = 55 u outgrows the penalty of n_pen = 20 and 1 but not that of
+    # n_pen = 50; the n_pen = 1 member blows up first, and the chunk reports
+    # the n_pen = 20 member at its own step, as solving them in order does
+    dom = interval_domain(0.5)
+    coeffs = make_coefficients(1, 1, b={"name": "linear", "matrix": [[55.0]]},
+                               sigma={"name": "zero"})
+    kwargs = dict(coeffs=coeffs, domain=dom, gamma=normal_gamma(dom),
+                  u0=sine_start(15, 0.1), dt=0.01, steps=1800)
+    pens = [50.0, 20.0, 1.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(solve_penalized_spde(n_pen=pens[0], **kwargs).states).all()
+        want = []
+        for n in pens[1:]:
+            with pytest.raises(SolverError) as err:
+                solve_penalized_spde(n_pen=n, **kwargs)
+            want.append(err.value)
+        with pytest.raises(SolverError) as got:
+            solve_penalized_spde(n_pen=pens, **kwargs)
+    assert want[1].step < want[0].step
+    assert got.value.step == want[0].step
+    assert str(got.value) == str(want[0])
+
+
+def test_ladder_stability_bound_uses_the_stiffest_member() -> None:
+    dom = free_domain()
+    kwargs = dict(coeffs=heat_coeffs(), domain=dom, gamma=normal_gamma(dom),
+                  u0=sine_start(15), dt=1e-3, steps=10)
+    # 500 * 1e-3 = 1/2 holds; 1024 * 1e-3 breaks it, whatever its position
+    assert solve_penalized_spde(n_pen=[16.0, 500.0], **kwargs).steps == 20
+    for ladder in ([16.0, 64.0, 1024.0], [1024.0, 16.0]):
+        with pytest.raises(SolverError, match=r"stability.*n_pen = 1024"):
+            solve_penalized_spde(n_pen=ladder, **kwargs)
+    with pytest.raises(SolverError, match="positive"):
+        solve_penalized_spde(n_pen=[16.0, 0.0], **kwargs)
+    with pytest.raises(SolverError, match="at least one member"):
+        solve_penalized_spde(n_pen=[], **kwargs)
+    with pytest.raises(SolverError, match="2 n_pen values for 3 noise paths"):
+        solve_penalized_spde(n_pen=[16.0, 64.0],
+                             noise=[sample_brownian(1, 10, 1e-3, seed=s)
+                                    for s in range(3)], **kwargs)
 
 
 def blow_up(gain, amplitude) -> SolverError:
@@ -325,6 +370,51 @@ def test_sweep_gaps_decrease_with_active_reflection() -> None:
     assert ns == [32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
 
 
+def sequential_sweep(coeffs, domain, gamma, u0, control, dt, T, ns,
+                     tol_cauchy):
+    """The sweep one member at a time: single solves, compared in order,
+    stopping after the first pair that is Cauchy within tol_cauchy."""
+    steps, dt_eff = resolve_time_grid(T, dt, ns[-1], control.K)
+    runs = [solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n,
+                                 dt=dt_eff, steps=steps, control=control)
+            for n in ns]
+    rows = []
+    for prev, cur in zip(runs, runs[1:]):
+        ch, cv = state_gap(prev, cur)
+        rows.append(_sweep_row(prev, ch + cv, ch, cv))
+        if ch + cv < tol_cauchy:
+            return rows + [_sweep_row(cur, math.nan)], cur
+    return rows + [_sweep_row(runs[-1], math.nan)], runs[-1]
+
+
+def test_sweep_chunk_matches_sequential_solves() -> None:
+    dom = interval_domain(0.25)
+    model = dict(coeffs=forced_coeffs(c=4.0), domain=dom,
+                 gamma=normal_gamma(dom), u0=zero_start(31),
+                 control=zero_control(0.4, 1), dt=2e-3, T=0.4)
+    ns = [32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
+    full = solve_skeleton(n_start=32.0, factor=2.0, n_max=1024.0,
+                          tol_cauchy=0.0, **model)
+    gaps = [r.cauchy_to_next for r in full.rows[:-1]]
+    # 0: every member reported; between the 2nd and 3rd gaps: stops early
+    for tol, reported in ((0.0, 6), (math.sqrt(gaps[1] * gaps[2]), 4)):
+        res = solve_skeleton(n_start=32.0, factor=2.0, n_max=1024.0,
+                             tol_cauchy=tol, **model)
+        rows, traj = sequential_sweep(ns=ns, tol_cauchy=tol, **model)
+        assert len(res.rows) == len(rows) == reported
+        assert res.converged == (reported < len(ns))
+        np.testing.assert_equal([dataclasses.asdict(r) for r in res.rows],
+                                [dataclasses.asdict(r) for r in rows])
+        got = res.trajectory
+        assert (got.n_pen, got.dt, got.meta) == (traj.n_pen, traj.dt, traj.meta)
+        assert np.array_equal(got.states, traj.states)
+        assert np.array_equal(got.measure.increments, traj.measure.increments)
+        assert np.array_equal(got.measure.magnitude, traj.measure.magnitude)
+        for name in TrajectorySeries.FIELDS:
+            assert np.array_equal(getattr(got.series, name),
+                                  getattr(traj.series, name))
+
+
 def test_sweep_shares_one_time_grid() -> None:
     K, dt = resolve_time_grid(0.4, 2e-3, 1024.0, control_K=1)
     assert dt <= 0.5 / 1024.0
@@ -484,6 +574,15 @@ def _controls(case, scales=(1.0, 0.0, -0.5)):
     return controlled
 
 
+def _ladder(case, pens=(16.0, 64.0, 256.0)):
+    """The case's model, noise path and control shared by a chunk with one
+    n_pen per member."""
+    def laddered():
+        return dict(case(), n_pen=list(pens))
+    laddered.__name__ = case.__name__ + "_ladder"
+    return laddered
+
+
 REFERENCE_CASES = [(_free_noisy, 0.0), (_oblique_intersection, 1e-12),
                    (_normal_intersection, 1e-12), (_box_3d, 1e-12)]
 
@@ -494,33 +593,42 @@ REFERENCE_CASES = [(_free_noisy, 0.0), (_oblique_intersection, 1e-12),
     # on ball-box with oblique gamma, where members of some controls
     # penetrate and the unforced one does not
     (_controls(_free_noisy), 0.0), (_controls(_box_3d), 1e-12),
-    (_controls(_oblique_intersection), 1e-12)])
+    (_controls(_oblique_intersection), 1e-12),
+    # a penalty ladder sharing one noise path and control
+    (_ladder(_oblique_intersection), 1e-12),
+    (_ladder(_normal_intersection), 1e-12)])
 def test_step_loop_matches_reference(case, rtol) -> None:
     kwargs = case()
     penetrates = not case.__name__.startswith("_free_noisy")
     result = solve_penalized_spde(**kwargs)
-    paths = kwargs["noise"]
-    if not isinstance(paths, list):
+    chunked = [key for key in ("noise", "control", "n_pen")
+               if isinstance(kwargs.get(key), list)]
+    if not chunked:
         check_against_reference(result, kwargs, rtol, penetrates)
         return
     # a chunk: each member against its own reference run, and bitwise
     # against its own single solve
-    controls = kwargs.get("control")
-    if not isinstance(controls, list):
-        controls = [controls] * len(paths)
-    assert len(result.metas) == len(paths)
-    assert result.steps == len(paths) * kwargs["steps"]
-    if penetrates:
+    B = len(kwargs[chunked[0]])
+    per = {key: kwargs[key] if key in chunked else [kwargs.get(key)] * B
+           for key in ("noise", "control", "n_pen")}
+    assert len(result.metas) == B
+    assert result.steps == B * kwargs["steps"]
+    if penetrates and "n_pen" in chunked:
+        # the members leave together, and a stiffer one penetrates less
+        assert result.measure.increments.flags.c_contiguous
+        assert (np.diff(result.series.pen_h.max(axis=1)) < 0).all()
+    elif penetrates:
         # some step penetrates in some members only
         hits = result.series.pen_h[:, :-1] > 0
         assert (hits.any(axis=0) & ~hits.all(axis=0)).any()
     if case.__name__ == "_oblique_intersection_controls":
         hit = result.series.pen_h.any(axis=1)
         assert hit.any() and not hit.all()
-    for b, (path, ctl) in enumerate(zip(paths, controls)):
+    for b, (path, ctl, n) in enumerate(zip(*per.values())):
         member = result.member(b)
         assert member.meta["seed"] == path.seed
-        alone = dict(kwargs, noise=path, control=ctl)
+        assert member.n_pen == n
+        alone = dict(kwargs, noise=path, control=ctl, n_pen=n)
         # only an unforced member of a controls case may stay inside
         unforced = (case.__name__.endswith("_controls")
                     and not ctl.values.any())
