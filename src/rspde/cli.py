@@ -116,10 +116,10 @@ def _cmd_solve(cfg: ExperimentConfig, args, out: str) -> list:
     steps, dt = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, ctl_K)
     eps, noise = 0.0, None
     if args.subcommand == "spde":
-        seed = args.seed if args.seed is not None else cfg.base_seed
         eps = cfg.epsilons[0]
         noise = sample_brownian(coeffs.m, steps, dt,
-                                ReplicaPlan(base_seed=seed, count=1).seed_for(0))
+                                ReplicaPlan(base_seed=args.base_seed,
+                                            count=1).seed_for(0))
     traj = solve_penalized_spde(coeffs, dom, gamma, u0, n_pen=cfg.n_event,
                                 dt=dt, steps=steps, epsilon=eps, noise=noise,
                                 control=control, stride=cfg.snapshot_stride)
@@ -249,11 +249,10 @@ def _estimate(cfg: ExperimentConfig, args, eps, grid, estimates: dict):
     key = (eps, grid)
     if key in estimates:
         return estimates[key]
-    seed = args.seed if args.seed is not None else cfg.base_seed
     count = cfg.replica_count
     workers = max(1, args.workers)
     bounds = [count * i // workers for i in range(workers + 1)]
-    payloads = [(cfg.raw, seed, eps, grid, lo, hi)
+    payloads = [(cfg.raw, args.base_seed, eps, grid, lo, hi)
                 for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
     if workers == 1:
         chunks = map(_mc_chunk, payloads)
@@ -267,7 +266,6 @@ def _estimate(cfg: ExperimentConfig, args, eps, grid, estimates: dict):
 def _emit_mc(cfg: ExperimentConfig, args, out: str, estimates=None) -> dict:
     if cfg.build_event() is None:
         raise ConfigError("mc needs an 'event' section")
-    seed = args.seed if args.seed is not None else cfg.base_seed
     eps = cfg.epsilons[0]
     steps, dt = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, 1)
     res = _estimate(cfg, args, eps, (cfg.n_event, dt, steps),
@@ -276,7 +274,7 @@ def _emit_mc(cfg: ExperimentConfig, args, out: str, estimates=None) -> dict:
                [r.csv_line() for r in res.rows])
     _say(args, f"mc: p_hat={res.p_hat!r} +- {res.stderr!r} "
                f"({res.hits}/{res.replicas} hits)")
-    return {"epsilon": eps, "seed": seed, **res.to_dict()}
+    return {"epsilon": eps, "seed": args.base_seed, **res.to_dict()}
 
 
 def _cmd_mc(cfg: ExperimentConfig, args, out: str) -> list:
@@ -291,14 +289,13 @@ def _emit_compare(cfg: ExperimentConfig, args, out: str,
     rate's time grid; writes rate.json and comparison.csv."""
     coeffs, dom, gamma, u0 = _solver_pieces(cfg)
     rate = _compute_rate(cfg, out, coeffs, dom, gamma, u0)
-    seed = args.seed if args.seed is not None else cfg.base_seed
     grid = (rate.n_pen, rate.dt, rate.steps)
     estimates = {} if estimates is None else estimates
     ldp1 = cfg.ldp1
     rows = ldp_compare(coeffs, dom, gamma, u0, rate,
                        [(eps, _estimate(cfg, args, eps, grid, estimates))
                         for eps in cfg.epsilons],
-                       base_seed=seed, ldp1_delta_sq=ldp1["delta_sq"],
+                       base_seed=args.base_seed, ldp1_delta_sq=ldp1["delta_sq"],
                        ldp1_replicas=ldp1["replicas"])
     _write_csv(os.path.join(out, "comparison.csv"), CompareRow.CSV_HEADER,
                [r.csv_line() for r in rows])
@@ -312,10 +309,9 @@ def _cmd_weighted(cfg: ExperimentConfig, args, out: str) -> list:
     control = cfg.build_control()
     if control is None:
         return []
-    seed = args.seed if args.seed is not None else cfg.base_seed
     w = cfg.weighted
-    plan = ReplicaPlan(base_seed=seed, count=w.get("replicas",
-                                                   cfg.replica_count))
+    plan = ReplicaPlan(base_seed=args.base_seed,
+                       count=w.get("replicas", cfg.replica_count))
     rows = weighted_trend(coeffs, dom, gamma, u0, control,
                           epsilons=w.get("epsilons", cfg.epsilons),
                           plan=plan, lam=w["lam"], n_pen=cfg.n_event,
@@ -409,8 +405,10 @@ def main(argv=None) -> int:
     try:
         cfg = ExperimentConfig.from_file(args.config)
         manifest["config_hash"] = cfg.config_hash()
-        if args.seed is None:
-            manifest["seed"] = cfg.base_seed
+        # the run's base seed, which validate-domain does not use: it
+        # falls back to validation.seed instead
+        args.base_seed = manifest["seed"] = (
+            cfg.base_seed if args.seed is None else args.seed)
         outputs = _HANDLERS[args.subcommand](cfg, args, out)
         manifest["outputs"] = sorted(set(outputs))
     except (ConfigError, GeometryError, SolverError, OSError, ValueError) as err:

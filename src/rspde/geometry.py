@@ -11,9 +11,11 @@ variational-inequality diagnostics; it is built as a rank-two correction
 of the identity and certified through its smallest eigenvalue on boundary
 samples.
 
-gamma and a are defined once, on point batches (``at_many``), from the
-normals of ``_anchored_normals``; certification and the
-variational-inequality check use these batch forms.
+Every query takes a point batch of shape (n, d); a single point is a
+one-row batch.  gamma and a are defined once (``at_many``), from the
+normals of ``_anchored_normals``, on boundary and exterior points only:
+the penalty acts outside O, and certification and the
+variational-inequality check query the boundary and the exterior.
 
 Supported bodies: balls, axis-aligned boxes, halfspace polytopes, and
 finite intersections of those.  Balls and boxes project in closed form.
@@ -23,10 +25,8 @@ in turn, keeping a member's projection when it lies in every other member
 (the nearest point of a superset that lies in the body is the nearest
 point of the body); only points where two or more members are active go
 through Dykstra's alternating scheme, where each point's iteration stops
-on its own displacement, so its projection does not depend on the batch
-it came in.  All of it is vectorized over batches of query points.
-
-Point batches use shape (n, d) throughout this module.
+on its own displacement.  Face products are reduced row by row, so no
+point's projection depends on the batch it came in.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Active-set tolerance for deciding which faces meet a boundary point, and
-# for the boundary-membership precondition of outward_normal.
+# for the boundary-membership precondition of outward_normal_many.
 BOUNDARY_ATOL = 1e-9
 
 # Dykstra's alternating projections: per-sweep displacement threshold and
@@ -55,31 +55,10 @@ class GeometryError(RuntimeError):
     oblique-field certification."""
 
 
-@dataclass(frozen=True)
-class NormalResult:
-    """Outward unit normal at a boundary point.
-
-    ``nonsmooth`` is set when more than one face is active (corner/edge);
-    the vector is then the normalized sum of the active face normals.
-    """
-
-    vector: np.ndarray
-    nonsmooth: bool = False
-
-
 def _row_norms(points):
     # np.linalg.norm(points, axis=1), the same arithmetic without that
     # function's dispatch cost: ball queries run on every solver step.
     return np.sqrt(np.add.reduce(points * points, axis=1))
-
-
-def _as_batch(points):
-    p = np.asarray(points, dtype=float)
-    if p.ndim == 1:
-        return p[None, :], True
-    if p.ndim != 2:
-        raise ValueError(f"expected point or (n, d) batch, got shape {p.shape}")
-    return p, False
 
 
 class ConvexDomain:
@@ -109,8 +88,10 @@ class ConvexDomain:
     def outward_normal_many(self, points: np.ndarray) -> tuple:
         """(normals, nonsmooth) for a batch of boundary points.
 
-        Raises GeometryError when any point is off the boundary; see
-        NormalResult for the vector at corners and edges.
+        ``nonsmooth`` marks rows where more than one face is active (a
+        corner or edge); their normal is the normalized sum of the active
+        face normals.  Raises GeometryError when any row is off the
+        boundary, interior rows included.
         """
         raise NotImplementedError
 
@@ -121,52 +102,6 @@ class ConvexDomain:
     @property
     def bounding_radius(self) -> float:
         raise NotImplementedError
-
-    def boundary_anchor_many(self, points: np.ndarray) -> np.ndarray:
-        """Boundary point on the ray from 0 through each row (through e1
-        for the origin).
-
-        Only used to give direction fields a finite value at interior
-        points, where the penalty vanishes anyway; any measurable,
-        deterministic rule is acceptable.
-        """
-        norms = _row_norms(points)
-        dirs = np.zeros_like(points)
-        dirs[:, 0] = 1.0
-        nonzero = norms > 0.0
-        dirs[nonzero] = points[nonzero] / norms[nonzero, None]
-        return self.ray_exit_many(dirs)[:, None] * dirs
-
-    # -- convenience wrappers -----------------------------------------
-
-    def interior_gap(self, x) -> float:
-        return float(self.interior_gap_many(_as_batch(x)[0])[0])
-
-    def outward_normal(self, x) -> NormalResult:
-        vectors, nonsmooth = self.outward_normal_many(_as_batch(x)[0])
-        return NormalResult(vectors[0], bool(nonsmooth[0]))
-
-    def ray_exit(self, direction) -> float:
-        return float(self.ray_exit_many(_as_batch(direction)[0])[0])
-
-    def project(self, y) -> np.ndarray:
-        batch, squeeze = _as_batch(y)
-        out = self.project_many(batch)
-        return out[0] if squeeze else out
-
-    def distance_many(self, points: np.ndarray) -> np.ndarray:
-        diff = points - self.project_many(points)
-        return np.sqrt(np.einsum("nd,nd->n", diff, diff))
-
-    def distance(self, y) -> float:
-        batch, squeeze = _as_batch(y)
-        out = self.distance_many(batch)
-        return float(out[0]) if squeeze else out
-
-    def contains(self, y, tol: float = None) -> bool:
-        batch, squeeze = _as_batch(y)
-        out = self.contains_many(batch, tol)
-        return bool(out[0]) if squeeze else out
 
     def _set_membership_slack(self) -> None:
         # A few ulps at the scale of the body: projections that land on the
@@ -305,8 +240,9 @@ class Polytope(ConvexDomain):
     def contains_many(self, points, tol=None):
         if tol is None:
             tol = self._slack
-        slack = self.offsets[None, :] - points @ self.normals.T
-        return np.all(slack >= -tol, axis=1)
+        # row by row, as _HalfspaceSet sums its face products
+        dots = np.add.reduce(points[:, None, :] * self.normals, axis=2)
+        return np.all(self.offsets - dots >= -tol, axis=1)
 
     def project_many(self, points):
         return _project_onto_members(points, self._faces)
@@ -390,7 +326,11 @@ class Intersection(ConvexDomain):
 
 class _HalfspaceSet:
     """Single halfspace <normal, x> <= offset with the batch-projection and
-    membership interface of a polytope's members."""
+    membership interface of a polytope's members.
+
+    <normal, x> is summed row by row: ``points @ normal`` rounds a one-row
+    batch differently from a larger one, so a point's projection would
+    depend on the other rows of its batch."""
 
     def __init__(self, normal, offset, slack):
         self.normal = normal
@@ -398,10 +338,11 @@ class _HalfspaceSet:
         self._slack = slack
 
     def contains_many(self, points, tol=None):
-        return points @ self.normal <= self.offset + (self._slack if tol is None else tol)
+        return (np.add.reduce(points * self.normal, axis=1)
+                <= self.offset + (self._slack if tol is None else tol))
 
     def project_many(self, points):
-        excess = points @ self.normal - self.offset
+        excess = np.add.reduce(points * self.normal, axis=1) - self.offset
         np.maximum(excess, 0.0, out=excess)
         return points - excess[:, None] * self.normal[None, :]
 
@@ -585,27 +526,20 @@ def _unit_gaps(points, projections, dists):
 
 
 def _anchored_normals(domain: ConvexDomain, points: np.ndarray) -> tuple:
-    """(anchors, normals) for an (n, d) batch: the boundary point each
-    row's normal belongs to, and that outward unit normal.
+    """(anchors, normals) for an (n, d) batch of boundary and exterior
+    points: pi(x), and the outward unit normal there.
 
-    Exterior rows (dist > BOUNDARY_ATOL): pi(x) and (x - pi(x)) / dist.
-    Boundary rows (dist and |interior gap| <= BOUNDARY_ATOL): pi(x) and
-    n(x).  Interior rows: the ray-exit anchor of ``boundary_anchor_many``
-    and the normal there.
+    Exterior rows (dist > BOUNDARY_ATOL) take (x - pi(x)) / dist; the
+    rest take n(x), and ``outward_normal_many`` raises GeometryError if
+    any of them lies in the interior, where gamma and a are not defined.
     """
     points = np.asarray(points, dtype=float)
     anchors = domain.project_many(points)
     dists = _row_norms(points - anchors)
     normals = _unit_gaps(points, anchors, dists)
-    near = np.flatnonzero(dists <= BOUNDARY_ATOL)
-    if near.size:
-        at = points[near]
-        inner = np.abs(domain.interior_gap_many(at)) > BOUNDARY_ATOL
-        if inner.any():
-            at[inner] = domain.boundary_anchor_many(at[inner])
-            anchors = anchors.copy()
-            anchors[near[inner]] = at[inner]
-        normals[near] = domain.outward_normal_many(at)[0]
+    near = dists <= BOUNDARY_ATOL
+    if near.any():
+        normals[near] = domain.outward_normal_many(points[near])[0]
     return anchors, normals
 
 
@@ -618,11 +552,12 @@ class ObliqueField:
       direction (x - pi(x)) / dist(x).
     * ``rotated_normal`` -- the normal rotated by a fixed angle (d = 2).
 
-    ``at_many`` defines gamma on a batch (``at`` is its one-point form).
-    The time stepping uses ``scaled_directions``, which maps the gaps
-    x - pi(x) straight to dist * gamma; ``grid_values`` takes precomputed
-    projections and puts a unit filler where dist <= BOUNDARY_ATOL.  All
-    three apply the rule through ``_apply_rule``.
+    ``at_many`` defines gamma on a batch of boundary and exterior points
+    and raises GeometryError on an interior row.  The time stepping uses
+    ``scaled_directions``, which maps the gaps x - pi(x) straight to
+    dist * gamma; ``grid_values`` takes precomputed projections and puts
+    a unit filler where dist <= BOUNDARY_ATOL.  All three apply the rule
+    through ``_apply_rule``.
     """
 
     def __init__(self, domain: ConvexDomain, rule: str = "normal",
@@ -647,11 +582,9 @@ class ObliqueField:
         return vectors
 
     def at_many(self, points: np.ndarray) -> np.ndarray:
-        """gamma at each row of an (n, d) batch."""
+        """gamma at each row of an (n, d) batch of boundary and exterior
+        points."""
         return self._apply_rule(_anchored_normals(self.domain, points)[1])
-
-    def at(self, x) -> np.ndarray:
-        return self.at_many(_as_batch(x)[0])[0]
 
     def scaled_directions(self, gaps: np.ndarray) -> np.ndarray:
         """dist(x) * gamma(x) from the gaps x - pi(x) (last axis d).
@@ -756,16 +689,14 @@ class ObliqueMatrixField:
         self.theta_hat = theta_hat
 
     def at_many(self, points: np.ndarray) -> np.ndarray:
-        """a at each row of an (n, d) batch, shape (n, d, d)."""
+        """a at each row of an (n, d) batch of boundary and exterior
+        points, shape (n, d, d)."""
         anchors, n = _anchored_normals(self.domain, points)
         g = self.gamma.at_many(anchors)
         c = np.einsum("nd,nd->n", n, g)
         q = n - c[:, None] * g
         gq = g[:, :, None] * q[:, None, :]
         return c[:, None, None] * np.eye(self.domain.dim) + gq + gq.transpose(0, 2, 1)
-
-    def at(self, x) -> np.ndarray:
-        return self.at_many(_as_batch(x)[0])[0]
 
 
 SQRT_HALF = math.sqrt(0.5)

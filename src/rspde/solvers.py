@@ -55,6 +55,7 @@ speculative work.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -462,5 +463,6 @@ def solve_skeleton(coeffs: ModelCoefficients, domain: ConvexDomain,
             converged = True
             break
     rows.append(_sweep_row(prev, math.nan))
-    return SkeletonResult(trajectory=prev, rows=rows, converged=converged,
-                          tol_cauchy=tol_cauchy)
+    # a copy, not views of the ladder's chunk, so the chunk is freed here
+    return SkeletonResult(trajectory=copy.deepcopy(prev), rows=rows,
+                          converged=converged, tol_cauchy=tol_cauchy)

@@ -116,7 +116,7 @@ def test_intersection_domain_builds_recursively():
     }
     dom = ExperimentConfig.from_dict(payload).build_domain()
     assert isinstance(dom, Intersection)
-    assert dom.contains([0.4, 0.4]) and not dom.contains([0.0, 1.5])
+    assert dom.contains_many(np.array([[0.4, 0.4], [0.0, 1.5]])).tolist() == [True, False]
 
 
 def test_u0_profiles():

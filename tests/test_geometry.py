@@ -61,30 +61,35 @@ DOMAINS = {
 # projection basics
 
 
+def distances(dom, points):
+    return np.linalg.norm(points - dom.project_many(points), axis=1)
+
+
 def test_ball_projection_pulls_to_sphere() -> None:
     dom = unit_ball(2)
-    assert np.array_equal(dom.project([2.0, 0.0]), [1.0, 0.0])
+    assert np.array_equal(dom.project_many(np.array([[2.0, 0.0]])), [[1.0, 0.0]])
 
 
 def test_interior_point_is_fixed() -> None:
     dom = unit_ball(2)
-    y = np.array([0.3, -0.1])
-    assert np.array_equal(dom.project(y), y)
+    y = np.array([[0.3, -0.1]])
+    assert np.array_equal(dom.project_many(y), y)
 
 
 def test_box_corner_distance() -> None:
     # (2, 3) against [-1, 1]^2 projects to the corner (1, 1).
     dom = sym_box(2)
-    assert np.array_equal(dom.project([2.0, 3.0]), [1.0, 1.0])
-    assert dom.distance([2.0, 3.0]) == pytest.approx(math.sqrt(5.0), rel=1e-15)
+    x = np.array([[2.0, 3.0]])
+    assert np.array_equal(dom.project_many(x), [[1.0, 1.0]])
+    assert distances(dom, x)[0] == pytest.approx(math.sqrt(5.0), rel=1e-15)
 
 
 def test_distance_zero_inside_positive_outside() -> None:
     for name, dom in DOMAINS.items():
         inner = interior_points(dom, 50, seed=3)
-        assert np.all(dom.distance_many(inner) == 0.0), name
+        assert np.all(distances(dom, inner) == 0.0), name
         outer = exterior_points(dom, 50, seed=4)
-        assert np.all(dom.distance_many(outer) > 0.0), name
+        assert np.all(distances(dom, outer) > 0.0), name
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))
@@ -176,19 +181,25 @@ def test_intersection_projection_matches_dykstra(name) -> None:
     assert dom.project_many(batch) is batch, name
 
 
-@pytest.mark.parametrize("name", ["ball-box", "ball-ball"])
+BODIES = {**DOMAINS, **INTERSECTIONS}
+
+
+@pytest.mark.parametrize("name", sorted(BODIES))
 def test_projection_of_a_point_does_not_depend_on_its_batch(name) -> None:
-    # Each row leaves Dykstra's scheme on its own displacement, so a
-    # one-row batch projects bit for bit like its row of a large batch.
-    dom = INTERSECTIONS[name]
+    # Each row leaves Dykstra's scheme on its own displacement, and face
+    # products are summed row by row, so a one-row batch projects bit for
+    # bit like its row of a large batch.
+    dom = BODIES[name]
     rng = np.random.Generator(np.random.Philox(16))
     scale = 2.5 * dom.bounding_radius
     x = rng.uniform(-scale, scale, size=(800, dom.dim))
     x = x[~dom.contains_many(x)]
-    one_active = np.zeros(len(x), dtype=bool)
-    for m in dom.members:
-        one_active |= dom.contains_many(m.project_many(x))
-    assert np.count_nonzero(~one_active) >= 50, name  # rows for Dykstra
+    if name in INTERSECTIONS:
+        members = dom._faces if isinstance(dom, Polytope) else dom.members
+        one_active = np.zeros(len(x), dtype=bool)
+        for m in members:
+            one_active |= dom.contains_many(m.project_many(x))
+        assert np.count_nonzero(~one_active) >= 50, name  # rows for Dykstra
     batch = dom.project_many(x)
     singles = np.vstack([dom.project_many(row[None, :]) for row in x])
     assert np.array_equal(singles, batch), name
@@ -198,7 +209,7 @@ def test_projection_of_a_point_does_not_depend_on_its_batch(name) -> None:
 @settings(max_examples=80)
 def test_ball_projection_hypothesis(x, y) -> None:
     dom = unit_ball(2)
-    p = dom.project([x, y])
+    p = dom.project_many(np.array([[x, y]]))[0]
     assert np.linalg.norm(p) <= 1.0 + 1e-12
     r = math.hypot(x, y)
     if r > 1.0 + 1e-9:
@@ -211,24 +222,23 @@ def test_ball_projection_hypothesis(x, y) -> None:
 
 
 def test_ball_normal_is_radial() -> None:
-    dom = unit_ball(2)
-    res = dom.outward_normal([0.0, 1.0])
-    assert np.allclose(res.vector, [0.0, 1.0])
-    assert not res.nonsmooth
+    normals, nonsmooth = unit_ball(2).outward_normal_many(np.array([[0.0, 1.0]]))
+    assert np.allclose(normals, [[0.0, 1.0]])
+    assert not nonsmooth.any()
 
 
 def test_box_corner_normal_tie_break() -> None:
     s = math.sqrt(0.5)
-    res = sym_box(2).outward_normal([1.0, 1.0])
-    assert np.allclose(res.vector, [s, s], atol=1e-12)
-    assert res.nonsmooth
+    normals, nonsmooth = sym_box(2).outward_normal_many(np.array([[1.0, 1.0]]))
+    assert np.allclose(normals, [[s, s]], atol=1e-12)
+    assert nonsmooth.all()
 
 
 def test_normal_rejects_off_boundary_points() -> None:
     with pytest.raises(GeometryError):
-        unit_ball(2).outward_normal([0.5, 0.0])
+        unit_ball(2).outward_normal_many(np.array([[1.0, 0.0], [0.5, 0.0]]))
     with pytest.raises(GeometryError):
-        sym_box(2).outward_normal([0.5, 0.2])
+        sym_box(2).outward_normal_many(np.array([[0.5, 0.2]]))
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))
@@ -253,7 +263,7 @@ def test_unit_directions_are_unit_and_spread() -> None:
 def test_boundary_points_lie_on_boundary() -> None:
     for name, dom in DOMAINS.items():
         pts, normals, _ = boundary_points(dom, 100, seed=6)
-        assert np.max(np.abs([dom.interior_gap(p) for p in pts])) <= 1e-9, name
+        assert np.max(np.abs(dom.interior_gap_many(pts))) <= 1e-9, name
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9), name
 
 
@@ -361,18 +371,14 @@ def test_ray_cast_rejects_degenerate_corners() -> None:
 
 
 def _reference_anchored_normal(dom, x):
-    """(anchor, normal) at one point: the per-point rule that the batch
-    ``at_many`` methods implement."""
-    x = np.asarray(x, dtype=float)
-    p = dom.project(x)
+    """(anchor, normal) at one boundary or exterior point: the per-point
+    rule that the batch ``at_many`` methods implement."""
+    p = dom.project_many(x[None, :])[0]
     diff = x - p
     dist = float(np.linalg.norm(diff))
     if dist > 1e-9:
         return p, diff / dist
-    if abs(dom.interior_gap(x)) <= 1e-9:
-        return p, dom.outward_normal(x).vector
-    anchor = dom.boundary_anchor_many(x[None, :])[0]
-    return anchor, dom.outward_normal(anchor).vector
+    return p, _reference_normal(dom, x)[0]
 
 
 def _reference_gamma(gamma, x):
@@ -410,7 +416,7 @@ def _oblique_probe_points(dom):
     far = rng.uniform(-scale, scale, size=(600, 2))
     far = far[~dom.contains_many(far)]
     x = np.vstack([pts, exterior_points(dom, 200, seed=21), near, far])
-    dist = dom.distance_many(x)
+    dist = distances(dom, x)
     assert ((dist > 0) & (dist <= 1e-9)).sum() >= 100
     # exterior points whose projection is a corner or kink
     corners = np.count_nonzero(dom.outward_normal_many(dom.project_many(far))[1])
@@ -442,36 +448,41 @@ def test_at_many_matches_pointwise_reference(name, rule) -> None:
     assert np.max(gam_err) <= 1e-14, name
     assert np.max(mat_err) <= 1e-14, name
     assert np.array_equal(mat, mat.transpose(0, 2, 1))
-    # the one-point forms are one-row batches
-    assert np.max(np.abs(gamma.at(x[0]) - gam[0])) <= 1e-15
-    assert np.max(np.abs(a_field.at(x[0]) - mat[0])) <= 1e-15
+    # a point's values do not depend on the batch it comes in
+    gam_rows = np.vstack([gamma.at_many(p[None, :]) for p in x])
+    mat_rows = np.vstack([a_field.at_many(p[None, :]) for p in x])
+    assert np.max(np.abs(gam_rows - gam)) <= 1e-15, name
+    assert np.max(np.abs(mat_rows - mat)) <= 1e-15, name
 
 
 @pytest.mark.parametrize("name", sorted(OBLIQUE_DOMAINS))
-def test_interior_anchor_on_boundary(name) -> None:
-    # Interior points, the origin included, take the normal at the exit
-    # point of the ray from 0 through them.
+def test_fields_reject_interior_rows(name) -> None:
+    # gamma and a are defined on the boundary and outside; one interior
+    # row, the origin or a point near the boundary, fails the whole batch.
     dom = OBLIQUE_DOMAINS[name]
-    x = np.vstack([np.zeros(2), interior_points(dom, 300, seed=23)])
-    anchors = dom.boundary_anchor_many(x)
-    assert np.max(np.abs(dom.interior_gap_many(anchors))) <= 1e-12
-    assert np.allclose(anchors[0], [dom.ray_exit(np.array([1.0, 0.0])), 0.0], atol=0)
-    scale = anchors[1:] / x[1:]
-    assert np.allclose(scale[:, 0], scale[:, 1], rtol=1e-12)
-    assert np.all(scale > 1.0)
+    pts, _, _ = boundary_points(dom, 50, seed=23)
+    inner = np.vstack([np.zeros(2), interior_points(dom, 50, seed=23)])
+    gap = dom.interior_gap_many(inner)
+    inner = inner[[0, int(np.argmin(gap))]]
+    assert gap.min() > 1e-9
     for rule in ("normal", "rotated_normal"):
         gamma = ObliqueField(dom, rule, angle=0.3)
-        gam = gamma.at_many(x)
-        assert np.max(np.abs(np.linalg.norm(gam, axis=1) - 1.0)) <= 1e-14
-        normals = dom.outward_normal_many(anchors)[0]
-        assert np.max(np.abs(gam - gamma.scaled_directions(normals))) <= 1e-15
+        a_field = ObliqueMatrixField(dom, gamma, theta_hat=0.0)
+        assert gamma.at_many(pts).shape == pts.shape
+        for row in inner:
+            x = np.vstack([pts, row, exterior_points(dom, 5, seed=24)])
+            for at_many in (gamma.at_many, a_field.at_many):
+                with pytest.raises(GeometryError, match="boundary"):
+                    at_many(x)
+                with pytest.raises(GeometryError, match="boundary"):
+                    at_many(row[None, :])
 
 
 def test_normal_field_on_exterior_points() -> None:
     dom = unit_ball(2)
     gamma = ObliqueField(dom, "normal")
-    v = gamma.at([3.0, 0.0])
-    assert np.allclose(v, [1.0, 0.0], atol=1e-12)
+    v = gamma.at_many(np.array([[3.0, 0.0]]))
+    assert np.allclose(v, [[1.0, 0.0]], atol=1e-12)
 
 
 def test_normal_field_validation_is_tight() -> None:
@@ -541,10 +552,10 @@ def test_matrix_maps_gamma_to_normal() -> None:
     gamma = ObliqueField(dom, "rotated_normal", angle=math.radians(30.0))
     a_field = build_oblique_matrix(dom, gamma, samples=200, seed=15)
     pts, normals, _ = boundary_points(dom, 200, seed=15)
-    for p, n in zip(pts, normals):
-        a = a_field.at(p)
-        assert np.allclose(a, a.T, atol=0.0)
-        assert np.max(np.abs(a @ gamma.at(p) - n)) <= 1e-10
+    a = a_field.at_many(pts)
+    assert np.array_equal(a, a.transpose(0, 2, 1))
+    a_gamma = np.einsum("nde,ne->nd", a, gamma.at_many(pts))
+    assert np.max(np.abs(a_gamma - normals)) <= 1e-10
 
 
 def test_matrix_example_at_unit_point() -> None:
@@ -555,8 +566,8 @@ def test_matrix_example_at_unit_point() -> None:
     gamma = ObliqueField(dom, "rotated_normal", angle=math.radians(30.0))
     a_field = build_oblique_matrix(dom, gamma, samples=100, seed=16)
     x = np.array([1.0, 0.0])
-    a = a_field.at(x)
-    g = gamma.at(x)
+    a = a_field.at_many(x[None, :])[0]
+    g = gamma.at_many(x[None, :])[0]
     assert np.max(np.abs(a @ g - x)) <= 1e-12
     lam_min = np.linalg.eigvalsh(a)[0]
     c = float(x @ g)
@@ -581,8 +592,8 @@ def test_matrix_eigenvalue_floor_positive_across_samples() -> None:
     a_field = build_oblique_matrix(dom, gamma, samples=300, seed=18)
     assert a_field.theta_hat > 0.0
     pts, _, _ = boundary_points(dom, 300, seed=18)
-    lam = [np.linalg.eigvalsh(a_field.at(p))[0] for p in pts]
-    assert min(lam) >= a_field.theta_hat - 1e-12
+    lam = np.linalg.eigvalsh(a_field.at_many(pts))[:, 0]
+    assert lam.min() >= a_field.theta_hat - 1e-12
 
 
 def test_lions_sznitman_inequality_with_certified_matrix() -> None:
@@ -593,9 +604,8 @@ def test_lions_sznitman_inequality_with_certified_matrix() -> None:
     a_field = build_oblique_matrix(dom, gamma, samples=150, seed=19)
     pts, _, _ = boundary_points(dom, 150, seed=19)
     ys = interior_points(dom, 150, seed=20)
-    for x, y in zip(pts, ys):
-        val = (x - y) @ (a_field.at(x) @ gamma.at(x))
-        assert val >= -1e-10
+    a_gamma = np.einsum("nde,ne->nd", a_field.at_many(pts), gamma.at_many(pts))
+    assert np.einsum("nd,nd->n", pts - ys, a_gamma).min() >= -1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_vi_rotated_gamma_on_ball_box() -> None:
     # state out of a ball-box intersection.  Where a gamma = n, the probe
     # pi(u) pairs to n_pen * dist^2 dt dx as for normal reflection (the
     # oracle); each probe's value also equals the per-point sum with the
-    # matrix field's one-point form.
+    # matrix field on one-row batches.
     dom = Intersection([Ball(center=[0.0, 0.0], radius=0.5),
                         Box(lower=[-0.4, -0.45], upper=[0.45, 0.4])])
     gamma = ObliqueField(dom, "rotated_normal", angle=0.2)
@@ -163,8 +163,9 @@ def test_vi_rotated_gamma_on_ball_box() -> None:
         pointwise = 0.0
         for k, j in active:
             u = traj.states[k, :, j]
+            a = a_field.at_many(u[None, :])[0]
             inc = traj.measure.increments[k, :, j]
-            pointwise += float((u - arr[k, :, j]) @ (a_field.at(u) @ inc))
+            pointwise += float((u - arr[k, :, j]) @ (a @ inc))
         assert value == pytest.approx(pointwise, rel=1e-12)
 
 
