@@ -27,6 +27,13 @@ point of the body); only points where two or more members are active go
 through Dykstra's alternating scheme, where each point's iteration stops
 on its own displacement.  Face products are reduced row by row, so no
 point's projection depends on the batch it came in.
+
+Each body also records, when it is built, the half-width a of a cube
+[-a, a]^d centred at 0 that it contains
+(``cube_half_width``: (r - |c|)/sqrt(d) for a ball, min(-lower, upper)
+for a box, min_i b_i/|n_i|_1 for a polytope, the minimum over the
+members of an intersection), so a caller can tell from max |x_i| alone
+that a batch lies inside and needs no projection.
 """
 
 from __future__ import annotations
@@ -62,9 +69,17 @@ def _row_norms(points):
 
 
 class ConvexDomain:
-    """Closed bounded convex body in R^d with 0 in its interior."""
+    """Closed bounded convex body in R^d with 0 in its interior.
+
+    ``cube_half_width`` is the half-width a of a cube [-a, a]^d centred
+    at 0 that the body contains, computed once when the body is built:
+    the largest such cube, except for an off-centre ball.  A batch with
+    max |x_i| <= a lies inside, so ``project_many`` moves none of its
+    points; the membership slack covers the rounding of a.
+    """
 
     dim: int
+    cube_half_width: float
 
     # -- core queries -------------------------------------------------
 
@@ -122,6 +137,9 @@ class Ball(ConvexDomain):
         if np.linalg.norm(self.center) >= self.radius:
             raise GeometryError("ball must contain the origin in its interior")
         self.dim = self.center.size
+        # |x - c| <= |x| + |c| <= a sqrt(d) + |c| = r on the cube
+        self.cube_half_width = ((self.radius - float(np.linalg.norm(self.center)))
+                                / math.sqrt(self.dim))
         self._set_membership_slack()
 
     def contains_many(self, points, tol=None):
@@ -169,6 +187,7 @@ class Box(ConvexDomain):
         if not np.all(self.lower < 0) or not np.all(self.upper > 0):
             raise GeometryError("box must contain the origin in its interior")
         self.dim = self.lower.size
+        self.cube_half_width = float(min(-self.lower.max(), self.upper.min()))
         self._set_membership_slack()
         self._slack_bounds = (self.lower - self._slack, self.upper + self._slack)
 
@@ -224,6 +243,9 @@ class Polytope(ConvexDomain):
         if not np.all(self.offsets > 0):
             raise GeometryError("polytope must contain the origin in its interior")
         self.dim = normals.shape[1]
+        # <n_i, x> <= |n_i|_1 a <= b_i on the cube
+        self.cube_half_width = float(np.min(self.offsets
+                                            / np.abs(self.normals).sum(axis=1)))
         self._bounding_radius = self._audit_bounded()
         self._set_membership_slack()
         self._faces = [_HalfspaceSet(n, b, self._slack)
@@ -282,6 +304,7 @@ class Intersection(ConvexDomain):
             raise GeometryError("intersection members disagree on dimension")
         self.members = members
         self.dim = dims.pop()
+        self.cube_half_width = min(m.cube_half_width for m in members)
         self._set_membership_slack()
 
     def contains_many(self, points, tol=None):

@@ -31,8 +31,15 @@ the Monte Carlo replicas and the rate minimizer's skeleton solves (one
 control per member) size their chunks by ``ldp.CHUNK_BYTES``, and a
 penalty sweep is one chunk (one n_pen per member).
 
-Each step projects the state once.  A step with no point outside skips
-the penalty; otherwise every member takes its own n_pen times
+A step does only the work that can change the state.  The blow-up guard
+already takes max |u| of every state; when it is at most the half-width
+of the cube that the domain contains (``ConvexDomain.cube_half_width``),
+every grid point is inside, so the state is not projected and the step
+has no penalty.  Otherwise the state is projected once, and a step with
+no point outside skips the penalty too.  A step without penalty adds
+nothing for a zero drift (with a penalty, b - n * dist * gamma is formed
+as it stands, since 0 - x and -x differ in the sign of zero).  A step
+with a point outside gives every member its own n_pen times
 dist * gamma, zero at its inside points.  dist * gamma needs only the
 gap u - pi(u): for both supported gamma rules it is a fixed linear map
 of it (``ObliqueField.scaled_directions``), so no direction field is
@@ -215,6 +222,7 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     b_fixed = coeffs.state_free_drift()
     if b_fixed is not None:
         b_fixed = b_fixed[:, None]
+    zero_drift = b_fixed is not None and not b_fixed.any()
     paths = []                       # (scale, (1 or B, m, steps) paths)
     if control is not None:
         paths.append((dt, np.stack([ctl.values_on(steps) for ctl in controls])))
@@ -250,10 +258,14 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     # diagnostics come from it after the loop
     gaps = None
 
-    def record_gap(k):
-        """Store u - pi(u) of state k and return it as one (B * J, d)
-        array, or None when every grid point lies inside the domain."""
+    def record_gap(k, top):
+        """Store u - pi(u) of state k, whose max |u_i| is ``top``, and
+        return it as one (B * J, d) array, or None when every grid point
+        lies inside the domain (at once when they lie in its inscribed
+        cube, with no projection)."""
         nonlocal gaps
+        if top <= domain.cube_half_width:
+            return None
         points = u.T
         proj = domain.project_many(points)
         if proj is points:                        # all inside, returned as is
@@ -289,11 +301,11 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         b = coeffs.drift(u) if b_fixed is None else b_fixed
         if state_sig:
             sig = coeffs.diffusion(u).reshape(d, coeffs.m, B, J)
-        gap = record_gap(k)
-        if gap is None:
-            u += dt * b
-        else:                                     # n * dist * gamma, 0 inside
+        gap = record_gap(k, top)
+        if gap is not None:                       # n * dist * gamma, 0 inside
             u += dt * (b - n_cols * gamma.scaled_directions(gap).T)
+        elif not zero_drift:
+            u += dt * b
         for term in terms:
             blocks += term[k]
         if state_sig:
@@ -309,7 +321,7 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         raise SolverError(f"state blew up at step {first}", step=first)
 
     # terminal penetration for the sup statistics
-    record_gap(steps)
+    record_gap(steps, top)
 
     # the norms first: their temporaries then never sit beside the increments
     flat = states.reshape(B * (steps + 1), d, J)

@@ -1,5 +1,6 @@
 """Tests for convex-domain geometry: projections, normals, oblique fields."""
 
+import itertools
 import math
 
 import numpy as np
@@ -215,6 +216,58 @@ def test_ball_projection_hypothesis(x, y) -> None:
     if r > 1.0 + 1e-9:
         # exterior points land on the sphere
         assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
+
+
+def skew_triangle():
+    # three halfspaces whose normals lie on no axis
+    angles = np.radians([20.0, 140.0, 255.0])
+    return Polytope(normals=np.stack([np.cos(angles), np.sin(angles)], axis=1),
+                    offsets=[0.5, 0.8, 0.6])
+
+
+CUBE_BODIES = {
+    "offcentre-ball": Ball(center=[0.3, -0.2, 0.1], radius=1.1),
+    "box": Box(lower=[-0.4, -0.7], upper=[0.9, 0.5]),
+    "skew-triangle": skew_triangle(),
+    "ball-triangle": Intersection([Ball(center=[0.1, 0.2], radius=0.9),
+                                   skew_triangle()]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUBE_BODIES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_inscribed_cube_lies_inside(name, data) -> None:
+    # points of [-a, a]^d, its corners included, are members that the
+    # projection leaves as they are
+    dom = CUBE_BODIES[name]
+    a, d = dom.cube_half_width, dom.dim
+    coords = data.draw(st.lists(st.floats(-a, a), min_size=d, max_size=20 * d)
+                       .map(lambda xs: xs[:len(xs) - len(xs) % d]))
+    corners = itertools.product((-a, a), repeat=d)
+    x = np.vstack([np.reshape(coords, (-1, d)), list(corners)])
+    assert dom.contains_many(x).all(), name
+    proj = dom.project_many(x)
+    if isinstance(dom, Box):                      # clipped into a copy
+        assert np.array_equal(proj, x)
+    else:
+        assert proj is x, name
+
+
+def test_inscribed_cube_half_widths() -> None:
+    ball = CUBE_BODIES["offcentre-ball"]
+    assert ball.cube_half_width == pytest.approx(
+        (1.1 - math.sqrt(0.14)) / math.sqrt(3.0), rel=1e-15)
+    assert CUBE_BODIES["box"].cube_half_width == 0.4
+    assert diamond().cube_half_width == pytest.approx(0.5, rel=1e-15)
+    inter = CUBE_BODIES["ball-triangle"]
+    assert inter.cube_half_width == min(m.cube_half_width for m in inter.members)
+    # the largest such cube for boxes and polytopes: grown by 1e-9, one of
+    # its corners leaves the body
+    for dom in (CUBE_BODIES["box"], CUBE_BODIES["skew-triangle"], diamond()):
+        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=dom.dim)))
+        grown = (1.0 + 1e-9) * dom.cube_half_width * corners
+        assert not dom.contains_many(grown, tol=0.0).all()
 
 
 # ---------------------------------------------------------------------------

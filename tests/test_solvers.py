@@ -508,6 +508,21 @@ def _free_noisy():
                 epsilon=0.01, noise=sample_brownian(1, 128, 1.0 / 512.0, seed=3))
 
 
+def _outward_return():
+    # configs/outward_drift.json's outward drift in an off-centre interval
+    # [-0.25, 0.35], whose inscribed cube is [-0.25, 0.25], with noise and
+    # a control that turns the forcing round halfway: the state starts in
+    # the cube, leaves it, penetrates the upper end and comes back through
+    # the cube.  In d = 1 the loop's penalty is the reference's bit for bit.
+    dom = Ball(center=[0.05], radius=0.3)
+    coeffs = make_coefficients(1, 1, b={"name": "constant", "value": [4.0]},
+                               sigma={"name": "constant", "matrix": [[1.0]]})
+    return dict(coeffs=coeffs, domain=dom, gamma=normal_gamma(dom),
+                u0=zero_start(31), n_pen=512.0, dt=5e-4, steps=1000,
+                epsilon=0.01, noise=sample_brownian(1, 1000, 5e-4, seed=5),
+                control=tabulated_control(0.5, [[0.0, -16.0]]))
+
+
 def _oblique_intersection():
     dom = Intersection([Ball(center=[0.0, 0.0], radius=0.5),
                         Box(lower=[-0.4, -0.45], upper=[0.45, 0.4])])
@@ -604,7 +619,8 @@ def _ladder(case, pens=(16.0, 64.0, 256.0)):
     return laddered
 
 
-REFERENCE_CASES = [(_free_noisy, 0.0), (_oblique_intersection, 1e-12),
+REFERENCE_CASES = [(_free_noisy, 0.0), (_outward_return, 0.0),
+                   (_oblique_intersection, 1e-12),
                    (_normal_intersection, 1e-12), (_box_3d, 1e-12)]
 
 
@@ -667,6 +683,42 @@ def test_step_loop_matches_reference(case, rtol) -> None:
         for name in TrajectorySeries.FIELDS:
             assert np.array_equal(getattr(member.series, name),
                                   getattr(single.series, name))
+
+
+def test_outward_return_leaves_and_reenters_the_cube() -> None:
+    kwargs = _outward_return()
+    traj = solve_penalized_spde(**kwargs)
+    top = np.abs(traj.states).max(axis=(1, 2))
+    in_cube = top <= kwargs["domain"].cube_half_width
+    left = int(np.argmin(in_cube))
+    assert in_cube[0] and left > 0
+    assert in_cube[left:].any() and traj.series.pen_h[left:].any()
+    # states outside the cube and inside the domain, skipped by neither test
+    assert (~in_cube & (traj.series.pen_h == 0)).any()
+
+
+def _counting_projections(monkeypatch) -> list:
+    """Patch Ball.project_many to record the size of every batch."""
+    calls = []
+    project = Ball.project_many
+
+    def counted(self, points):
+        calls.append(len(points))
+        return project(self, points)
+
+    monkeypatch.setattr(Ball, "project_many", counted)
+    return calls
+
+
+def test_free_chunk_makes_no_projections(monkeypatch) -> None:
+    # every state of the free interval lies in the domain's inscribed cube,
+    # so the step loop never projects; a penetrating run does
+    calls = _counting_projections(monkeypatch)
+    result = solve_penalized_spde(**_chunk(_free_noisy)())
+    assert calls == [] and not result.series.pen_h.any()
+    kwargs = _outward_return()
+    solve_penalized_spde(**kwargs)
+    assert 0 < len(calls) < kwargs["steps"] + 1
 
 
 def test_control_list_is_checked() -> None:
