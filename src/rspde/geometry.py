@@ -601,7 +601,11 @@ class ObliqueField:
         for ``normal`` (the input itself is returned), the rotation for
         ``rotated_normal``."""
         if self.rule == "rotated_normal":
-            return vectors @ self._rot.T
+            # R x as two elementwise products and one sum per row, so a
+            # row rounds alike in every batch (a matrix product rounds a
+            # one-row batch differently from a larger one)
+            return (vectors[..., :1] * self._rot[:, 0]
+                    + vectors[..., 1:] * self._rot[:, 1])
         return vectors
 
     def at_many(self, points: np.ndarray) -> np.ndarray:

@@ -504,8 +504,24 @@ def test_at_many_matches_pointwise_reference(name, rule) -> None:
     # a point's values do not depend on the batch it comes in
     gam_rows = np.vstack([gamma.at_many(p[None, :]) for p in x])
     mat_rows = np.vstack([a_field.at_many(p[None, :]) for p in x])
-    assert np.max(np.abs(gam_rows - gam)) <= 1e-15, name
-    assert np.max(np.abs(mat_rows - mat)) <= 1e-15, name
+    assert np.array_equal(gam_rows, gam), name
+    assert np.array_equal(mat_rows, mat), name
+
+
+@pytest.mark.parametrize("rule", ["normal", "rotated_normal"])
+def test_rule_rows_do_not_depend_on_their_batch(rule) -> None:
+    # gamma of a one-row batch, and dist * gamma of a one-row batch of
+    # gaps, equal their rows of a 2-D batch and of a 3-D stack bit for bit
+    dom = OBLIQUE_DOMAINS["ball-box"]
+    gamma = ObliqueField(dom, rule, angle=0.3)
+    x, _ = _oblique_probe_points(dom)
+    gaps = x - dom.project_many(x)
+    for method, batch in ((gamma.at_many, x), (gamma.scaled_directions, gaps)):
+        rows = np.vstack([method(p[None, :]) for p in batch])
+        assert np.array_equal(rows, method(batch))
+    n = len(gaps) - len(gaps) % 4
+    stack = gamma.scaled_directions(gaps[:n].reshape(4, -1, 2))
+    assert np.array_equal(stack.reshape(n, 2), rows[:n])
 
 
 @pytest.mark.parametrize("name", sorted(OBLIQUE_DOMAINS))
