@@ -28,11 +28,8 @@ through Dykstra's alternating scheme, where each point's iteration stops
 on its own displacement.  Face products are reduced row by row, so no
 point's projection depends on the batch it came in.
 
-Each body also records, when it is built, the half-width a of a cube
-[-a, a]^d centred at 0 that it contains
-(``cube_half_width``: (r - |c|)/sqrt(d) for a ball, min(-lower, upper)
-for a box, min_i b_i/|n_i|_1 for a polytope, the minimum over the
-members of an intersection), so a caller can tell from max |x_i| alone
+Each body also records the half-width of a cube centred at 0 that it
+contains (``cube_half_width``), so a caller can tell from max |x_i| alone
 that a batch lies inside and needs no projection.
 """
 
@@ -73,7 +70,9 @@ class ConvexDomain:
 
     ``cube_half_width`` is the half-width a of a cube [-a, a]^d centred
     at 0 that the body contains, computed once when the body is built:
-    the largest such cube, except for an off-centre ball.  A batch with
+    (r - |c|)/sqrt(d) for a ball, min(-lower, upper) for a box (the
+    largest such cube), min_i b_i/|n_i|_1 for a polytope (likewise), and
+    the minimum over the members of an intersection.  A batch with
     max |x_i| <= a lies inside, so ``project_many`` moves none of its
     points; the membership slack covers the rounding of a.
     """
