@@ -37,7 +37,8 @@ from .controls import zero_control
 from .diagnostics import continuity_experiment, estimate_report
 from .geometry import GeometryError, build_oblique_matrix, validate_oblique_field
 from .ldp import (CompareRow, ReplicaRow, WeightedTrendRow, ldp_compare,
-                  mc_rows, minimize_rate, summarize_rows, weighted_trend)
+                  mc_rows, minimize_rate, summarize_rows, summarize_weighted,
+                  weighted_rows)
 from .solvers import (ReplicaPlan, SolverError, resolve_time_grid,
                       sample_brownian, solve_penalized_spde, solve_skeleton)
 
@@ -241,6 +242,21 @@ def _mc_chunk(payload):
                    steps, plan, start, stop)
 
 
+def _fan_out(body, cfg: ExperimentConfig, args, count: int, *params) -> list:
+    """body((raw config, base seed, *params, lo, hi)) of each of the
+    --workers contiguous ranges [lo, hi) that split the replica indices
+    [0, count), in index order; each range runs in its own process when
+    there are several workers."""
+    workers = max(1, args.workers)
+    bounds = [count * i // workers for i in range(workers + 1)]
+    payloads = [(cfg.raw, args.base_seed, *params, lo, hi)
+                for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+    if workers == 1:
+        return list(map(body, payloads))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(body, payloads))
+
+
 def _estimate(cfg: ExperimentConfig, args, eps, grid, estimates: dict):
     """P(event) at noise level eps on the time grid (n_pen, dt, steps),
     with the replica range fanned out over --workers processes.  Each
@@ -250,15 +266,7 @@ def _estimate(cfg: ExperimentConfig, args, eps, grid, estimates: dict):
     if key in estimates:
         return estimates[key]
     count = cfg.replica_count
-    workers = max(1, args.workers)
-    bounds = [count * i // workers for i in range(workers + 1)]
-    payloads = [(cfg.raw, args.base_seed, eps, grid, lo, hi)
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-    if workers == 1:
-        chunks = map(_mc_chunk, payloads)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_mc_chunk, payloads))
+    chunks = _fan_out(_mc_chunk, cfg, args, count, eps, grid)
     estimates[key] = summarize_rows([r for c in chunks for r in c], count)
     return estimates[key]
 
@@ -304,18 +312,35 @@ def _emit_compare(cfg: ExperimentConfig, args, out: str,
     return ["rate.json", "comparison.csv"]
 
 
-def _cmd_weighted(cfg: ExperimentConfig, args, out: str) -> list:
-    coeffs, dom, gamma, u0 = _solver_pieces(cfg)
-    control = cfg.build_control()
-    if control is None:
-        return []
+def _weighted_plan(cfg: ExperimentConfig, seed: int) -> tuple:
+    """The weighted trend's noise levels and replica plan."""
     w = cfg.weighted
-    plan = ReplicaPlan(base_seed=args.base_seed,
-                       count=w.get("replicas", cfg.replica_count))
-    rows = weighted_trend(coeffs, dom, gamma, u0, control,
-                          epsilons=w.get("epsilons", cfg.epsilons),
-                          plan=plan, lam=w["lam"], n_pen=cfg.n_event,
-                          dt=cfg.dt, T=cfg.T)
+    return (w.get("epsilons", cfg.epsilons),
+            ReplicaPlan(base_seed=seed, count=w.get("replicas", cfg.replica_count)))
+
+
+def _weighted_chunk(payload):
+    """Worker body: rebuild the model from the raw config and return the
+    weighted distances of a contiguous replica range at every noise level.
+    Module-level so it pickles."""
+    raw, seed, start, stop = payload
+    cfg = ExperimentConfig.from_dict(raw)
+    coeffs, dom, gamma, u0 = _solver_pieces(cfg)
+    epsilons, plan = _weighted_plan(cfg, seed)
+    return weighted_rows(coeffs, dom, gamma, u0, cfg.build_control(),
+                         epsilons, plan, lam=cfg.weighted["lam"],
+                         n_pen=cfg.n_event, dt=cfg.dt, T=cfg.T, start=start,
+                         stop=stop)
+
+
+def _cmd_weighted(cfg: ExperimentConfig, args, out: str) -> list:
+    if cfg.build_control() is None:
+        return []
+    epsilons, plan = _weighted_plan(cfg, args.base_seed)
+    parts = _fan_out(_weighted_chunk, cfg, args, plan.count)
+    levels = [[w for part in parts for w in part[e]]
+              for e in range(len(epsilons))]
+    rows = summarize_weighted(epsilons, levels, plan.count)
     _write_csv(os.path.join(out, "weighted.csv"), WeightedTrendRow.CSV_HEADER,
                [r.csv_line() for r in rows])
     _say(args, f"weighted: {len(rows)} noise levels")

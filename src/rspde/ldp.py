@@ -29,7 +29,9 @@ index reuses the same Brownian path across noise levels.  Replicas, and
 the minimizer's controls, are solved in chunks: one batched solve steps
 as many of them as CHUNK_BYTES of (B, steps + 1, d, J) state stack holds,
 and a chunk's members do not interact, so no result depends on how they
-are chunked.
+are chunked.  Events, their shortfalls and the Monte Carlo rows are read
+from the whole chunk at once, one value per member, each bit for bit
+the value a read of that member alone gives.
 """
 
 from __future__ import annotations
@@ -41,12 +43,11 @@ import numpy as np
 
 from .coefficients import ModelCoefficients
 from .controls import Control
-from .diagnostics import penetration_report, weighted_distance
-from .fields import h_norm
+from .diagnostics import weighted_distance
 from .geometry import ConvexDomain, ObliqueField
 from .solvers import (ReplicaPlan, resolve_time_grid, sample_brownian,
                       solve_penalized_spde)
-from .trajectory import Trajectory, state_gap
+from .trajectory import TrajectoryChunk, state_gap
 
 # Penalty level at which rare events are posed (config can override).
 EVENT_N_PEN = 1024.0
@@ -54,8 +55,11 @@ EVENT_N_PEN = 1024.0
 # Replicas and the minimizer's controls are stepped as chunks of one
 # batched solve: as many members as keep a chunk's state stack, members *
 # (steps + 1) * d * J float64 values, within this many bytes (at least one
-# member).
-CHUNK_BYTES = 1 << 19
+# member).  4 MiB holds the 200 replicas of a 128-step, J = 15 free
+# interval (3.1 MB of states) in one solve, for about 3 MB more peak RSS
+# of `rspde mc` than 512 KiB chunks; the norm series' temporaries do not
+# add to that, since Monte Carlo never reads the norms.
+CHUNK_BYTES = 1 << 22
 
 # minimize_rate: Armijo sufficient-decrease constant, and the relative
 # objective drop below which an accepted step counts toward stagnation.
@@ -75,15 +79,33 @@ def _chunks(items, steps: int, grid) -> list:
     return [items[lo:lo + per] for lo in range(0, len(items), per)]
 
 
-def _terminal_mean(traj: Trajectory) -> float:
-    return traj.grid.dx * float(np.sum(traj.states[-1][0]))
+def _member_sums(values: np.ndarray) -> np.ndarray:
+    """The sum of each member's block of a (B, ...) array, each summed as
+    np.sum sums that block alone."""
+    return values.reshape(len(values), -1).sum(axis=1)
 
 
+def _terminal_h_norm(chunk: TrajectoryChunk) -> np.ndarray:
+    terminal = chunk.states[:, -1]
+    return np.sqrt(chunk.grid.dx * _member_sums(terminal * terminal))
+
+
+def _eta_mass(chunk: TrajectoryChunk) -> np.ndarray:
+    inc = chunk.measure.increments
+    B, steps, d, J = inc.shape
+    flat = inc.reshape(B * steps, d, J)
+    return _member_sums(np.sqrt(np.einsum("kdj,kdj->kj", flat, flat))
+                        .reshape(B, steps, J))
+
+
+# Each maps a chunk to one value per member, equal to what the single-run
+# form (h_norm of the terminal state, penetration_report's total
+# variation, ...) gives that member alone.
 TRAJECTORY_FUNCTIONALS = {
-    "terminal_h_norm": lambda tr: h_norm(tr.terminal),
-    "sup_h_norm": lambda tr: math.sqrt(float(np.max(tr.series.h_sq))),
-    "eta_mass": lambda tr: penetration_report(tr)["eta_total_variation"],
-    "terminal_mean": _terminal_mean,
+    "terminal_h_norm": _terminal_h_norm,
+    "sup_h_norm": lambda ch: np.sqrt(ch.series.h_sq.max(axis=1)),
+    "eta_mass": _eta_mass,
+    "terminal_mean": lambda ch: ch.grid.dx * ch.states[:, -1, 0].sum(axis=1),
 }
 
 
@@ -97,9 +119,11 @@ class EventSpec:
     kind = "functional_threshold":  F(u) >= level for a named functional
         from TRAJECTORY_FUNCTIONALS.
 
-    ``shortfall`` is the continuous margin by which the event is missed:
-    zero exactly when the event occurred, positive otherwise.  The
-    optimizer squares it; Monte Carlo thresholds it at zero.
+    ``occurred`` and ``shortfall`` read a whole TrajectoryChunk (a single
+    run is a chunk of one) and return one value per member.  The
+    shortfall is the continuous margin by which the event is missed: zero
+    exactly when the event occurred, positive otherwise.  The optimizer
+    squares it; Monte Carlo thresholds it at zero.
     """
 
     kind: str
@@ -125,28 +149,32 @@ class EventSpec:
             if self.level is None:
                 raise ValueError("functional_threshold needs a level")
 
-    def _margin(self, traj: Trajectory) -> float:
-        """Signed margin, >= 0 exactly when the event occurred."""
-        dx = traj.grid.dx
+    def _margin(self, chunk: TrajectoryChunk) -> np.ndarray:
+        """Signed margin of each member, >= 0 exactly when the event
+        occurred."""
+        dx = chunk.grid.dx
         if self.kind == "terminal_ball":
-            diff = traj.states[-1]
+            diff = chunk.states[:, -1]
             if self.center is not None:
                 diff = diff - self.center
-            dist = math.sqrt(dx * float(np.sum(diff * diff)))
+            dist = np.sqrt(dx * _member_sums(diff * diff))
             return dist - self.radius if self.complement else self.radius - dist
         if self.kind == "sup_exceed":
-            states = traj.states
+            states = chunk.states
             diff = states if self.reference is None else states - self.reference
-            sup = math.sqrt(dx * float(np.max(np.einsum("kdj,kdj->k", diff, diff))))
-            return sup - self.radius
-        value = TRAJECTORY_FUNCTIONALS[self.functional](traj)
+            B, count, d, J = diff.shape
+            flat = diff.reshape(B * count, d, J)
+            sq = np.einsum("kdj,kdj->k", flat, flat).reshape(B, count)
+            return np.sqrt(dx * sq.max(axis=1)) - self.radius
+        value = TRAJECTORY_FUNCTIONALS[self.functional](chunk)
         return value - self.level
 
-    def occurred(self, traj: Trajectory) -> bool:
-        return self._margin(traj) >= 0.0
+    def occurred(self, chunk: TrajectoryChunk) -> np.ndarray:
+        return self._margin(chunk) >= 0.0
 
-    def shortfall(self, traj: Trajectory) -> float:
-        return max(0.0, -self._margin(traj))
+    def shortfall(self, chunk: TrajectoryChunk) -> np.ndarray:
+        margin = self._margin(chunk)
+        return np.where(margin < 0.0, -margin, 0.0)
 
     def describe(self) -> dict:
         out = {"kind": self.kind}
@@ -239,8 +267,7 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
             chunk = solve_penalized_spde(coeffs, domain, gamma, u0,
                                          n_pen=n_pen, dt=dt_eff, steps=steps,
                                          control=ctrls)
-            for b, ctrl in enumerate(ctrls):
-                v = event.shortfall(chunk.member(b))
+            for ctrl, v in zip(ctrls, event.shortfall(chunk).tolist()):
                 out.append((objective(ctrl, v, mu), v))
         return out
 
@@ -344,14 +371,15 @@ class MCResult:
 def _replicas(read, coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
               epsilon: float, n_pen: float, dt: float, steps: int,
               control: Control = None) -> list:
-    """read(index, seed, trajectory) of each replica index, in order.
+    """The replica indices' values in order: read(indices, seeds, chunk)
+    gives one value per member of each chunk that is solved.
 
     Each replica's noise depends only on its own plan seed.  The replicas
     are solved a chunk at a time, as many members as CHUNK_BYTES of state
     stack holds; a chunk's arrays are dropped before the next one starts,
-    so ``read`` must not keep the trajectory it is given.  The sampler and
-    the solver are looked up in this module's namespace, where wrappers
-    may replace them.
+    so ``read`` must not keep the chunk it is given.  The sampler and the
+    solver are looked up in this module's namespace, where wrappers may
+    replace them.
     """
     out = []
     for part in _chunks(indices, steps, u0.grid):
@@ -360,8 +388,7 @@ def _replicas(read, coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
             coeffs, domain, gamma, u0, n_pen=n_pen, dt=dt, steps=steps,
             epsilon=epsilon, control=control,
             noise=[sample_brownian(coeffs.m, steps, dt, s) for s in seeds])
-        out += [read(i, s, chunk.member(b))
-                for b, (i, s) in enumerate(zip(part, seeds))]
+        out += read(part, seeds, chunk)
         del chunk
     return out
 
@@ -376,16 +403,19 @@ def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
     noise depends only on its own plan seed and a chunk's members do not
     interact.  The runner estimates every P(event), the comparison table's
     too, by fanning replica ranges out to its workers and passing the
-    merged rows to ``summarize_rows``.
+    merged rows to ``summarize_rows``.  Each column is read from the
+    whole chunk at once.
     """
-    def row(i, seed, traj):
-        return ReplicaRow(replica=i, seed=seed,
-                          sup_pen_H=float(np.max(traj.series.pen_h)),
-                          terminal_H_norm=h_norm(traj.terminal),
-                          event=int(event.occurred(traj)))
+    def rows(part, seeds, chunk):
+        columns = (chunk.series.pen_h.max(axis=1).tolist(),
+                   _terminal_h_norm(chunk).tolist(),
+                   event.occurred(chunk).tolist())
+        return [ReplicaRow(replica=i, seed=seed, sup_pen_H=pen,
+                           terminal_H_norm=norm, event=int(hit))
+                for i, seed, pen, norm, hit in zip(part, seeds, *columns)]
 
-    return _replicas(row, coeffs, domain, gamma, u0, plan, range(start, stop),
-                     epsilon, n_pen, dt, steps, control)
+    return _replicas(rows, coeffs, domain, gamma, u0, plan,
+                     range(start, stop), epsilon, n_pen, dt, steps, control)
 
 
 def summarize_rows(rows: list, replicas: int) -> MCResult:
@@ -443,9 +473,9 @@ def ldp_compare(coeffs, domain, gamma, u0, rate: RateResult, estimates,
                                     dt=dt, steps=steps, control=h_star)
     ldp1_plan = ReplicaPlan(base_seed=base_seed + 1, count=ldp1_replicas)
 
-    def stray(i, seed, y):
-        gh, gv = state_gap(y, skeleton)
-        return int(gh + gv > ldp1_delta_sq)
+    def stray(part, seeds, chunk):
+        gaps = (state_gap(chunk.member(b), skeleton) for b in range(len(part)))
+        return [int(gh + gv > ldp1_delta_sq) for gh, gv in gaps]
 
     out = []
     for eps, res in estimates:
@@ -473,25 +503,39 @@ class WeightedTrendRow:
                 f"{self.mean_weighted_int!r}")
 
 
-def weighted_trend(coeffs, domain, gamma, u0, control: Control, epsilons,
-                   plan: ReplicaPlan, lam: float, n_pen: float, dt: float,
-                   T: float) -> list:
-    """Mean discounted distance between the controlled stochastic solution
-    and its skeleton, per noise level (common Brownian paths across
-    levels).  The discount rate lam multiplies the accumulated gradient
-    energy of both runs; see diagnostics.weighted_distance."""
+def weighted_rows(coeffs, domain, gamma, u0, control: Control, epsilons,
+                  plan: ReplicaPlan, lam: float, n_pen: float, dt: float,
+                  T: float, start: int, stop: int) -> list:
+    """For each noise level, the discounted distances (weighted_distance
+    dicts) between the controlled stochastic solutions of replicas
+    [start, stop) of the plan and their skeleton (common Brownian paths
+    across levels).  The discount rate lam multiplies the accumulated
+    gradient energy of both runs.
+
+    As with ``mc_rows``, splitting the plan across workers and joining
+    each level's lists in index order reproduces the serial run; the
+    runner fans the replica ranges out and passes the joined lists to
+    ``summarize_weighted``.
+    """
     steps, dt_eff = resolve_time_grid(T, dt, n_pen, control.K)
     skeleton = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
                                     dt=dt_eff, steps=steps, control=control)
-    out = []
-    for eps in epsilons:
-        ws = _replicas(lambda i, seed, y: weighted_distance(y, skeleton, lam),
-                       coeffs, domain, gamma, u0, plan, range(plan.count),
-                       eps, n_pen, dt_eff, steps, control)
-        sups = [w["weighted_sup"] for w in ws]
-        ints = [w["weighted_int"] for w in ws]
-        out.append(WeightedTrendRow(
-            epsilon=float(eps),
-            mean_weighted_sup=math.fsum(sups) / plan.count,
-            mean_weighted_int=math.fsum(ints) / plan.count))
-    return out
+
+    def distances(part, seeds, chunk):
+        return [weighted_distance(chunk.member(b), skeleton, lam)
+                for b in range(len(part))]
+
+    return [_replicas(distances, coeffs, domain, gamma, u0, plan,
+                      range(start, stop), eps, n_pen, dt_eff, steps, control)
+            for eps in epsilons]
+
+
+def summarize_weighted(epsilons, levels: list, count: int) -> list:
+    """One row per noise level: the means over its ``count`` replicas of
+    ``levels``' weighted distances (as ``weighted_rows`` returns them),
+    summed exactly, so the order of the replicas does not matter."""
+    return [WeightedTrendRow(
+                epsilon=float(eps),
+                mean_weighted_sup=math.fsum(w["weighted_sup"] for w in ws) / count,
+                mean_weighted_int=math.fsum(w["weighted_int"] for w in ws) / count)
+            for eps, ws in zip(epsilons, levels)]

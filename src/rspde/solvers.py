@@ -23,13 +23,13 @@ component, member and step, so each solve factors it once (LAPACK
 dgttrf) and every step only back-substitutes (dgttrs), all B * d columns
 at once.  Work that does not depend on the state is done before the
 loop: a zero or constant drift is evaluated once, and for a constant
-sigma the control and noise terms of every step come from one product
-per path (sigma = 0 adds nothing).  Members never mix: each member's
-states equal those of its own single run bit for bit.  A chunk comes
-back as a TrajectoryChunk, whose ``steps`` counts member-steps (B * K);
-the Monte Carlo replicas and the rate minimizer's skeleton solves (one
-control per member) size their chunks by ``ldp.CHUNK_BYTES``, and a
-penalty sweep is one chunk (one n_pen per member).
+sigma the control terms of every step and member come from one product,
+as do the noise terms (sigma = 0 adds nothing).  Members never mix: each
+member's states equal those of its own single run bit for bit.  A chunk
+comes back as a TrajectoryChunk, whose ``steps`` counts member-steps
+(B * K); the Monte Carlo replicas and the rate minimizer's skeleton
+solves (one control per member) size their chunks by ``ldp.CHUNK_BYTES``,
+and a penalty sweep is one chunk (one n_pen per member).
 
 A step does only the work that can change the state.  The blow-up guard
 already takes max |u| of every state; when it is at most the half-width
@@ -50,6 +50,13 @@ never penetrates stores nothing and shares one array of zeros among its
 members.  Stability of the explicit penalty relaxation requires
 dt * n_pen <= 1/2 for every member, enforced at entry.
 
+A solve computes only what its readers use.  The norm series h_sq, v_sq
+and lap_sq are computed the first time any member's is read, for every
+member at once, through this module's ``sup_series``, ``v_series`` and
+``lap_series``: a sweep's reports, ``Trajectory.save`` and the weighted
+distance read them, while Monte Carlo and the rate minimizer, which read
+the states and the penetration series, never pay for them.
+
 The skeleton map (controlled, noise-free) is ``solve_penalized_spde`` at
 its default epsilon = 0, where the noise path is ignored, so the skeleton
 and the stochastic map are one code path.
@@ -63,6 +70,7 @@ speculative work.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 
@@ -234,10 +242,8 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     if sig_fixed is not None:
         if not sig_fixed.any():
             paths = []
-        # each (steps, d, 1 or B, 1), stacked from one path's product at a
-        # time, as a single run forms it
-        terms = [np.stack([c * np.einsum("dm,mk->kd", sig_fixed, path)
-                           for path in stack], axis=2)[..., None]
+        # each (steps, d, 1 or B, 1), one product for all members
+        terms = [c * np.einsum("dm,bmk->kdb", sig_fixed, stack)[..., None]
                  for c, stack in paths]
 
     # The state is one (d, B * J) array, member b in columns b*J:(b+1)*J,
@@ -323,13 +329,10 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     # terminal penetration for the sup statistics
     record_gap(steps, top)
 
-    # the norms first: their temporaries then never sit beside the increments
-    flat = states.reshape(B * (steps + 1), d, J)
-    norms = [series_of(flat, dx).reshape(B, steps + 1)
-             for series_of in (sup_series, v_series, lap_series)]
     pen, increments, magnitude = _penalty_diagnostics(states, gaps, gamma,
                                                       pens, dt, dx)
-    series = TrajectorySeries(*norms, **pen)
+    series = TrajectorySeries.deferred(
+        functools.partial(_state_norms, states, dx), **pen)
     measure = ReflectionMeasure(grid=grid, dt=dt, increments=increments,
                                 magnitude=magnitude)
     info = {"b": coeffs.b_name, "sigma": coeffs.sigma_name,
@@ -340,6 +343,16 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
                             series=series, measure=measure, metas=metas,
                             stride=stride, epsilon=epsilon)
     return chunk if lists else chunk.member(0)
+
+
+def _state_norms(states, dx: float) -> tuple:
+    """h_sq, v_sq and lap_sq, (B, K+1) each, of every state of a
+    (B, K+1, d, J) stack, through this module's names for the three
+    series, which wrappers may replace."""
+    B, count, d, J = states.shape
+    flat = states.reshape(B * count, d, J)
+    return tuple(series_of(flat, dx).reshape(B, count)
+                 for series_of in (sup_series, v_series, lap_series))
 
 
 def _penalty_diagnostics(states, gaps, gamma: ObliqueField, pens: list,

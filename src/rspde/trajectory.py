@@ -17,6 +17,7 @@ variation is the sum of the Euclidean norms of the vector increments.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass, field
@@ -41,13 +42,20 @@ class ReflectionMeasure:
 
 @dataclass
 class TrajectorySeries:
-    """Per-state diagnostic series, each of length K+1.
+    """Per-state diagnostic series, each of length K+1 ((B, K+1) in a
+    chunk).
 
     h_sq/v_sq/lap_sq are the squared H, V, and discrete-H^2 norms of the
     state; pen_* measure the penetration u - pi(u) in the H, L^1, and
     sup norms; pen_gamma is the alignment integral
     dx * sum_j <u_j, gamma(u_j)> |u_j - pi(u_j)| feeding the
     energy-weighted penetration estimate.
+
+    A solve's series is ``deferred``: its three norms are computed, for
+    every member of the chunk at once, the first time any of them is
+    read, so a caller that reads only the penetration series or the
+    states never pays for them.  A deep copy computes them first and
+    owns every array.
     """
 
     h_sq: np.ndarray
@@ -59,6 +67,27 @@ class TrajectorySeries:
     pen_gamma: np.ndarray
 
     FIELDS = ("h_sq", "v_sq", "lap_sq", "pen_h", "pen_l1", "pen_linf", "pen_gamma")
+    NORMS = FIELDS[:3]
+
+    @classmethod
+    def deferred(cls, norms, **pen) -> "TrajectorySeries":
+        """The series with the pen_* arrays ``pen`` whose h_sq, v_sq and
+        lap_sq are ``norms()``, called once, on the first read of any."""
+        series = cls.__new__(cls)
+        series.__dict__.update(pen, _norms=norms)
+        return series
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set: a norm not yet computed
+        norms = self.__dict__.pop("_norms", None) if name in self.NORMS else None
+        if norms is None:
+            raise AttributeError(name)
+        self.h_sq, self.v_sq, self.lap_sq = norms()
+        return self.__dict__[name]
+
+    def __deepcopy__(self, memo):
+        return TrajectorySeries(*[copy.deepcopy(getattr(self, name), memo)
+                                  for name in self.FIELDS])
 
 
 @dataclass
@@ -174,7 +203,9 @@ class TrajectoryChunk:
     ``n_pen`` lists each run's.
 
     ``member(b)`` is run b as a Trajectory whose arrays are views of
-    these, so every single-run report applies to it unchanged.  ``steps``
+    these, so every single-run report applies to it unchanged; its norm
+    series are computed, for every member, when any member first reads
+    one (see ``TrajectorySeries``).  ``steps``
     counts the scheme steps the chunk holds summed over its members,
     B * K, as a solve of the B runs one at a time would.
     """
@@ -198,7 +229,9 @@ class TrajectoryChunk:
         return Trajectory(
             grid=self.grid, dt=self.dt, n_pen=self.n_pen[b],
             states=self.states[b],
-            series=TrajectorySeries(*[getattr(s, f)[b] for f in s.FIELDS]),
+            series=TrajectorySeries.deferred(
+                lambda: tuple(getattr(s, f)[b] for f in s.NORMS),
+                **{f: getattr(s, f)[b] for f in s.FIELDS if f not in s.NORMS}),
             measure=ReflectionMeasure(grid=self.grid, dt=self.dt,
                                       increments=m.increments[b],
                                       magnitude=m.magnitude[b]),

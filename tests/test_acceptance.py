@@ -25,7 +25,7 @@ from rspde.geometry import (Ball, Box, Intersection, ObliqueField, Polytope,
                             boundary_points, build_oblique_matrix,
                             exterior_points, interior_points)
 from rspde.ldp import (EventSpec, ReplicaPlan, minimize_rate, rate_functional,
-                       weighted_trend)
+                       summarize_weighted, weighted_rows)
 from rspde.solvers import (resolve_time_grid, sample_brownian,
                            solve_penalized_spde, solve_skeleton)
 from rspde.trajectory import TrajectorySeries
@@ -277,11 +277,13 @@ def test_criterion_08_weighted_distance_trend():
     dom = interval(0.25)
     coeffs = drift_sigma(4.0, 1.0)
     u0 = Field.zeros(SpatialGrid(15, 1))
-    rows = weighted_trend(coeffs, dom, oblique(dom), u0,
-                          sine_control(0.25, 1, 25, rate=1),
-                          (1.0, 0.3, 0.1, 0.03),
-                          ReplicaPlan(base_seed=20260823, count=50),
-                          lam=1.0, n_pen=256.0, dt=2e-3, T=0.25)
+    epsilons = (1.0, 0.3, 0.1, 0.03)
+    levels = weighted_rows(coeffs, dom, oblique(dom), u0,
+                           sine_control(0.25, 1, 25, rate=1), epsilons,
+                           ReplicaPlan(base_seed=20260823, count=50),
+                           lam=1.0, n_pen=256.0, dt=2e-3, T=0.25, start=0,
+                           stop=50)
+    rows = summarize_weighted(epsilons, levels, 50)
     el = time.perf_counter() - t0
     sups = [r.mean_weighted_sup for r in rows]
     ok = (all(a >= b for a, b in zip(sups, sups[1:]))

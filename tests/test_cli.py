@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from rspde import cli, ldp
+from rspde import cli, ldp, solvers
 from rspde.cli import build_parser, main
 from rspde.config import ExperimentConfig
 from rspde.solvers import (ReplicaPlan, SolverError, resolve_time_grid,
@@ -404,6 +404,84 @@ def test_all_estimates_each_noise_level_once(tmp_path, monkeypatch):
     assert first.split(",")[1:3] == [repr(mc["p_hat"]), repr(mc["stderr"])]
     for name in ("mc.csv", "comparison.csv", "report.json"):
         assert read_bytes(outs[0], name) == read_bytes(outs[1], name)
+
+
+# the free interval at additive noise (the benchmark's mc and rate model):
+# a terminal-ball exit event, read from the terminal states alone
+FREE = {**copy.deepcopy(BASE),
+        "domain": {"kind": "ball", "center": [0.0], "radius": 100.0},
+        "coefficients": {"d": 1, "m": 1, "b": {"name": "zero"},
+                         "sigma": {"name": "constant", "matrix": [[1.0]]}},
+        "penalty": {"n_event": 256.0,
+                    "sweep": {"n_start": 64.0, "n_max": 256.0,
+                              "tol_cauchy": 0.0}},
+        "replicas": {"base_seed": 3, "count": 40},
+        "event": {"kind": "terminal_ball", "radius": 0.05,
+                  "complement": True},
+        "rate": {"K": 2, "max_iters": 5, "mu_schedule": [100.0]}}
+
+
+@pytest.mark.parametrize("sub, reads_norms", [
+    ("mc", False), ("rate", False), ("penalty-sweep", True)])
+def test_norm_series_are_computed_only_for_readers(tmp_path, monkeypatch,
+                                                   sub, reads_norms):
+    # mc and rate read the penetration series and the states, never
+    # h_sq, v_sq or lap_sq; a sweep reports and saves all three
+    calls = []
+    for name in ("sup_series", "v_series", "lap_series"):
+        def counted(states, dx, name=name, series_of=getattr(solvers, name)):
+            calls.append(name)
+            return series_of(states, dx)
+        monkeypatch.setattr(solvers, name, counted)
+    code, out = run(tmp_path, sub, FREE, extra=("--workers", "1"))
+    assert code == 0
+    if reads_norms:
+        assert set(calls) == {"sup_series", "v_series", "lap_series"}
+    else:
+        assert calls == []
+
+
+class RecordingPool:
+    """An in-process stand-in for ProcessPoolExecutor that records each
+    map's worker body and replica ranges."""
+
+    maps = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, body, payloads):
+        payloads = list(payloads)
+        self.maps.append((body.__name__, [p[-2:] for p in payloads]))
+        return map(body, payloads)
+
+
+def test_weighted_replicas_fan_out_over_workers(tmp_path, monkeypatch):
+    payload = {**copy.deepcopy(BASE), "epsilons": [0.5, 0.2],
+               "control": {"kind": "constant", "vector": [4.0]}}
+    code, out1 = run(tmp_path, "all", payload, extra=("--workers", "1"),
+                     name="w1")
+    assert code == 0
+    code, out3 = run(tmp_path, "all", payload, extra=("--workers", "3"),
+                     name="w3")
+    assert code == 0
+    assert read_bytes(out1, "weighted.csv") == read_bytes(out3, "weighted.csv")
+    lines = read_bytes(out1, "weighted.csv").decode().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.5, 0.2]
+    # the 12 replicas went to three workers in contiguous ranges
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.maps.clear()
+    code, out = run(tmp_path, "all", payload, extra=("--workers", "3"),
+                    name="recorded")
+    assert code == 0
+    assert RecordingPool.maps == [("_weighted_chunk", [(0, 4), (4, 8), (8, 12)])]
+    assert read_bytes(out, "weighted.csv") == read_bytes(out1, "weighted.csv")
 
 
 def test_consecutive_main_calls_parse_independently(tmp_path, capsys):

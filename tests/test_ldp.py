@@ -9,67 +9,187 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rspde.config import ExperimentConfig
-from rspde.controls import Control, constant_control, sine_control
+from rspde.coefficients import make_coefficients
+from rspde.controls import (Control, constant_control, sine_control,
+                            tabulated_control)
+from rspde.diagnostics import penetration_report
 from rspde.fields import h_norm
+from rspde.geometry import Ball, Box, Intersection, ObliqueField
 from rspde import ldp
-from rspde.ldp import (ARMIJO_C1, LADDER, STAG_REL, CompareRow, EventSpec,
+from rspde.ldp import (ARMIJO_C1, LADDER, STAG_REL, TRAJECTORY_FUNCTIONALS,
+                       CompareRow, EventSpec,
                        MCResult, RateResult, _replicas, ldp_compare, mc_rows, minimize_rate,
-                       rate_functional, summarize_rows, weighted_trend)
-from rspde.solvers import ReplicaPlan, resolve_time_grid, solve_penalized_spde
+                       rate_functional, summarize_rows, summarize_weighted,
+                       weighted_rows)
+from rspde.solvers import (ReplicaPlan, resolve_time_grid, sample_brownian,
+                           solve_penalized_spde)
 
 from conftest import (forced_coeffs, free_domain, heat_coeffs,
                       interval_domain, normal_gamma, sine_start, zero_start)
 
 
 def small_run():
+    """A controlled run, as a chunk of one."""
     dom = free_domain()
     coeffs = forced_coeffs(s=1.0)
     ctrl = constant_control(0.05, [2.0], K=5)
     steps, dt = resolve_time_grid(0.05, 1e-3, 16.0, ctrl.K)
-    traj = solve_penalized_spde(coeffs, dom, normal_gamma(dom),
+    return solve_penalized_spde(coeffs, dom, normal_gamma(dom),
                                 zero_start(15), n_pen=16.0, dt=dt,
-                                steps=steps, control=ctrl)
-    return traj
+                                steps=steps, control=[ctrl])
 
 
 # -- event semantics ---------------------------------------------------
 
 
 def test_terminal_ball_event_and_complement():
-    traj = small_run()
-    r = h_norm(traj.terminal)
+    run = small_run()
+    r = h_norm(run.member(0).terminal)
     assert r > 0.0
     inside = EventSpec("terminal_ball", radius=2 * r)
     outside = EventSpec("terminal_ball", radius=2 * r, complement=True)
-    assert inside.occurred(traj) and not outside.occurred(traj)
-    assert inside.shortfall(traj) == 0.0
-    assert outside.shortfall(traj) == pytest.approx(r, rel=1e-12)
+    assert inside.occurred(run) and not outside.occurred(run)
+    assert inside.shortfall(run) == 0.0
+    assert outside.shortfall(run) == pytest.approx(r, rel=1e-12)
     tight = EventSpec("terminal_ball", radius=0.5 * r, complement=True)
-    assert tight.occurred(traj) and tight.shortfall(traj) == 0.0
+    assert tight.occurred(run) and tight.shortfall(run) == 0.0
     centered = EventSpec("terminal_ball", radius=1e-9,
-                         center=traj.states[-1].copy())
-    assert centered.occurred(traj)
+                         center=run.states[0, -1].copy())
+    assert centered.occurred(run)
 
 
 def test_sup_exceed_event_matches_series():
-    traj = small_run()
-    sup = math.sqrt(float(np.max(traj.series.h_sq)))
+    run = small_run()
+    sup = math.sqrt(float(np.max(run.series.h_sq)))
     hit = EventSpec("sup_exceed", radius=0.5 * sup)
     miss = EventSpec("sup_exceed", radius=2.0 * sup)
-    assert hit.occurred(traj) and not miss.occurred(traj)
-    assert miss.shortfall(traj) == pytest.approx(sup, rel=1e-12)
+    assert hit.occurred(run) and not miss.occurred(run)
+    assert miss.shortfall(run) == pytest.approx(sup, rel=1e-12)
 
 
 def test_functional_threshold_event():
-    traj = small_run()
-    mean = traj.grid.dx * float(np.sum(traj.states[-1][0]))
+    run = small_run()
+    mean = run.grid.dx * float(np.sum(run.states[0, -1, 0]))
     assert mean > 0.0
     ev = EventSpec("functional_threshold", functional="terminal_mean",
                    level=0.5 * mean)
-    assert ev.occurred(traj) and ev.shortfall(traj) == 0.0
+    assert ev.occurred(run) and ev.shortfall(run) == 0.0
     ev2 = EventSpec("functional_threshold", functional="terminal_mean",
                     level=2.0 * mean)
-    assert ev2.shortfall(traj) == pytest.approx(mean, rel=1e-12)
+    assert ev2.shortfall(run) == pytest.approx(mean, rel=1e-12)
+
+
+def _ball_box_2d():
+    # oblique reflection on ball-box in d = 2 with a state-dependent sigma:
+    # the forced members penetrate, the unforced one does not
+    dom = Intersection([Ball(center=[0.0, 0.0], radius=0.5),
+                        Box(lower=[-0.4, -0.45], upper=[0.45, 0.4])])
+    coeffs = make_coefficients(
+        2, 2, b={"name": "linear", "matrix": [[8.0, 1.0], [-1.0, 6.0]]},
+        sigma={"name": "diag_affine", "base": [0.4, 0.3], "slope": [0.5, -0.2]})
+    ctl = constant_control(0.2, [12.0, 10.0], K=4)
+    return dict(coeffs=coeffs, domain=dom,
+                gamma=ObliqueField(dom, "rotated_normal", angle=0.2),
+                u0=sine_start(15, 0.2, d=2), n_pen=256.0, dt=1e-3, steps=200,
+                epsilon=0.05, control=[ctl.scaled(c) for c in (1.0, 0.0, -0.5, 0.6, 0.3)],
+                noise=[sample_brownian(2, 200, 1e-3, seed) for seed in range(5)])
+
+
+def _box_3d():
+    # a box in d = 3 with constant sigma (m = 2): the members with the
+    # strongest controls penetrate
+    dom = Box(lower=[-0.3, -0.4, -0.5], upper=[0.3, 0.4, 0.5])
+    coeffs = make_coefficients(
+        3, 2, b={"name": "zero"},
+        sigma={"name": "constant",
+               "matrix": [[0.6, 0.2], [-0.3, 0.5], [0.1, -0.4]]})
+    ctl = tabulated_control(0.3, [[1.0, -2.0, 0.5, 3.0, 0.0, 1.5],
+                                  [0.5, 1.0, -1.0, 2.0, -0.5, 0.0]])
+    return dict(coeffs=coeffs, domain=dom, gamma=normal_gamma(dom),
+                u0=zero_start(15, d=3), n_pen=128.0, dt=2.5e-3, steps=120,
+                epsilon=0.01, control=[ctl.scaled(c) for c in (4.0, 0.0, -3.0, 1.0, 6.0)],
+                noise=[sample_brownian(2, 120, 2.5e-3, 40 + s) for s in range(5)])
+
+
+# the single-run forms of the functionals, read on one trajectory
+SINGLE_RUN_FUNCTIONALS = {
+    "terminal_h_norm": lambda tr: h_norm(tr.terminal),
+    "sup_h_norm": lambda tr: math.sqrt(float(np.max(tr.series.h_sq))),
+    "eta_mass": lambda tr: penetration_report(tr)["eta_total_variation"],
+    "terminal_mean": lambda tr: tr.grid.dx * float(np.sum(tr.states[-1][0])),
+}
+
+
+def single_run_margin(event, traj) -> float:
+    """The event's signed margin on one trajectory, computed as a single
+    run reads it: Python floats from whole-array sums."""
+    dx = traj.grid.dx
+    if event.kind == "terminal_ball":
+        diff = traj.states[-1]
+        if event.center is not None:
+            diff = diff - event.center
+        dist = math.sqrt(dx * float(np.sum(diff * diff)))
+        return dist - event.radius if event.complement else event.radius - dist
+    if event.kind == "sup_exceed":
+        states = traj.states
+        diff = states if event.reference is None else states - event.reference
+        sq = np.einsum("kdj,kdj->k", diff, diff)
+        return math.sqrt(dx * float(np.max(sq))) - event.radius
+    return SINGLE_RUN_FUNCTIONALS[event.functional](traj) - event.level
+
+
+def mixed_events(members) -> list:
+    """Every event kind, each with its threshold at the median of the
+    members' distinct values, so it occurs in some members and not in
+    others (with an odd count, a member sits exactly on the threshold)."""
+    d, J = members[0].states.shape[1:]
+    profile = 0.05 * np.cos(np.arange(d * J)).reshape(d, J)
+    specs = [dict(kind="terminal_ball"),
+             dict(kind="terminal_ball", complement=True),
+             dict(kind="terminal_ball", center=profile),
+             dict(kind="terminal_ball", center=profile, complement=True),
+             dict(kind="sup_exceed"),
+             dict(kind="sup_exceed", reference=profile)]
+    specs += [dict(kind="functional_threshold", functional=name)
+              for name in sorted(TRAJECTORY_FUNCTIONALS)]
+    events = []
+    for spec in specs:
+        key = "level" if spec["kind"] == "functional_threshold" else "radius"
+        # at threshold 0 the margin is the value compared (its negative
+        # for a ball, radius - dist)
+        probe = EventSpec(**spec, **{key: 0.0})
+        sign = -1.0 if key == "radius" and not probe.complement and \
+            probe.kind == "terminal_ball" else 1.0
+        values = [sign * single_run_margin(probe, m) for m in members]
+        events.append(EventSpec(**spec, **{key: float(np.median(np.unique(values)))}))
+    return events
+
+
+def same_bits(got, want) -> bool:
+    return np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("model", [_ball_box_2d, _box_3d])
+def test_chunk_event_reads_equal_single_run_reads(model):
+    assert SINGLE_RUN_FUNCTIONALS.keys() == TRAJECTORY_FUNCTIONALS.keys()
+    kwargs = model()
+    chunk = solve_penalized_spde(**kwargs)
+    B = len(kwargs["noise"])
+    pen = chunk.series.pen_h.max(axis=1)
+    assert (pen > 0).any() and (pen == 0).any()
+    members = [chunk.member(b) for b in range(B)]
+    alone = [solve_penalized_spde(**dict(kwargs, noise=[path], control=[ctl]))
+             for path, ctl in zip(kwargs["noise"], kwargs["control"])]
+    for event in mixed_events(members):
+        margins = [single_run_margin(event, m) for m in members]
+        hits = [m >= 0.0 for m in margins]
+        assert any(hits) and not all(hits), event.describe()
+        shortfalls = [max(0.0, -m) for m in margins]
+        assert event.occurred(chunk).tolist() == hits
+        assert same_bits(event.shortfall(chunk), shortfalls)
+        for b, run in enumerate(alone):
+            assert event.occurred(run).tolist() == [hits[b]]
+            assert same_bits(event.shortfall(run), [shortfalls[b]])
 
 
 def test_event_constructor_rejects_bad_specs():
@@ -157,9 +277,10 @@ def reference_minimize_rate(coeffs, domain, gamma, u0, event, T, K, dt,
 
     def shortfall_at(x):
         ctrl = Control(T=T, values=x.reshape(m, K))
-        traj = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
-                                    dt=dt_eff, steps=steps, control=ctrl)
-        return ctrl, event.shortfall(traj)
+        run = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
+                                   dt=dt_eff, steps=steps, control=[ctrl])
+        (v,) = event.shortfall(run).tolist()
+        return ctrl, v
 
     def objective(x, mu):
         ctrl, v = shortfall_at(x)
@@ -487,10 +608,12 @@ def test_weighted_trend_decreases_with_epsilon():
     dom = interval_domain(1.0)
     coeffs = forced_coeffs(s=1.0)
     ctrl = sine_control(T=0.05, m=1, K=50, rate=1, amplitude=2.0)
-    rows = weighted_trend(coeffs, dom, normal_gamma(dom), zero_start(15),
-                          ctrl, epsilons=[1.0, 0.1, 0.01],
-                          plan=ReplicaPlan(base_seed=9, count=10), lam=1.0,
-                          n_pen=32.0, dt=1e-3, T=0.05)
+    epsilons = [1.0, 0.1, 0.01]
+    levels = weighted_rows(coeffs, dom, normal_gamma(dom), zero_start(15),
+                           ctrl, epsilons, plan=ReplicaPlan(base_seed=9, count=10),
+                           lam=1.0, n_pen=32.0, dt=1e-3, T=0.05, start=0,
+                           stop=10)
+    rows = summarize_weighted(epsilons, levels, 10)
     sups = [r.mean_weighted_sup for r in rows]
     ints = [r.mean_weighted_int for r in rows]
     assert sups[0] > sups[1] > sups[2] > 0.0
@@ -508,7 +631,7 @@ def test_noisy_penetration_falls_with_penalty_on_common_seeds():
     means = []
     for n in (32.0, 128.0):
         steps, dt = resolve_time_grid(0.12, 1e-3, n, 1)
-        sups = _replicas(lambda i, seed, traj: float(np.max(traj.series.pen_h)),
+        sups = _replicas(lambda part, seeds, chunk: chunk.series.pen_h.max(axis=1).tolist(),
                          coeffs, dom, normal_gamma(dom), zero_start(15), plan,
                          range(plan.count), 0.1, n, dt, steps)
         means.append(math.fsum(sups) / plan.count)

@@ -1,5 +1,6 @@
 """Tests for the penalized semi-implicit solvers."""
 
+import copy
 import dataclasses
 import math
 
@@ -16,6 +17,7 @@ from conftest import (
     sine_start,
     zero_start,
 )
+from rspde import solvers
 from rspde.coefficients import ModelCoefficients, make_coefficients
 from rspde.controls import (Control, constant_control, tabulated_control,
                             zero_control)
@@ -713,6 +715,35 @@ def test_free_chunk_makes_no_projections(monkeypatch) -> None:
     kwargs = _outward_return()
     solve_penalized_spde(**kwargs)
     assert 0 < len(calls) < kwargs["steps"] + 1
+
+
+def test_norms_are_computed_for_the_whole_chunk_on_first_read(
+        monkeypatch) -> None:
+    calls = []
+    for name in ("sup_series", "v_series", "lap_series"):
+        def counted(states, dx, name=name, series_of=getattr(solvers, name)):
+            calls.append((name, states.shape))
+            return series_of(states, dx)
+        monkeypatch.setattr(solvers, name, counted)
+    kwargs = _chunk(_outward_return)()
+    chunk = solve_penalized_spde(**kwargs)
+    members = [chunk.member(b) for b in range(3)]
+    assert calls == [] and members[1].series.pen_h.any()
+    # one read of one member computes every member's norms, once
+    v_sq = members[1].series.v_sq
+    stack = (3 * (kwargs["steps"] + 1), 1, 31)
+    assert calls == [(name, stack)
+                     for name in ("sup_series", "v_series", "lap_series")]
+    assert v_sq.base is not None and np.array_equal(v_sq, chunk.series.v_sq[1])
+    # a deep copy of a member never read computes nothing new and owns
+    # arrays equal to its own single solve's
+    copied = copy.deepcopy(chunk.member(2))
+    assert len(calls) == 3
+    single = solve_penalized_spde(**dict(kwargs, noise=kwargs["noise"][2]))
+    for name in TrajectorySeries.FIELDS:
+        got = getattr(copied.series, name)
+        assert got.base is None
+        assert np.array_equal(got, getattr(single.series, name))
 
 
 def test_control_list_is_checked() -> None:
