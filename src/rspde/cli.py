@@ -11,11 +11,12 @@ produce byte-identical files; wall-time fields in the manifest are the
 only exception.
 
 Every P(event) estimate, of ``mc`` and of the ``ldp-compare`` table,
-goes through ``_estimate``: it chunks the replica index range across
---workers processes and merges the rows in index order, so the output
-does not depend on the worker count.  One run estimates each (epsilon,
-time grid) pair once, so ``all`` reuses the comparison's estimate for
-``mc`` when the two grids agree.
+goes through ``_estimate``, and the ``weighted.csv`` replicas through
+``_cmd_weighted``: both split the replica index range across --workers
+processes (``_fan_out``) and merge the results in index order, so the
+output does not depend on the worker count.  One run estimates each
+(epsilon, time grid) pair once, so ``all`` reuses the comparison's
+estimate for ``mc`` when the two grids agree.
 """
 
 from __future__ import annotations

@@ -155,12 +155,11 @@ def mixed_events(members) -> list:
     events = []
     for spec in specs:
         key = "level" if spec["kind"] == "functional_threshold" else "radius"
-        # at threshold 0 the margin is the value compared (its negative
-        # for a ball, radius - dist)
+        # at threshold 0 the margin is the value the threshold meets
         probe = EventSpec(**spec, **{key: 0.0})
-        sign = -1.0 if key == "radius" and not probe.complement and \
-            probe.kind == "terminal_ball" else 1.0
-        values = [sign * single_run_margin(probe, m) for m in members]
+        values = [single_run_margin(probe, m) for m in members]
+        if probe.kind == "terminal_ball" and not probe.complement:
+            values = [-v for v in values]          # the margin is radius - dist
         events.append(EventSpec(**spec, **{key: float(np.median(np.unique(values)))}))
     return events
 
