@@ -57,8 +57,12 @@ EVENT_N_PEN = 1024.0
 # (steps + 1) * d * J float64 values, within this many bytes (at least one
 # member).  4 MiB holds the 200 replicas of a 128-step, J = 15 free
 # interval (3.1 MB of states) in one solve, for about 3 MB more peak RSS
-# of `rspde mc` than 512 KiB chunks; the norm series' temporaries do not
-# add to that, since Monte Carlo never reads the norms.
+# of `rspde mc` than 512 KiB chunks.  Arrays the budget does not count
+# grow with it: a penetrating chunk's gaps and reflection increments, and
+# the norm series' temporaries when a reader computes the norms, as the
+# weighted trend's distances do.  The weighted step of `rspde all` on
+# configs/controlled_wall.json peaks at 86.5 MB against 66.3 MB with
+# 512 KiB chunks, about 5 MB of the difference the norms'.
 CHUNK_BYTES = 1 << 22
 
 # minimize_rate: Armijo sufficient-decrease constant, and the relative
@@ -91,11 +95,10 @@ def _terminal_h_norm(chunk: TrajectoryChunk) -> np.ndarray:
 
 
 def _eta_mass(chunk: TrajectoryChunk) -> np.ndarray:
+    # on the 4-d array: reshaping the shared zeros of a chunk that never
+    # penetrated would copy them
     inc = chunk.measure.increments
-    B, steps, d, J = inc.shape
-    flat = inc.reshape(B * steps, d, J)
-    return _member_sums(np.sqrt(np.einsum("kdj,kdj->kj", flat, flat))
-                        .reshape(B, steps, J))
+    return _member_sums(np.sqrt(np.einsum("bkdj,bkdj->bkj", inc, inc)))
 
 
 # Each maps a chunk to one value per member, equal to what the single-run

@@ -78,11 +78,19 @@ class TrajectorySeries:
         return series
 
     def __getattr__(self, name):
-        # reached only for an attribute not set: a norm not yet computed
-        norms = self.__dict__.pop("_norms", None) if name in self.NORMS else None
+        # reached only for an attribute not set: a norm not yet computed.
+        # The thunk is dropped only once it has returned, so a failed
+        # computation raises its own error again on the next read.
+        norms = self.__dict__.get("_norms") if name in self.NORMS else None
         if norms is None:
             raise AttributeError(name)
-        self.h_sq, self.v_sq, self.lap_sq = norms()
+        try:
+            values = norms()
+        except AttributeError as exc:
+            # not "no such field": getattr and hasattr would swallow it
+            raise RuntimeError(f"computing {name} failed") from exc
+        self.h_sq, self.v_sq, self.lap_sq = values
+        del self.__dict__["_norms"]
         return self.__dict__[name]
 
     def __deepcopy__(self, memo):

@@ -746,6 +746,29 @@ def test_norms_are_computed_for_the_whole_chunk_on_first_read(
         assert np.array_equal(got, getattr(single.series, name))
 
 
+def test_a_failed_norm_computation_raises_its_own_error_again() -> None:
+    pen = dict.fromkeys(("pen_h", "pen_l1", "pen_linf", "pen_gamma"),
+                        np.zeros(3))
+    failures = [MemoryError("first"), AttributeError("inner")]
+
+    def norms():
+        if failures:
+            raise failures.pop(0)
+        return np.ones(3), np.full(3, 2.0), np.full(3, 3.0)
+
+    series = TrajectorySeries.deferred(norms, **pen)
+    with pytest.raises(MemoryError, match="first"):
+        series.h_sq
+    # an AttributeError inside is not read as "no such field"
+    with pytest.raises(RuntimeError, match="v_sq") as info:
+        hasattr(series, "v_sq")
+    assert isinstance(info.value.__cause__, AttributeError)
+    assert series.lap_sq.tolist() == [3.0] * 3
+    assert "_norms" not in vars(series)
+    with pytest.raises(AttributeError):
+        series.no_such_field
+
+
 def test_control_list_is_checked() -> None:
     kwargs = _controls(_box_3d)()
     controls, paths = kwargs.pop("control"), kwargs.pop("noise")
