@@ -386,6 +386,18 @@ _HANDLERS = {
 }
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type of --seed: the schema's base_seed >= 0, checked when
+    the arguments are parsed."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The runner's argument parser, built once per process; parsing does
@@ -400,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to config JSON")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's base seed")
+        p.add_argument("--seed", type=_nonnegative_int, default=None,
+                       help="override the config's base seed (an integer >= 0)")
         p.add_argument("--quiet", action="store_true")
     return parser
 

@@ -29,9 +29,12 @@ index reuses the same Brownian path across noise levels.  Replicas, and
 the minimizer's controls, are solved in chunks: one batched solve steps
 as many of them as CHUNK_BYTES of (B, steps + 1, d, J) state stack holds,
 and a chunk's members do not interact, so no result depends on how they
-are chunked.  Events, their shortfalls and the Monte Carlo rows are read
-from the whole chunk at once, one value per member, each bit for bit
-the value a read of that member alone gives.
+are chunked.  A chunk's seeds and Philox keys come from one vectorised
+pass of numpy's SeedSequence hash, and its paths from one reseated
+generator, bit for bit what each replica's own SeedSequence and Philox
+give.  Events, their shortfalls and the Monte Carlo rows are read from
+the whole chunk at once, one value per member, each bit for bit the
+value a read of that member alone gives.
 """
 
 from __future__ import annotations
@@ -379,18 +382,20 @@ def _replicas(read, coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
 
     Each replica's noise depends only on its own plan seed.  The replicas
     are solved a chunk at a time, as many members as CHUNK_BYTES of state
-    stack holds; a chunk's arrays are dropped before the next one starts,
-    so ``read`` must not keep the chunk it is given.  The sampler and the
-    solver are looked up in this module's namespace, where wrappers may
-    replace them.
+    stack holds; a chunk's seeds come from one ``seed_for`` call and its
+    noise paths from one ``sample_brownian`` call, each a vectorised pass
+    over the chunk that equals the per-replica derivation bit for bit.  A
+    chunk's arrays are dropped before the next one starts, so ``read``
+    must not keep the chunk it is given.  The sampler and the solver are
+    looked up in this module's namespace, where wrappers may replace them.
     """
     out = []
     for part in _chunks(indices, steps, u0.grid):
-        seeds = [plan.seed_for(i) for i in part]
+        seeds = plan.seed_for(part)
         chunk = solve_penalized_spde(
             coeffs, domain, gamma, u0, n_pen=n_pen, dt=dt, steps=steps,
             epsilon=epsilon, control=control,
-            noise=[sample_brownian(coeffs.m, steps, dt, s) for s in seeds])
+            noise=sample_brownian(coeffs.m, steps, dt, seeds))
         out += read(part, seeds, chunk)
         del chunk
     return out

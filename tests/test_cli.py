@@ -441,6 +441,48 @@ def test_norm_series_are_computed_only_for_readers(tmp_path, monkeypatch,
         assert calls == []
 
 
+@pytest.mark.parametrize("per_chunk", [70, 200])
+def test_mc_seeds_and_samples_a_chunk_in_one_call(tmp_path, monkeypatch,
+                                                   per_chunk):
+    # 200 free replicas in chunks of 70 (70, 70, 60) or in one chunk: one
+    # call of each of the names the benchmark's tracer wraps per chunk
+    payload = {**copy.deepcopy(FREE), "replicas": {"base_seed": 6161, "count": 200}}
+    member = chunk_budgets(payload)[0]
+    monkeypatch.setattr(ldp, "CHUNK_BYTES", per_chunk * member)
+    calls = []
+
+    def seed_for(plan, index, seed_for=solvers.ReplicaPlan.seed_for):
+        calls.append(("seed_for", len(index)))
+        return seed_for(plan, index)
+
+    def sample_brownian(m, K, dt, seeds, sample=ldp.sample_brownian):
+        calls.append(("sample_brownian", len(seeds)))
+        return sample(m, K, dt, seeds)
+
+    monkeypatch.setattr(solvers.ReplicaPlan, "seed_for", seed_for)
+    monkeypatch.setattr(ldp, "sample_brownian", sample_brownian)
+    code, out = run(tmp_path, "mc", payload, extra=("--workers", "1"))
+    assert code == 0
+    sizes = [min(per_chunk, 200 - lo) for lo in range(0, 200, per_chunk)]
+    assert calls == [(name, size) for size in sizes
+                     for name in ("seed_for", "sample_brownian")]
+    # each row's seed is numpy's SeedSequence seed of its replica
+    rows = read_bytes(out, "mc.csv").decode().splitlines()[1:]
+    assert [tuple(map(int, row.split(",")[:2])) for row in rows] == [
+        (i, int(np.random.SeedSequence(6161, spawn_key=(i,))
+                .generate_state(1, np.uint64)[0])) for i in range(200)]
+
+
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
+    for bad in ("-5", "x"):
+        code, out = run(tmp_path, "mc", FREE, extra=("--seed", bad))
+        assert code == 2
+        assert f"--seed: expected an integer >= 0, got '{bad}'" in capsys.readouterr().err
+        assert not os.path.exists(out)
+    assert build_parser().parse_args(
+        ["mc", "--config", "c", "--out", "o", "--seed", "0"]).seed == 0
+
+
 class RecordingPool:
     """An in-process stand-in for ProcessPoolExecutor that records each
     map's worker body and replica ranges."""

@@ -3,9 +3,12 @@
 import copy
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from conftest import (
@@ -269,6 +272,103 @@ def test_replica_plan_seeds_are_stable_and_distinct() -> None:
     seeds = [plan.seed_for(i) for i in range(8)]
     assert len(set(seeds)) == 8
     assert seeds == [plan.seed_for(i) for i in range(8)]
+
+
+def numpy_seed(base: int, index: int) -> int:
+    """numpy's definition of replica ``index``'s seed."""
+    ss = np.random.SeedSequence(base, spawn_key=(index,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def philox_path(seed: int, m: int, K: int, dt: float) -> np.ndarray:
+    """The increments of a Philox generator seeded on its own."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    return rng.normal(0.0, math.sqrt(dt), size=(m, K))
+
+
+# base seeds of one to seven uint32 words, at the words' edges: with a
+# spawn key numpy pads fewer than four words, and hashes words past the
+# fourth into the pool one by one
+@pytest.mark.parametrize("base", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
+                                  2**128 + 3, 2**200 + 7])
+def test_chunk_seeds_equal_numpys_seed_sequence(base) -> None:
+    plan = ReplicaPlan(base_seed=base, count=1)
+    # indices of one and of two words, in one chunk
+    indices = list(range(12)) + [2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1, 6]
+    expected = [numpy_seed(base, i) for i in indices]
+    seeds = plan.seed_for(indices)
+    assert seeds == expected and all(type(s) is int for s in seeds)
+    assert plan.seed_for(np.arange(12, dtype=np.uint64)) == expected[:12]
+    assert plan.seed_for(range(3)) == expected[:3]
+    assert [plan.seed_for(i) for i in indices] == expected
+    assert type(plan.seed_for(2**32)) is int
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.integers(0, 2**260),
+       indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+def test_chunk_seeds_equal_numpys_on_random_bases(base, indices) -> None:
+    plan = ReplicaPlan(base_seed=base, count=1)
+    assert plan.seed_for(indices) == [numpy_seed(base, i) for i in indices]
+
+
+def test_seed_derivation_refuses_what_it_does_not_cover() -> None:
+    plan = ReplicaPlan(base_seed=5, count=1)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError):
+            plan.seed_for(bad)
+        with pytest.raises(ValueError):
+            plan.seed_for([0, bad])
+        with pytest.raises(ValueError):
+            sample_brownian(1, 4, 0.1, [3, bad])
+    with pytest.raises(TypeError):
+        plan.seed_for(1.0)
+
+
+def test_a_negative_base_seed_raises_without_hanging() -> None:
+    # checked before the base is split into words, which on a negative
+    # int would shift forever
+    raised = []
+
+    def derive():
+        try:
+            ReplicaPlan(base_seed=-5, count=1).seed_for([0, 1])
+        except ValueError as err:
+            raised.append(err)
+
+    worker = threading.Thread(target=derive, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and len(raised) == 1
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_chunk_brownian_equals_each_seeds_philox(m) -> None:
+    # one-word and two-word Philox entropy in one chunk
+    seeds = ([0, 1, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1]
+             + ReplicaPlan(base_seed=9, count=8).seed_for(range(8)))
+    dt = 1e-3
+    paths = sample_brownian(m, 50, dt, seeds)
+    assert [p.seed for p in paths] == seeds
+    for path, seed in zip(paths, seeds):
+        assert path.dt == dt and type(path.seed) is int
+        assert path.increments.tobytes() == philox_path(seed, m, 50, dt).tobytes()
+    # a seed array, and a single seed as the chunk of one
+    again = sample_brownian(m, 50, dt, np.array(seeds, dtype=np.uint64))
+    assert [p.seed for p in again] == seeds and all(type(p.seed) is int for p in again)
+    assert all(a.increments.tobytes() == p.increments.tobytes()
+               for a, p in zip(again, paths))
+    one = sample_brownian(m, 50, dt, seeds[3])
+    assert one.seed == seeds[3]
+    assert one.increments.tobytes() == paths[3].increments.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+def test_chunk_brownian_equals_philox_on_random_seeds(seeds) -> None:
+    paths = sample_brownian(2, 9, 0.01, seeds)
+    assert [p.increments.tobytes() for p in paths] == [
+        philox_path(s, 2, 9, 0.01).tobytes() for s in seeds]
 
 
 # ---------------------------------------------------------------------------
