@@ -214,11 +214,9 @@ def _compute_rate(cfg: ExperimentConfig, out: str, coeffs, dom, gamma, u0):
         raise ConfigError("this subcommand needs an 'event' section")
     opts = cfg.rate_options
     res = minimize_rate(coeffs, dom, gamma, u0, event, T=cfg.T, K=opts["K"],
-                        dt=cfg.dt, n_pen=cfg.n_event,
-                        mu_schedule=tuple(opts["mu_schedule"]),
-                        fd_step=opts["fd_step"], max_iters=opts["max_iters"],
-                        stag_window=opts["stag_window"],
-                        feas_tol=opts["feas_tol"], max_dim=opts["max_dim"])
+                        dt=cfg.dt, n_pen=cfg.n_event, fd_step=opts["fd_step"],
+                        max_iters=opts["max_iters"], feas_tol=opts["feas_tol"],
+                        max_dim=opts["max_dim"])
     payload = res.to_dict()
     payload["event"] = event.describe()
     _write_json(os.path.join(out, "rate.json"), payload)

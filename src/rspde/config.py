@@ -218,10 +218,13 @@ SCHEMA = {
             "required": ["K"],
             "properties": {
                 "K": _INT_POS,
-                "mu_schedule": {"type": "array", "items": _POS, "minItems": 1},
+                # read by nothing: still accepted because older configs,
+                # the benchmark's rate workload among them, set them
+                "mu_schedule": {"type": "array", "items": _POS, "minItems": 1,
+                                "deprecated": True},
                 "fd_step": _POS,
                 "max_iters": _INT_POS,
-                "stag_window": _INT_POS,
+                "stag_window": {**_INT_POS, "deprecated": True},
                 "feas_tol": _POS,
                 "max_dim": _INT_POS,
             },
@@ -269,8 +272,7 @@ DEFAULTS = {
     "weighted": {"lam": 1.0},
     "validation": {"samples": 1000, "seed": 0},
     "tolerances": {"rho_min": 0.7072, "delta_min": 0.0},
-    "rate": {"mu_schedule": [1e1, 1e2, 1e3, 1e4], "fd_step": 1e-4,
-             "max_iters": 150, "stag_window": 50, "feas_tol": 1e-3,
+    "rate": {"fd_step": 1e-4, "max_iters": 150, "feas_tol": 1e-3,
              "max_dim": 64},
 }
 

@@ -12,16 +12,14 @@ the optimizer and the stochastic replicas.  The action of a control is
     I(h) = 1/2 |h|_CM^2 = 1/2 int_0^T |hdot(t)|^2 dt,
 
 and the constrained minimum  I* = inf { I(h) : G0(h) realizes the event }
-is approached by quadratic-penalty continuation: minimize
-
-    1/2 |h|_CM^2 + mu * shortfall(G0(h))^2
-
-over the control's (m, K) table by gradient descent with forward-difference
-gradients and Armijo backtracking, for an increasing schedule of mu.  The
-dim perturbed controls of a gradient are solved as one batch, and the
-backtrack solves a ladder of LADDER step sizes as one batch, speculatively:
-it accepts the first that passes, as the sequential search would, and the
-members after it are wasted.
+is one smooth objective under one constraint, the event's signed margin
+c(h) >= 0.  It is solved by sequential quadratic programming over the
+control's (m, K) table: each iteration solves its trial controls with
+their forward-difference points as one batch, steps to the minimum-norm
+point of the linearised constraint, and guards the step with an l1 merit
+line search whose ladder of step sizes is one more batch, solved only
+when the full step fails.  Two starts run side by side in the same
+batches, and the iterates end on the constraint, not short of it.
 
 Monte Carlo runs the stochastic solver over a ReplicaPlan, so replica
 seeds are independent of worker count and order, and the same replica
@@ -68,15 +66,14 @@ EVENT_N_PEN = 1024.0
 # 512 KiB chunks, about 5 MB of the difference the norms'.
 CHUNK_BYTES = 1 << 22
 
-# minimize_rate: Armijo sufficient-decrease constant, and the relative
-# objective drop below which an accepted step counts toward stagnation.
+# minimize_rate: the Armijo constant of the merit test; the halvings of a
+# rejected step solved as one batch; the size of the two starts; and the
+# margin and relative step below which a start has converged.
 ARMIJO_C1 = 1e-4
-STAG_REL = 1e-8
-
-# minimize_rate tries this many halvings of the step as one batch, step,
-# step/2, ...; a backtrack rarely needs more, and the members after the
-# accepted one are wasted solves.
 LADDER = 4
+START_SIZE = 1e-3
+STOP_MARGIN = 1e-12
+STOP_STEP = 1e-6
 
 
 def _chunks(items, steps: int, grid) -> list:
@@ -128,8 +125,9 @@ class EventSpec:
     ``occurred`` and ``shortfall`` read a whole TrajectoryChunk (a single
     run is a chunk of one) and return one value per member.  The
     shortfall is the continuous margin by which the event is missed: zero
-    exactly when the event occurred, positive otherwise.  The optimizer
-    squares it; Monte Carlo thresholds it at zero.
+    exactly when the event occurred, positive otherwise.  The optimizer's
+    constraint is the signed ``margin``; Monte Carlo thresholds it at
+    zero.
     """
 
     kind: str
@@ -155,7 +153,7 @@ class EventSpec:
             if self.level is None:
                 raise ValueError("functional_threshold needs a level")
 
-    def _margin(self, chunk: TrajectoryChunk) -> np.ndarray:
+    def margin(self, chunk: TrajectoryChunk) -> np.ndarray:
         """Signed margin of each member, >= 0 exactly when the event
         occurred."""
         dx = chunk.grid.dx
@@ -176,10 +174,10 @@ class EventSpec:
         return value - self.level
 
     def occurred(self, chunk: TrajectoryChunk) -> np.ndarray:
-        return self._margin(chunk) >= 0.0
+        return self.margin(chunk) >= 0.0
 
     def shortfall(self, chunk: TrajectoryChunk) -> np.ndarray:
-        margin = self._margin(chunk)
+        margin = self.margin(chunk)
         return np.where(margin < 0.0, -margin, 0.0)
 
     def describe(self) -> dict:
@@ -228,28 +226,55 @@ class RateResult:
         }
 
 
+@dataclass
+class _Start:
+    """One start of the rate search: its accepted control table x with
+    margin c, the multiplier lam and merit weight nu there, the step to try
+    next with the merit's slope along it, and how the start ended (None
+    while it runs, then "converged", "unreachable" or "stalled")."""
+
+    x: np.ndarray
+    c: float
+    lam: float = 0.0
+    nu: float = 0.0
+    step: np.ndarray = None
+    slope: float = 0.0
+    end: str = None
+
+
 def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
                   gamma: ObliqueField, u0, event: EventSpec, T: float, K: int,
-                  dt: float, n_pen: float = EVENT_N_PEN,
-                  mu_schedule=(1e1, 1e2, 1e3, 1e4), fd_step: float = 1e-4,
-                  max_iters: int = 150, stag_window: int = 50,
-                  feas_tol: float = 1e-3, max_dim: int = 64) -> RateResult:
-    """Penalized minimization of the action over controls on an (m, K) grid.
+                  dt: float, n_pen: float = EVENT_N_PEN, fd_step: float = 1e-4,
+                  max_iters: int = 150, feas_tol: float = 1e-3,
+                  max_dim: int = 64) -> RateResult:
+    """I* = min 1/2 |h|_CM^2 subject to the event's margin c(h) >= 0, by
+    sequential quadratic programming over the control's (m, K) table x.
 
-    Gradient descent with numerical gradients is deliberate: it treats the
-    solver as a black box, so the same routine works for every event kind
-    and every coefficient choice.  The control dimension m * K is capped:
-    each gradient costs dim skeleton solves, run as one batch of controls.
-    The Armijo backtrack solves LADDER halvings of the step as one batch
-    and accepts the first that passes, which is the step the sequential
-    search would accept; the members after it are wasted.  Each member of
-    a batch equals its own single solve bit for bit, so the iterates do
-    not depend on the batching.
+    The action is 1/2 w |x|^2 (w = T/K), so each step has a closed form:
+    it goes to y = ((g.x - c)/|g|^2) g, the minimum-norm point of the
+    constraint linearised with the forward-difference gradient g, and
+    lam = w (g.x - c)/|g|^2 is the multiplier, dI*/d(margin).  One batch
+    solves every start's trial y with its dim difference points.  A trial
+    that fails the Armijo test of the l1 merit 1/2 w |x|^2 + nu max(0, -c)
+    (nu twice the largest |lam| seen) costs one more batch, LADDER
+    halvings of its step: the first that passes is solved again, with its
+    gradient, in the next batch, and when none passes the start stalls.  A
+    start converges when |c| <= STOP_MARGIN and |y - x| <= STOP_STEP
+    (1 + |x|).  The control dimension m * K is capped, since a batch holds
+    dim + 1 solves per start.
 
-    When no control can realize the event (e.g. sigma = 0), the shortfall
-    cannot be driven down and the result comes back feasible=False with
-    the shortfall reported; callers must check the flag before quoting
-    the rate.
+    The problem is not convex, so the starts +-START_SIZE (1, ..., 1) /
+    sqrt(dim) run side by side and the lowest feasible result is
+    reported.  The first batch also solves the zero control: an event it
+    meets has I* = 0.  A start whose gradient vanishes while it misses the
+    event ends at the zero control, which is the result when no start
+    meets the event (e.g. sigma = 0): feasible=False with violation
+    -c(0); callers must check the flag before quoting the rate.
+    ``stagnated`` marks a reported start that stalled or ran out of
+    max_iters, and the one ``trace`` entry holds the iterations (batches
+    after the first), the ladder batches and the multiplier.  Batch
+    members equal their single solves bit for bit, so nothing depends on
+    the chunking.
     """
     m = coeffs.m
     dim = m * K
@@ -257,86 +282,104 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
         raise ValueError(f"control dimension m*K = {dim} exceeds {max_dim}; "
                          "coarsen the control grid")
     steps, dt_eff = resolve_time_grid(T, dt, n_pen, K)
+    w = T / K
+    zero = np.zeros(dim)
+    offsets = np.vstack([zero, fd_step * np.eye(dim)])
 
     def control_at(x):
         return Control(T=T, values=x.reshape(m, K))
 
-    def objective(ctrl, v, mu):
-        return rate_functional(ctrl) + mu * v * v
-
-    def evaluate(points, mu):
-        """(objective, shortfall) at each point, the skeleton solves run a
-        chunk of controls at a time."""
+    def margins(points) -> np.ndarray:
         out = []
         for part in _chunks(points, steps, u0.grid):
-            ctrls = [control_at(x) for x in part]
-            chunk = solve_penalized_spde(coeffs, domain, gamma, u0,
-                                         n_pen=n_pen, dt=dt_eff, steps=steps,
-                                         control=ctrls)
-            for ctrl, v in zip(ctrls, event.shortfall(chunk).tolist()):
-                out.append((objective(ctrl, v, mu), v))
-        return out
+            chunk = solve_penalized_spde(
+                coeffs, domain, gamma, u0, n_pen=n_pen, dt=dt_eff,
+                steps=steps, control=[control_at(x) for x in part])
+            out += event.margin(chunk).tolist()
+        return np.array(out)
 
-    def backtrack(x, grad, fcur, gnorm_sq, mu, step):
-        """(step, point, objective, shortfall) of the first of step,
-        step/2, ... (down to 1e-14) that passes the Armijo test, or None,
-        trying LADDER of them per batch."""
-        halvings = []
-        while step > 1e-14:
-            halvings.append(step)
-            step *= 0.5
-        for lo in range(0, len(halvings), LADDER):
-            ladder = halvings[lo:lo + LADDER]
-            trials = [x - s * grad for s in ladder]
-            for s, trial, (f, v) in zip(ladder, trials, evaluate(trials, mu)):
-                if f <= fcur - ARMIJO_C1 * s * gnorm_sq:
-                    return s, trial, f, v
-        return None
+    def probe(points, lead=()):
+        """The margins at ``lead``, then the margin and its gradient at
+        each point, from one list of members."""
+        c = margins([*lead, *(x + e for x in points for e in offsets)])
+        at = c[len(lead):].reshape(len(points), dim + 1)
+        return c[:len(lead)], at[:, 0], (at[:, 1:] - at[:, :1]) / fd_step
 
-    x = np.zeros(dim)
-    ((_, vcur),) = evaluate([x], 0.0)
-    trace = []
-    stagnated = False
-    step0 = 1.0
-    for stage, mu in enumerate(mu_schedule):
-        fcur = objective(control_at(x), vcur, mu)
-        stall = 0
-        iters_done = 0
-        for _ in range(max_iters):
-            iters_done += 1
-            points = []
-            for i in range(dim):
-                xp = x.copy()
-                xp[i] += fd_step
-                points.append(xp)
-            grad = np.array([(fp - fcur) / fd_step
-                             for fp, _ in evaluate(points, mu)])
-            gnorm_sq = float(grad @ grad)
-            if gnorm_sq < 1e-24:
-                break
-            accepted = backtrack(x, grad, fcur, gnorm_sq, mu, step0)
-            if accepted is None:
-                break
-            step, trial, ftrial, vtrial = accepted
-            rel_drop = (fcur - ftrial) / max(abs(fcur), 1e-30)
-            x, fcur, vcur = trial, ftrial, vtrial
-            step0 = min(4.0 * step, 1e3)
-            stall = stall + 1 if rel_drop < STAG_REL else 0
-            if stall >= stag_window:
-                stagnated = True
-                break
-        trace.append({"mu": float(mu), "objective": float(fcur),
-                      "shortfall": float(vcur), "iterations": iters_done})
-        if vcur <= feas_tol and stage > 0:
-            # already feasible at this stiffness; later stages would only
-            # re-verify the same point
-            break
+    def passes(st, x, c, slope):
+        """The Armijo test of the merit at x, from st's accepted point."""
+        def merit(x, c):
+            return 0.5 * w * float(x @ x) + st.nu * max(0.0, -c)
+        return merit(x, c) <= merit(st.x, st.c) + ARMIJO_C1 * slope
 
-    ctrl = control_at(x)
+    def plan(st, g):
+        """The next step of st from its accepted point, or its end."""
+        gg = float(g @ g)
+        if gg == 0.0:
+            if st.c >= 0.0:
+                st.end = "converged"
+            else:
+                st.x, st.c, st.end = zero, c_zero, "unreachable"
+            return
+        st.lam = w * (float(g @ st.x) - st.c) / gg
+        st.step = (st.lam / w) * g - st.x
+        if (abs(st.c) <= STOP_MARGIN and math.sqrt(st.step @ st.step)
+                <= STOP_STEP * (1.0 + math.sqrt(st.x @ st.x))):
+            st.end = "converged"
+            return
+        st.nu = max(st.nu, 2.0 * abs(st.lam))
+        st.slope = w * float(st.x @ st.step) - st.nu * max(0.0, -st.c)
+
+    unit = np.full(dim, START_SIZE / math.sqrt(dim))
+    (c_zero,), c, g = probe([unit, -unit], lead=[zero])
+    if c_zero >= 0.0:
+        # the zero control already meets the event
+        starts = [_Start(zero, c_zero, end="converged")]
+    else:
+        starts = [_Start(x, cx) for x, cx in zip((unit, -unit), c)]
+        for st, gx in zip(starts, g):
+            plan(st, gx)
+
+    rungs = [0.5 ** k for k in range(1, LADDER + 1)]
+    iterations = ladders = 0
+    live = [st for st in starts if st.end is None]
+    while live and iterations < max_iters:
+        iterations += 1
+        trials = [st.x + st.step for st in live]
+        _, c, g = probe(trials)
+        rejected = []
+        for st, x, cx, gx in zip(live, trials, c, g):
+            if passes(st, x, cx, st.slope):
+                st.x, st.c = x, cx
+                plan(st, gx)
+            else:
+                rejected.append(st)
+        if rejected:
+            ladders += 1
+            c = margins([st.x + a * st.step for st in rejected for a in rungs])
+            for st, c_rungs in zip(rejected, c.reshape(-1, LADDER)):
+                passed = [a for a, ca in zip(rungs, c_rungs)
+                          if passes(st, st.x + a * st.step, ca, a * st.slope)]
+                if passed:
+                    st.step, st.slope = passed[0] * st.step, passed[0] * st.slope
+                else:
+                    st.end = "stalled"
+        live = [st for st in starts if st.end is None]
+
+    def rank(st):
+        """Feasible starts by rate, then the others by violation."""
+        v = max(0.0, -st.c)
+        return (v > feas_tol,
+                rate_functional(control_at(st.x)) if v <= feas_tol else v)
+
+    best = min(starts, key=rank)
+    ctrl = control_at(best.x)
+    violation = max(0.0, -float(best.c))
+    trace = [{"iterations": iterations, "ladders": ladders,
+              "multiplier": float(best.lam)}]
     return RateResult(control=ctrl, rate=rate_functional(ctrl),
-                      violation=vcur, feasible=vcur <= feas_tol,
-                      stagnated=stagnated, trace=trace, n_pen=n_pen,
-                      dt=dt_eff, steps=steps)
+                      violation=violation, feasible=violation <= feas_tol,
+                      stagnated=best.end in (None, "stalled"), trace=trace,
+                      n_pen=n_pen, dt=dt_eff, steps=steps)
 
 
 # -- Monte Carlo -------------------------------------------------------

@@ -441,6 +441,23 @@ def test_norm_series_are_computed_only_for_readers(tmp_path, monkeypatch,
         assert calls == []
 
 
+def test_rate_ignores_deprecated_continuation_keys(tmp_path):
+    # mu_schedule and stag_window steered the quadratic-penalty
+    # continuation; they still validate, and rate.json does not change
+    with_keys = copy.deepcopy(FREE)
+    with_keys["rate"].update(mu_schedule=[100.0, 10000.0], stag_window=10)
+    without = copy.deepcopy(FREE)
+    without["rate"] = {k: v for k, v in without["rate"].items()
+                       if k not in ("mu_schedule", "stag_window")}
+    outs = []
+    for name, payload in (("with", with_keys), ("without", without)):
+        code, out = run(tmp_path, "rate", payload, name=name)
+        assert code == 0
+        outs.append(read_bytes(out, "rate.json"))
+    assert outs[0] == outs[1]
+    assert read_json(out, "rate.json")["feasible"] is True
+
+
 @pytest.mark.parametrize("per_chunk", [70, 200])
 def test_mc_seeds_and_samples_a_chunk_in_one_call(tmp_path, monkeypatch,
                                                    per_chunk):

@@ -70,6 +70,9 @@ UNREAD_ALLOWED = {
     ("geometry", "ObliqueField.grid_values"):
         "the benchmark's tracer (bench/tracing.py) patches it by name; it "
         "goes when the program reports its own counts and phase times",
+    ("ldp", "EventSpec.shortfall"):
+        "the benchmark's tracer (bench/tracing.py) patches it by name, and "
+        "the event tests read it; the rate minimiser reads the signed margin",
     ("weakform", "weak_form_residual"):
         "weak-form check of solver output, run by the tests; not yet part "
         "of report.json",

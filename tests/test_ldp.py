@@ -1,7 +1,9 @@
 """Events, the action minimizer, and Monte Carlo against a Gaussian oracle."""
 
 import copy
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,8 +18,7 @@ from rspde.diagnostics import penetration_report
 from rspde.fields import h_norm
 from rspde.geometry import Ball, Box, Intersection, ObliqueField
 from rspde import ldp
-from rspde.ldp import (ARMIJO_C1, LADDER, STAG_REL, TRAJECTORY_FUNCTIONALS,
-                       CompareRow, EventSpec,
+from rspde.ldp import (TRAJECTORY_FUNCTIONALS, CompareRow, EventSpec,
                        MCResult, RateResult, _replicas, ldp_compare, mc_rows, minimize_rate,
                        rate_functional, summarize_rows, summarize_weighted,
                        weighted_rows)
@@ -242,13 +243,13 @@ def test_minimize_rate_beats_planted_control():
     event = EventSpec("terminal_ball", radius=radius,
                       center=target.states[-1].copy())
     res = minimize_rate(coeffs, dom, g, u0, event, T=0.05, K=4,
-                        dt=1e-3, n_pen=16.0, max_iters=80, stag_window=20)
+                        dt=1e-3, n_pen=16.0, max_iters=80)
     assert res.feasible
     assert res.violation <= 1e-3
     assert res.rate <= 1.15 * i_plant
     assert res.rate > 0.0
-    assert len(res.trace) >= 1
-    assert all(t["shortfall"] >= 0.0 for t in res.trace)
+    (summary,) = res.trace
+    assert summary["iterations"] >= 1
 
 
 def test_minimize_rate_flags_unreachable_event():
@@ -263,90 +264,18 @@ def test_minimize_rate_flags_unreachable_event():
     assert res.rate <= 1e-10
 
 
-def reference_minimize_rate(coeffs, domain, gamma, u0, event, T, K, dt,
-                            n_pen=16.0, mu_schedule=(1e1, 1e2, 1e3, 1e4),
-                            fd_step=1e-4, max_iters=150, stag_window=50,
-                            feas_tol=1e-3):
-    """minimize_rate as a plain loop of single skeleton solves, one per
-    objective evaluation, with a sequential Armijo backtrack.  Returns the
-    result and the most halvings any accepted step needed."""
-    m = coeffs.m
-    dim = m * K
-    steps, dt_eff = resolve_time_grid(T, dt, n_pen, K)
-
-    def shortfall_at(x):
-        ctrl = Control(T=T, values=x.reshape(m, K))
-        run = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
-                                   dt=dt_eff, steps=steps, control=[ctrl])
-        (v,) = event.shortfall(run).tolist()
-        return ctrl, v
-
-    def objective(x, mu):
-        ctrl, v = shortfall_at(x)
-        return 0.5 * ctrl.cm_norm_sq() + mu * v * v, v
-
-    x = np.zeros(dim)
-    trace = []
-    stagnated = False
-    step0 = 1.0
-    most_halvings = 0
-    for stage, mu in enumerate(mu_schedule):
-        fcur, vcur = objective(x, mu)
-        stall = 0
-        iters_done = 0
-        for _ in range(max_iters):
-            iters_done += 1
-            grad = np.empty(dim)
-            for i in range(dim):
-                xp = x.copy()
-                xp[i] += fd_step
-                fp, _ = objective(xp, mu)
-                grad[i] = (fp - fcur) / fd_step
-            gnorm_sq = float(grad @ grad)
-            if gnorm_sq < 1e-24:
-                break
-            step = step0
-            halvings = 0
-            accepted = False
-            while step > 1e-14:
-                trial = x - step * grad
-                ftrial, vtrial = objective(trial, mu)
-                if ftrial <= fcur - ARMIJO_C1 * step * gnorm_sq:
-                    accepted = True
-                    break
-                step *= 0.5
-                halvings += 1
-            if not accepted:
-                break
-            most_halvings = max(most_halvings, halvings)
-            rel_drop = (fcur - ftrial) / max(abs(fcur), 1e-30)
-            x, fcur, vcur = trial, ftrial, vtrial
-            step0 = min(4.0 * step, 1e3)
-            stall = stall + 1 if rel_drop < STAG_REL else 0
-            if stall >= stag_window:
-                stagnated = True
-                break
-        trace.append({"mu": float(mu), "objective": float(fcur),
-                      "shortfall": float(vcur), "iterations": iters_done})
-        if vcur <= feas_tol and stage > 0:
-            break
-
-    ctrl, v_final = shortfall_at(x)
-    res = RateResult(control=ctrl, rate=rate_functional(ctrl),
-                     violation=v_final, feasible=v_final <= feas_tol,
-                     stagnated=stagnated, trace=trace, n_pen=n_pen,
-                     dt=dt_eff, steps=steps)
-    return res, most_halvings
-
-
 # rate problems as configs: the benchmark's rate workload (terminal-ball
-# exit on the free interval); a sup_exceed event in d = 2 on ball-box with
-# rotated gamma, whose batches mix members that reach the wall and members
-# that do not, and whose backtracks go past the first ladder; and sigma = 0,
-# where no control moves the state
+# exit on the free interval) and configs/small_noise.json, each with a
+# closed form; a sup_exceed event in d = 2 on ball-box with rotated gamma,
+# whose batches mix members that reach the wall and members that do not;
+# and sigma = 0, where no control moves the state
 FREE = {"domain": {"kind": "ball", "center": [0.0], "radius": 100.0},
         "gamma": {"rule": "normal"}, "u0": {"kind": "zero"},
         "replicas": {"base_seed": 1, "count": 1}}
+SMALL_NOISE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "small_noise.json")
+with open(SMALL_NOISE, encoding="utf-8") as _fh:
+    _SMALL_NOISE_RAW = json.load(_fh)
 RATE_PROBLEMS = {
     "rate-free-1d": dict(
         FREE,
@@ -355,7 +284,8 @@ RATE_PROBLEMS = {
         grid={"J": 15, "dt": 2e-3, "T": 0.25}, penalty={"n_event": 256.0},
         event={"kind": "terminal_ball", "radius": 0.17982651009675618,
                "complement": True},
-        rate={"K": 4, "mu_schedule": [1e2, 1e4], "stag_window": 10}),
+        rate={"K": 4}),
+    "small-noise": _SMALL_NOISE_RAW,
     "ball-box-sup": {
         "domain": {"kind": "intersection", "members": [
             {"kind": "ball", "center": [0.0, 0.0], "radius": 0.5},
@@ -369,8 +299,7 @@ RATE_PROBLEMS = {
         "penalty": {"n_event": 256.0},
         "replicas": {"base_seed": 1, "count": 1},
         "event": {"kind": "sup_exceed", "radius": 0.38},
-        "rate": {"K": 2, "mu_schedule": [1e2, 1e4], "stag_window": 10,
-                 "max_iters": 10}},
+        "rate": {"K": 2, "max_iters": 10}},
     "unreachable": dict(
         FREE,
         coefficients={"d": 1, "m": 1, "b": {"name": "zero"},
@@ -381,24 +310,79 @@ RATE_PROBLEMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(RATE_PROBLEMS))
-def test_batched_minimizer_matches_sequential_reference(name, monkeypatch):
-    # the result, trace and control bit for bit, with the default chunks
-    # and with chunks of one member
+def rate_call(name):
+    """minimize_rate's arguments for a rate problem, as the CLI passes them."""
     cfg = ExperimentConfig.from_dict(copy.deepcopy(RATE_PROBLEMS[name]))
     dom = cfg.build_domain()
     args = (cfg.build_coefficients(), dom, cfg.build_gamma(dom),
             cfg.build_u0(), cfg.build_event())
     opts = cfg.rate_options
     kwargs = dict(T=cfg.T, K=opts["K"], dt=cfg.dt, n_pen=cfg.n_event,
-                  mu_schedule=tuple(opts["mu_schedule"]),
                   fd_step=opts["fd_step"], max_iters=opts["max_iters"],
-                  stag_window=opts["stag_window"], feas_tol=opts["feas_tol"])
-    want, halvings = reference_minimize_rate(*args, **kwargs)
-    steps, _ = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, opts["K"])
+                  feas_tol=opts["feas_tol"])
+    return cfg, args, kwargs
+
+
+@pytest.mark.parametrize("name", ["rate-free-1d", "small-noise"])
+def test_minimizer_meets_closed_form_at_stated_radius(name, monkeypatch):
+    # the SQP iterates end on the constraint, so I* is the closed form at
+    # the event's own radius, not at the radius reached
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                             os.pardir, "bench"))
+    import reference
+
+    cfg, args, kwargs = rate_call(name)
+    res = minimize_rate(*args, **kwargs)
+    want = reference.closed_form_rate(cfg.raw["grid"]["J"], res.dt,
+                                      res.steps, kwargs["K"], cfg.T,
+                                      cfg.raw["event"]["radius"])
+    assert res.feasible and not res.stagnated
+    assert res.violation <= 1e-12
+    assert abs(res.rate - want) <= 1e-9 * want
+    # the multiplier is dI*/d(radius), and I* is quadratic in the radius
+    (summary,) = res.trace
+    assert summary["multiplier"] == pytest.approx(
+        2.0 * want / cfg.raw["event"]["radius"], rel=1e-6)
+
+
+def test_minimizer_reaches_ball_box_sup_event():
+    # a non-smooth sup over time on a penetrating problem, within its 10
+    # iterations: feasible, and no higher than the 2.125749507188183 of the
+    # quadratic-penalty continuation this minimiser replaced
+    _, args, kwargs = rate_call("ball-box-sup")
+    res = minimize_rate(*args, **kwargs)
+    assert res.feasible and res.violation <= kwargs["feas_tol"]
+    assert 0.0 < res.rate <= 2.125749507188183
+
+
+def test_minimizer_stops_on_met_event_after_one_solve(monkeypatch):
+    # the zero control already leaves the ball: I* = 0, from the first batch
+    _, args, kwargs = rate_call("rate-free-1d")
+    met = EventSpec("terminal_ball", radius=0.1)
+    calls = []
+    solve = ldp.solve_penalized_spde
+
+    def solve_counting(*a, **kw):
+        calls.append(len(kw["control"]))
+        return solve(*a, **kw)
+
+    monkeypatch.setattr(ldp, "solve_penalized_spde", solve_counting)
+    res = minimize_rate(*args[:4], met, **kwargs)
+    assert len(calls) == 1
+    assert res.rate == 0.0 and res.violation == 0.0
+    assert res.feasible and not res.stagnated
+    assert not np.any(res.control.values)
+    assert res.trace[0]["iterations"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(RATE_PROBLEMS))
+def test_minimizer_does_not_depend_on_chunks(name, monkeypatch):
+    # the result, trace and control bit for bit, with the default chunks
+    # and with chunks of one member
+    cfg, args, kwargs = rate_call(name)
+    steps, _ = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, kwargs["K"])
     grid = args[3].grid
     member = 8 * (steps + 1) * grid.d * grid.J
-    assert ldp.CHUNK_BYTES >= LADDER * member
     mixed = []
     solve = ldp.solve_penalized_spde
 
@@ -409,15 +393,13 @@ def test_batched_minimizer_matches_sequential_reference(name, monkeypatch):
         return chunk
 
     monkeypatch.setattr(ldp, "solve_penalized_spde", solve_recording)
-    for budget in (ldp.CHUNK_BYTES, member):
-        monkeypatch.setattr(ldp, "CHUNK_BYTES", budget)
-        got = minimize_rate(*args, **kwargs)
-        assert got.to_dict() == want.to_dict()
-    assert want.feasible == (name != "unreachable")
+    want = minimize_rate(*args, **kwargs).to_dict()
+    monkeypatch.setattr(ldp, "CHUNK_BYTES", member)
+    assert minimize_rate(*args, **kwargs).to_dict() == want
+    assert want["feasible"] == (name != "unreachable")
     if name == "ball-box-sup":
-        # an accepted step lies past the first ladder, and some batches
-        # hold members that reach the wall beside members that do not
-        assert halvings >= LADDER
+        # some batches hold members that reach the wall beside members
+        # that do not
         assert any(mixed)
 
 
@@ -438,8 +420,7 @@ def test_minimum_energy_scales_quadratically_in_radius():
     for delta in (0.02, 0.04):
         event = EventSpec("terminal_ball", radius=delta, complement=True)
         res = minimize_rate(coeffs, dom, g, u0, event, T=0.05, K=4,
-                            dt=1e-3, n_pen=16.0, max_iters=80,
-                            stag_window=20)
+                            dt=1e-3, n_pen=16.0, max_iters=80)
         assert res.feasible
         rates.append(res.rate)
     exponent = math.log(rates[1] / rates[0]) / math.log(2.0)
