@@ -27,7 +27,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import scipy
@@ -230,11 +229,10 @@ def _cmd_rate(cfg: ExperimentConfig, args, out: str) -> list:
 
 
 def _mc_chunk(payload):
-    """Worker body: rebuild the model from the raw config and run a
+    """Worker body: build the model from the validated config and run a
     contiguous replica range on the time grid (n_pen, dt, steps).
     Module-level so it pickles."""
-    raw, seed, eps, (n_pen, dt, steps), start, stop = payload
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg, seed, eps, (n_pen, dt, steps), start, stop = payload
     coeffs, dom, gamma, u0 = _solver_pieces(cfg)
     plan = ReplicaPlan(base_seed=seed, count=cfg.replica_count)
     return mc_rows(coeffs, dom, gamma, u0, cfg.build_event(), eps, n_pen, dt,
@@ -242,16 +240,20 @@ def _mc_chunk(payload):
 
 
 def _fan_out(body, cfg: ExperimentConfig, args, count: int, *params) -> list:
-    """body((raw config, base seed, *params, lo, hi)) of each of the
-    --workers contiguous ranges [lo, hi) that split the replica indices
-    [0, count), in index order; each range runs in its own process when
-    there are several workers."""
+    """body((config, base seed, *params, lo, hi)) of each of the --workers
+    contiguous ranges [lo, hi) that split the replica indices [0, count),
+    in index order; each range runs in its own process when there are
+    several workers.  The validated config pickles as it is, so a worker
+    does not validate it again, and the process pool is imported only
+    when one is started."""
     workers = max(1, args.workers)
     bounds = [count * i // workers for i in range(workers + 1)]
-    payloads = [(cfg.raw, args.base_seed, *params, lo, hi)
+    payloads = [(cfg, args.base_seed, *params, lo, hi)
                 for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
     if workers == 1:
         return list(map(body, payloads))
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(body, payloads))
 
@@ -319,11 +321,10 @@ def _weighted_plan(cfg: ExperimentConfig, seed: int) -> tuple:
 
 
 def _weighted_chunk(payload):
-    """Worker body: rebuild the model from the raw config and return the
-    weighted distances of a contiguous replica range at every noise level.
-    Module-level so it pickles."""
-    raw, seed, start, stop = payload
-    cfg = ExperimentConfig.from_dict(raw)
+    """Worker body: build the model from the validated config and return
+    the weighted distances of a contiguous replica range at every noise
+    level.  Module-level so it pickles."""
+    cfg, seed, start, stop = payload
     coeffs, dom, gamma, u0 = _solver_pieces(cfg)
     epsilons, plan = _weighted_plan(cfg, seed)
     return weighted_rows(coeffs, dom, gamma, u0, cfg.build_control(),

@@ -1,11 +1,15 @@
 """Reports of the a-priori estimates, all computed on the solver's grid.
 
-Each report is a plain dict of floats so it can be merged into a JSON
-document without ceremony.  Quantities that bound expectations in the
-continuum (fourth-moment energy, penalty work, reflection mass) are
-reported per trajectory (``estimate_report`` merges them); the weighted
-distance compares two trajectories on the same grid, as does the Cauchy
-gap ``trajectory.state_gap``.
+Each report is a plain dict so it can be merged into a JSON document
+without ceremony.  Quantities that bound expectations in the continuum
+(fourth-moment energy, penalty work, reflection mass) are reported per
+trajectory (``estimate_report`` merges them); the weighted distance
+compares two trajectories on the same grid, as does the Cauchy gap
+``trajectory.state_gap``.
+
+Every report and distance reads a run or a whole chunk (see
+``trajectory``): floats for a run, and for a chunk (B,) arrays whose
+values are bit for bit those of each member's own run.
 
 Left-endpoint quadrature is used for every time integral, matching the
 explicit terms of the stepping scheme, so a report recomputed from a
@@ -19,51 +23,60 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import Control
-from .trajectory import Trajectory, state_gap
+from .trajectory import gap_series, member_sums, per_member, state_gap
 
 
-def energy_report(traj: Trajectory) -> dict:
+def energy_report(traj) -> dict:
     """sup |u|_H^4, sup |u|_V^2 and int |Delta_h u|_H^2 dt."""
     s = traj.series
-    return {
-        "sup_H4": float(np.max(s.h_sq)) ** 2,
-        "sup_V2": float(np.max(s.v_sq)),
-        "int_H2": float(np.sum(s.lap_sq[:-1])) * traj.dt,
-    }
+    h_sq, v_sq, lap_sq = (np.atleast_2d(a) for a in (s.h_sq, s.v_sq, s.lap_sq))
+    # squared as Python floats, whose pow can round unlike numpy's x * x
+    sup_h4 = [top ** 2 for top in h_sq.max(axis=1).tolist()]
+    values = {"sup_H4": np.array(sup_h4), "sup_V2": v_sq.max(axis=1),
+              "int_H2": member_sums(lap_sq[:, :-1]) * traj.dt}
+    chunk = traj.states.ndim == 4
+    return {name: per_member(chunk, v) for name, v in values.items()}
 
 
-def penetration_report(traj: Trajectory) -> dict:
+def penetration_report(traj) -> dict:
     """How far the run leaves the domain, and how hard the penalty works.
 
     sup_pen_H / sup_pen_Linf track the raw penetration |u - pi(u)| (these
     should vanish like 1/n_pen); the n- and n^2-weighted integrals and the
     reflection-measure mass are the quantities that stay bounded uniformly
-    in n_pen.  When the trajectory was loaded without its measure, the
-    total variation falls back to the series quadrature
+    in n_pen.  When a run was loaded without its measure, the total
+    variation falls back to the series quadrature
     n_pen * int |u - pi(u)|_{L1} dt, which is the same sum reordered.
     """
     s = traj.series
+    pen_h, pen_l1, pen_linf, pen_gamma, h_sq = (
+        np.atleast_2d(a) for a in (s.pen_h, s.pen_l1, s.pen_linf,
+                                   s.pen_gamma, s.h_sq))
     dt = traj.dt
-    n = traj.n_pen
+    n = np.array(traj.n_pen, dtype=float, ndmin=1)
+    n_l1 = n * member_sums(pen_l1[:, :-1]) * dt
     if traj.measure is not None:
-        eta_tv = traj.measure.total_variation
+        eta_tv = np.atleast_1d(traj.measure.total_variation)
     elif "eta_total_variation" in traj.meta:
-        eta_tv = float(traj.meta["eta_total_variation"])
+        eta_tv = np.array([float(traj.meta["eta_total_variation"])])
     else:
-        eta_tv = n * float(np.sum(s.pen_l1[:-1])) * dt
-    return {
-        "sup_pen_H": float(np.max(s.pen_h)),
-        "sup_pen_Linf": float(np.max(s.pen_linf)),
-        "n_l1_integral": n * float(np.sum(s.pen_l1[:-1])) * dt,
-        "n2_h2_integral": n * n * float(np.sum(s.pen_h[:-1] ** 2)) * dt,
+        eta_tv = n_l1
+    values = {
+        "sup_pen_H": pen_h.max(axis=1),
+        "sup_pen_Linf": pen_linf.max(axis=1),
+        "n_l1_integral": n_l1,
+        "n2_h2_integral": n * n * member_sums(pen_h[:, :-1] ** 2) * dt,
         "eta_total_variation": eta_tv,
         "n_weighted_energy_integral":
-            n * float(np.sum(s.h_sq[:-1] * s.pen_gamma[:-1])) * dt,
+            n * member_sums(h_sq[:, :-1] * pen_gamma[:, :-1]) * dt,
     }
+    chunk = traj.states.ndim == 4
+    return {name: per_member(chunk, v) for name, v in values.items()}
 
 
-def weighted_distance(a: Trajectory, b: Trajectory, lam: float) -> dict:
-    """Exponentially discounted distance between two runs.
+def weighted_distance(a, b, lam: float) -> dict:
+    """Exponentially discounted distance between runs or chunks a and b
+    (a run against a chunk is compared with each of its members).
 
     The weight
         psi(t_k) = exp(-lam * sum_{i<k} (|u_a(t_i)|_V^2 + |u_b(t_i)|_V^2) dt)
@@ -73,25 +86,23 @@ def weighted_distance(a: Trajectory, b: Trajectory, lam: float) -> dict:
     """
     if lam < 0.0:
         raise ValueError("the discount rate lam must be non-negative")
-    if a.states.shape != b.states.shape or a.dt != b.dt:
-        raise ValueError("weighted_distance needs identical grids and time steps")
-    from .fields import sup_series, v_series
-
+    h, v = gap_series(a, b)
     dt = a.dt
-    burden = a.series.v_sq + b.series.v_sq
+    burden = np.atleast_2d(a.series.v_sq + b.series.v_sq)
     # psi[k] discounts by the energy of steps strictly before t_k.
-    psi = np.exp(-lam * dt * np.concatenate(([0.0], np.cumsum(burden[:-1]))))
-    diff = a.states - b.states
-    h = sup_series(diff, a.grid.dx)
-    v = v_series(diff, a.grid.dx)
+    spent = np.zeros_like(burden)
+    np.cumsum(burden[:, :-1], axis=1, out=spent[:, 1:])
+    psi = np.exp(-lam * dt * spent)
+    chunk = max(a.states.ndim, b.states.ndim) == 4
     return {
-        "weighted_sup": float(np.max(psi * h)),
-        "weighted_int": float(np.sum(psi[:-1] * v[:-1])) * dt,
+        "weighted_sup": per_member(chunk, (psi * h).max(axis=1)),
+        "weighted_int": per_member(
+            chunk, member_sums(psi[:, :-1] * v[:, :-1]) * dt),
     }
 
 
-def estimate_report(traj: Trajectory) -> dict:
-    """Every single-run estimate: energy_report merged with
+def estimate_report(traj) -> dict:
+    """Every estimate of a run or chunk: energy_report merged with
     penetration_report."""
     return {**energy_report(traj), **penetration_report(traj)}
 

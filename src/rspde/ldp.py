@@ -30,8 +30,9 @@ and a chunk's members do not interact, so no result depends on how they
 are chunked.  A chunk's seeds and Philox keys come from one vectorised
 pass of numpy's SeedSequence hash, and its paths from one reseated
 generator, bit for bit what each replica's own SeedSequence and Philox
-give.  Events, their shortfalls and the Monte Carlo rows are read from
-the whole chunk at once, one value per member, each bit for bit the
+give.  Every read of a chunk (events, their shortfalls, the Monte Carlo
+rows, the ldp1 stray count's Cauchy gaps and the weighted distances) is
+one call on the whole chunk, one value per member, each bit for bit the
 value a read of that member alone gives.
 """
 
@@ -48,7 +49,7 @@ from .diagnostics import weighted_distance
 from .geometry import ConvexDomain, ObliqueField
 from .solvers import (ReplicaPlan, resolve_time_grid, sample_brownian,
                       solve_penalized_spde)
-from .trajectory import TrajectoryChunk, state_gap
+from .trajectory import TrajectoryChunk, member_sums, state_gap
 
 # Penalty level at which rare events are posed (config can override).
 EVENT_N_PEN = 1024.0
@@ -83,31 +84,32 @@ def _chunks(items, steps: int, grid) -> list:
     return [items[lo:lo + per] for lo in range(0, len(items), per)]
 
 
-def _member_sums(values: np.ndarray) -> np.ndarray:
-    """The sum of each member's block of a (B, ...) array, each summed as
-    np.sum sums that block alone."""
-    return values.reshape(len(values), -1).sum(axis=1)
-
-
-def _terminal_h_norm(chunk: TrajectoryChunk) -> np.ndarray:
+def _terminal_h_norm(chunk: TrajectoryChunk, center=None) -> np.ndarray:
+    """|u(T) - center|_H of each member, |u(T)|_H without a center."""
     terminal = chunk.states[:, -1]
-    return np.sqrt(chunk.grid.dx * _member_sums(terminal * terminal))
+    diff = terminal if center is None else terminal - center
+    return np.sqrt(chunk.grid.dx * member_sums(diff * diff))
 
 
-def _eta_mass(chunk: TrajectoryChunk) -> np.ndarray:
-    # on the 4-d array: reshaping the shared zeros of a chunk that never
-    # penetrated would copy them
-    inc = chunk.measure.increments
-    return _member_sums(np.sqrt(np.einsum("bkdj,bkdj->bkj", inc, inc)))
+def _sup_h_norm(chunk: TrajectoryChunk, reference=None) -> np.ndarray:
+    """sup_t |u(t) - reference|_H of each member, sup_t |u(t)|_H without a
+    reference, from the states alone: no norm series is computed."""
+    diff = chunk.states if reference is None else chunk.states - reference
+    B, count, d, J = diff.shape
+    flat = diff.reshape(B * count, d, J)
+    sq = np.einsum("kdj,kdj->k", flat, flat).reshape(B, count)
+    return np.sqrt(chunk.grid.dx * sq.max(axis=1))
 
 
-# Each maps a chunk to one value per member, equal to what the single-run
-# form (h_norm of the terminal state, penetration_report's total
-# variation, ...) gives that member alone.
+# Each maps a chunk to one value per member, bit for bit what that
+# member's own run gives.  eta_mass is the single-run form itself, the
+# measure's total variation, which reads a run or a chunk; the others are
+# h_norm of the terminal state, the largest h_norm over time and the mean
+# of the terminal state's first component.
 TRAJECTORY_FUNCTIONALS = {
     "terminal_h_norm": _terminal_h_norm,
-    "sup_h_norm": lambda ch: np.sqrt(ch.series.h_sq.max(axis=1)),
-    "eta_mass": _eta_mass,
+    "sup_h_norm": _sup_h_norm,
+    "eta_mass": lambda ch: ch.measure.total_variation,
     "terminal_mean": lambda ch: ch.grid.dx * ch.states[:, -1, 0].sum(axis=1),
 }
 
@@ -156,20 +158,11 @@ class EventSpec:
     def margin(self, chunk: TrajectoryChunk) -> np.ndarray:
         """Signed margin of each member, >= 0 exactly when the event
         occurred."""
-        dx = chunk.grid.dx
         if self.kind == "terminal_ball":
-            diff = chunk.states[:, -1]
-            if self.center is not None:
-                diff = diff - self.center
-            dist = np.sqrt(dx * _member_sums(diff * diff))
+            dist = _terminal_h_norm(chunk, self.center)
             return dist - self.radius if self.complement else self.radius - dist
         if self.kind == "sup_exceed":
-            states = chunk.states
-            diff = states if self.reference is None else states - self.reference
-            B, count, d, J = diff.shape
-            flat = diff.reshape(B * count, d, J)
-            sq = np.einsum("kdj,kdj->k", flat, flat).reshape(B, count)
-            return np.sqrt(dx * sq.max(axis=1)) - self.radius
+            return _sup_h_norm(chunk, self.reference) - self.radius
         value = TRAJECTORY_FUNCTIONALS[self.functional](chunk)
         return value - self.level
 
@@ -525,8 +518,8 @@ def ldp_compare(coeffs, domain, gamma, u0, rate: RateResult, estimates,
     ldp1_plan = ReplicaPlan(base_seed=base_seed + 1, count=ldp1_replicas)
 
     def stray(part, seeds, chunk):
-        gaps = (state_gap(chunk.member(b), skeleton) for b in range(len(part)))
-        return [int(gh + gv > ldp1_delta_sq) for gh, gv in gaps]
+        gap_h, gap_v = state_gap(chunk, skeleton)
+        return (gap_h + gap_v > ldp1_delta_sq).tolist()
 
     out = []
     for eps, res in estimates:
@@ -573,8 +566,10 @@ def weighted_rows(coeffs, domain, gamma, u0, control: Control, epsilons,
                                     dt=dt_eff, steps=steps, control=control)
 
     def distances(part, seeds, chunk):
-        return [weighted_distance(chunk.member(b), skeleton, lam)
-                for b in range(len(part))]
+        w = weighted_distance(chunk, skeleton, lam)
+        return [{"weighted_sup": sup, "weighted_int": integral}
+                for sup, integral in zip(w["weighted_sup"].tolist(),
+                                         w["weighted_int"].tolist())]
 
     return [_replicas(distances, coeffs, domain, gamma, u0, plan,
                       range(start, stop), eps, n_pen, dt_eff, steps, control)

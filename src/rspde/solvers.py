@@ -45,10 +45,11 @@ gap u - pi(u): for both supported gamma rules it is a fixed linear map
 of it (``ObliqueField.scaled_directions``), so no direction field is
 formed.  The gaps of the penetrating states are stored by member, and
 the penetration series (pen_h, pen_l1, pen_linf, pen_gamma) and the
-reflection measure are computed from them after the loop; a chunk that
-never penetrates stores nothing and shares one array of zeros among its
-members.  Stability of the explicit penalty relaxation requires
-dt * n_pen <= 1/2 for every member, enforced at entry.
+reflection measure are computed from them after the loop, for the whole
+chunk in slices of its states; a chunk that never penetrates stores
+nothing and shares one array of zeros among its members.  Stability of
+the explicit penalty relaxation requires dt * n_pen <= 1/2 for every
+member, enforced at entry.
 
 A solve computes only what its readers use.  The norm series h_sq, v_sq
 and lap_sq are computed the first time any member's is read, for every
@@ -64,7 +65,8 @@ and the stochastic map are one code path.
 ``solve_skeleton`` solves a geometric ladder of n_pen as one chunk and
 reports it up to the first pair of consecutive members that are Cauchy
 in  sup_t |.|_H^2 + int |.|_V^2 dt; the members after that pair are
-speculative work.
+speculative work.  One report call on the ladder and one ``state_gap``
+call on its consecutive pairs give every row.
 """
 
 from __future__ import annotations
@@ -82,11 +84,11 @@ from scipy.linalg import solve_banded  # noqa: F401
 
 from .coefficients import ModelCoefficients
 from .controls import Control
-from .diagnostics import energy_report, penetration_report
+from .diagnostics import estimate_report
 from .fields import Field, lap_series, sup_series, v_series
 from .geometry import ConvexDomain, ObliqueField
 from .trajectory import (ReflectionMeasure, Trajectory, TrajectoryChunk,
-                         TrajectorySeries, state_gap)
+                         TrajectorySeries, row_slices, state_gap)
 
 # Explicit penalty relaxation factor dt * n_pen must stay at or below this.
 PENALTY_STABILITY = 0.5
@@ -485,30 +487,39 @@ def _penalty_diagnostics(states, gaps, gamma: ObliqueField, pens: list,
     """The pen_* series of every member's states and the reflection
     measure's (increments, magnitude), from the gaps u - pi(u) of every
     state ((B, steps + 1, J, d), or None when no state penetrated) and
-    each member's n_pen.  Each member is computed on its own block, as
-    its single run computes it, a member that stays inside getting zeros
-    from its zero gaps; when none penetrated, the members share one array
-    of zeros.  The gaps are overwritten with n * dist * gamma and the
-    magnitude is a view of the scaled distances, so the increments are
-    the only new array of the gaps' size."""
+    each member's n_pen.  Every series reduces one state's points, so it
+    is computed on slices of the chunk's B * (steps + 1) states (keeping
+    the temporaries small), each state as its single run computes it; a
+    member that stays inside gets zeros from its zero gaps, and when none
+    penetrated the members share one array of zeros.  The gaps are
+    overwritten with n * dist * gamma and the magnitude is a view of the
+    scaled distances, so the increments are the only new array of the
+    gaps' size."""
     B, count, d, J = states.shape
     steps = count - 1
     if gaps is None:
         zero = _shared_zeros(B, (count,))
         return (dict.fromkeys(("pen_h", "pen_l1", "pen_linf", "pen_gamma"), zero),
                 _shared_zeros(B, (steps, d, J)), _shared_zeros(B, (steps, J)))
-    pen = {name: np.empty((B, count))
+    rows = B * count
+    flat_states, flat_gaps = states.reshape(rows, d, J), gaps.reshape(rows, J, d)
+    pen = {name: np.empty(rows)
            for name in ("pen_h", "pen_l1", "pen_linf", "pen_gamma")}
-    dist = np.empty((B, count, J))
-    for b, (gap, n) in enumerate(zip(gaps, pens)):
-        np.sqrt(np.einsum("kjd,kjd->kj", gap, gap), out=dist[b])
-        pen["pen_h"][b] = np.sqrt(dx * np.sum(dist[b] * dist[b], axis=1))
-        pen["pen_l1"][b] = dx * np.sum(dist[b], axis=1)
-        pen["pen_linf"][b] = np.abs(gap).max(axis=(1, 2))
+    dist = np.empty((rows, J))
+    for part in row_slices(rows, flat_gaps[0].nbytes):
+        gap, r = flat_gaps[part], dist[part]
+        np.sqrt(np.einsum("kjd,kjd->kj", gap, gap), out=r)
+        pen["pen_h"][part] = np.sqrt(dx * np.sum(r * r, axis=1))
+        pen["pen_l1"][part] = dx * np.sum(r, axis=1)
+        pen["pen_linf"][part] = np.abs(gap).max(axis=(1, 2))
         gap[...] = gamma.scaled_directions(gap)   # dist * gamma
-        pen["pen_gamma"][b] = dx * np.einsum("kdj,kjd->k", states[b], gap)
-        gap *= n
-        dist[b] *= n * dt * dx
+        pen["pen_gamma"][part] = dx * np.einsum("kdj,kjd->k",
+                                                flat_states[part], gap)
+    pen = {name: series.reshape(B, count) for name, series in pen.items()}
+    dist = dist.reshape(B, count, J)
+    n = np.asarray(pens, dtype=float)[:, None, None]
+    gaps *= n[..., None]
+    dist *= n * dt * dx
     increments = np.empty((B, steps, d, J))
     np.multiply(dt * dx, gaps[:, :steps].transpose(0, 1, 3, 2), out=increments)
     return pen, increments, dist[:, :steps]
@@ -550,24 +561,6 @@ class SkeletonResult:
         return vals[-1] if vals else math.nan
 
 
-def _sweep_row(traj: Trajectory, cauchy_to_next: float,
-               ch: float = math.nan, cv: float = math.nan) -> PenaltySweepRow:
-    energy = energy_report(traj)
-    pen = penetration_report(traj)
-    return PenaltySweepRow(
-        n_pen=traj.n_pen,
-        sup_pen_H=pen["sup_pen_H"],
-        n_times_l1_integral=pen["n_l1_integral"],
-        n2_times_h2_integral=pen["n2_h2_integral"],
-        cauchy_to_next=cauchy_to_next,
-        sup_H4=energy["sup_H4"],
-        sup_V2=energy["sup_V2"],
-        int_H2=energy["int_H2"],
-        cauchy_H_to_next=ch,
-        cauchy_V_to_next=cv,
-    )
-
-
 def solve_skeleton(coeffs: ModelCoefficients, domain: ConvexDomain,
                    gamma: ObliqueField, u0: Field, control: Control,
                    dt: float, T: float, n_start: float = 16.0,
@@ -601,18 +594,23 @@ def solve_skeleton(coeffs: ModelCoefficients, domain: ConvexDomain,
     chunk = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=ns,
                                  dt=dt_eff, steps=steps, control=control,
                                  stride=stride)
-    rows = []
-    prev = chunk.member(0)
-    converged = False
-    for i in range(1, len(ns)):
-        cur = chunk.member(i)
-        ch, cv = state_gap(prev, cur)
-        rows.append(_sweep_row(prev, ch + cv, ch, cv))
-        prev = cur
-        if ch + cv < tol_cauchy:
-            converged = True
-            break
-    rows.append(_sweep_row(prev, math.nan))
+    # the estimates before the gaps: the norms they compute have the
+    # largest temporaries, whose memory the gaps' slices then reuse
+    est = {name: v.tolist() for name, v in estimate_report(chunk).items()}
+    gap_h, gap_v = state_gap(chunk.members(slice(None, -1)),
+                             chunk.members(slice(1, None)))
+    cauchy = np.flatnonzero(gap_h + gap_v < tol_cauchy)
+    last = int(cauchy[0]) + 1 if cauchy.size else len(ns) - 1
+    ch, cv = (g[:last].tolist() + [math.nan] for g in (gap_h, gap_v))
+    rows = [PenaltySweepRow(
+                n_pen=ns[i], sup_pen_H=est["sup_pen_H"][i],
+                n_times_l1_integral=est["n_l1_integral"][i],
+                n2_times_h2_integral=est["n2_h2_integral"][i],
+                cauchy_to_next=ch[i] + cv[i], sup_H4=est["sup_H4"][i],
+                sup_V2=est["sup_V2"][i], int_H2=est["int_H2"][i],
+                cauchy_H_to_next=ch[i], cauchy_V_to_next=cv[i])
+            for i in range(last + 1)]
     # a copy, not views of the ladder's chunk, so the chunk is freed here
-    return SkeletonResult(trajectory=copy.deepcopy(prev), rows=rows,
-                          converged=converged, tol_cauchy=tol_cauchy)
+    return SkeletonResult(trajectory=copy.deepcopy(chunk.member(last)),
+                          rows=rows, converged=bool(cauchy.size),
+                          tol_cauchy=tol_cauchy)

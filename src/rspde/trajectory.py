@@ -13,6 +13,12 @@ The reflection measure collects the penalty increments
 as a vector density per (step, point), plus the scalar magnitude channel
 k with the same increments stripped of their direction.  Its total
 variation is the sum of the Euclidean norms of the vector increments.
+
+Every reader of solver output (the total variation, ``state_gap``, and
+the reports of ``diagnostics``) takes a run or a chunk of B runs and is
+written once over the chunk's leading member axis: it returns a float for
+a run and a (B,) array for a chunk, each member's value bit for bit what
+that member alone gives, since each sums its own block (``member_sums``).
 """
 
 from __future__ import annotations
@@ -20,11 +26,34 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import Field, SpatialGrid
+from .fields import SpatialGrid
+
+# Chunk computations whose temporaries are the size of their input (state
+# differences, penalty diagnostics) run on slices of at most this many
+# bytes of it, so that no temporary copies a large chunk whole.
+SLICE_BYTES = 1 << 20
+
+
+def row_slices(rows: int, row_bytes: int) -> list:
+    """Slices of range(rows) of at most SLICE_BYTES (at least one row)."""
+    per = max(1, SLICE_BYTES // row_bytes)
+    return [slice(lo, lo + per) for lo in range(0, rows, per)]
+
+
+def member_sums(values: np.ndarray) -> np.ndarray:
+    """The sum of each member's block of a (B, ...) array, each summed as
+    np.sum sums that block alone."""
+    return values.reshape(len(values), -1).sum(axis=1)
+
+
+def per_member(chunk: bool, values: np.ndarray):
+    """``values``, one per member of a (B,) array, as they are for a
+    chunk, or for a run (B = 1) its one value as a Python float."""
+    return values if chunk else float(values[0])
 
 
 @dataclass
@@ -35,9 +64,13 @@ class ReflectionMeasure:
     magnitude: np.ndarray   # (K, J) scalar channel increments
 
     @property
-    def total_variation(self) -> float:
-        norms = np.sqrt(np.einsum("kdj,kdj->kj", self.increments, self.increments))
-        return float(np.sum(norms))
+    def total_variation(self):
+        chunk = self.increments.ndim == 4
+        inc = self.increments if chunk else self.increments[None]
+        # on the 4-d array: reshaping the shared zeros of a chunk that
+        # never penetrated would copy them
+        norms = np.einsum("bkdj,bkdj->bkj", inc, inc)
+        return per_member(chunk, member_sums(np.sqrt(norms, out=norms)))
 
 
 @dataclass
@@ -121,10 +154,6 @@ class Trajectory:
     @property
     def T(self) -> float:
         return self.steps * self.dt
-
-    @property
-    def terminal(self) -> Field:
-        return Field(self.grid, self.states[-1])
 
     def snapshot_indices(self) -> np.ndarray:
         idx = np.arange(0, self.steps + 1, self.stride)
@@ -210,10 +239,11 @@ class TrajectoryChunk:
     in their noise paths, their controls and their penalty levels;
     ``n_pen`` lists each run's.
 
-    ``member(b)`` is run b as a Trajectory whose arrays are views of
-    these, so every single-run report applies to it unchanged; its norm
-    series are computed, for every member, when any member first reads
-    one (see ``TrajectorySeries``).  ``steps``
+    ``member(b)`` is run b as a Trajectory, and ``members(index)`` the
+    runs a slice selects as a chunk, each of views of these arrays; their
+    norm series are computed, for every member, when any of them first
+    reads one (see ``TrajectorySeries``).  Every reader takes the chunk
+    itself, so ``member`` is for handing a single run out.  ``steps``
     counts the scheme steps the chunk holds summed over its members,
     B * K, as a solve of the B runs one at a time would.
     """
@@ -233,30 +263,54 @@ class TrajectoryChunk:
         return self.states.shape[0] * (self.states.shape[1] - 1)
 
     def member(self, b: int) -> Trajectory:
+        return Trajectory(grid=self.grid, dt=self.dt, n_pen=self.n_pen[b],
+                          stride=self.stride, epsilon=self.epsilon,
+                          meta=self.metas[b], **self._views(b))
+
+    def members(self, index: slice) -> "TrajectoryChunk":
+        return replace(self, n_pen=self.n_pen[index], metas=self.metas[index],
+                       **self._views(index))
+
+    def _views(self, index) -> dict:
+        """The states, series and measure of the members ``index`` selects,
+        as views of this chunk's arrays."""
         s, m = self.series, self.measure
-        return Trajectory(
-            grid=self.grid, dt=self.dt, n_pen=self.n_pen[b],
-            states=self.states[b],
+        return dict(
+            states=self.states[index],
             series=TrajectorySeries.deferred(
-                lambda: tuple(getattr(s, f)[b] for f in s.NORMS),
-                **{f: getattr(s, f)[b] for f in s.FIELDS if f not in s.NORMS}),
+                lambda: tuple(getattr(s, f)[index] for f in s.NORMS),
+                **{f: getattr(s, f)[index] for f in s.FIELDS if f not in s.NORMS}),
             measure=ReflectionMeasure(grid=self.grid, dt=self.dt,
-                                      increments=m.increments[b],
-                                      magnitude=m.magnitude[b]),
-            stride=self.stride, epsilon=self.epsilon, meta=self.metas[b])
+                                      increments=m.increments[index],
+                                      magnitude=m.magnitude[index]))
 
 
-def state_gap(a: Trajectory, b: Trajectory) -> tuple:
-    """Cauchy gap between two runs on identical grids and time steps:
+def gap_series(a, b) -> tuple:
+    """h_norm^2 and v_norm^2 of u_a - u_b, (B, K+1) each, for runs or
+    chunks on identical grids and time steps (a run against a chunk is
+    compared with each member), formed a slice of members at a time."""
+    if a.states.shape[-3:] != b.states.shape[-3:] or a.dt != b.dt:
+        raise ValueError("two runs compared need identical grids and time steps")
+    from .fields import sup_series, v_series
+
+    sa, sb = np.broadcast_arrays(*(s if s.ndim == 4 else s[None]
+                                   for s in (a.states, b.states)))
+    B, count, d, J = sa.shape
+    h, v = np.empty((B, count)), np.empty((B, count))
+    for part in row_slices(B, sa[0].nbytes):
+        diff = (sa[part] - sb[part]).reshape(-1, d, J)
+        h[part] = sup_series(diff, a.grid.dx).reshape(-1, count)
+        v[part] = v_series(diff, a.grid.dx).reshape(-1, count)
+    return h, v
+
+
+def state_gap(a, b) -> tuple:
+    """Cauchy gap between runs or chunks on identical grids and time steps:
 
         cauchy_H = sup_t |u_a - u_b|_H^2
         cauchy_V = int_0^T |u_a - u_b|_V^2 dt   (left endpoint)
     """
-    if a.states.shape != b.states.shape or a.dt != b.dt:
-        raise ValueError("state_gap needs identical grids and time steps")
-    from .fields import sup_series, v_series
-
-    diff = a.states - b.states
-    h = sup_series(diff, a.grid.dx)
-    v = v_series(diff, a.grid.dx)
-    return float(np.max(h)), float(np.sum(v[:-1]) * a.dt)
+    h, v = gap_series(a, b)
+    chunk = max(a.states.ndim, b.states.ndim) == 4
+    return (per_member(chunk, h.max(axis=1)),
+            per_member(chunk, member_sums(v[:, :-1]) * a.dt))

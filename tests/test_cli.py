@@ -1,5 +1,6 @@
 """Runner behavior: exit codes, artifact layout, and reproducibility."""
 
+import concurrent.futures
 import copy
 import json
 import math
@@ -8,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from rspde import cli, ldp, solvers
+from rspde import cli, config, ldp, solvers
 from rspde.cli import build_parser, main
 from rspde.config import ExperimentConfig
 from rspde.solvers import (ReplicaPlan, SolverError, resolve_time_grid,
@@ -490,6 +491,21 @@ def test_mc_seeds_and_samples_a_chunk_in_one_call(tmp_path, monkeypatch,
                 .generate_state(1, np.uint64)[0])) for i in range(200)]
 
 
+def test_mc_validates_its_config_once(tmp_path, monkeypatch):
+    # the replica ranges are handed the validated config, not its raw
+    # dict to validate again
+    calls = []
+
+    def counted(payload, validate=config.validate_config):
+        calls.append(payload)
+        return validate(payload)
+
+    monkeypatch.setattr(config, "validate_config", counted)
+    code, _ = run(tmp_path, "mc", FREE, extra=("--workers", "1"))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
     for bad in ("-5", "x"):
         code, out = run(tmp_path, "mc", FREE, extra=("--seed", bad))
@@ -534,7 +550,7 @@ def test_weighted_replicas_fan_out_over_workers(tmp_path, monkeypatch):
     lines = read_bytes(out1, "weighted.csv").decode().splitlines()
     assert [float(line.split(",")[0]) for line in lines[1:]] == [0.5, 0.2]
     # the 12 replicas went to three workers in contiguous ranges
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.maps.clear()
     code, out = run(tmp_path, "all", payload, extra=("--workers", "3"),
                     name="recorded")

@@ -9,15 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rspde import trajectory
 from rspde.controls import constant_control, sine_control, zero_control
 from rspde.diagnostics import (ContinuityRow, continuity_experiment,
                                energy_report, estimate_report,
                                penetration_report, weighted_distance)
+from rspde.ldp import TRAJECTORY_FUNCTIONALS
 from rspde.solvers import SolverError, solve_penalized_spde
 from rspde.trajectory import Trajectory, state_gap
 
-from conftest import (forced_coeffs, free_domain, heat_coeffs, interval_domain,
-                      normal_gamma, sine_start, zero_start)
+from conftest import (ball_box_2d_chunk, forced_coeffs, free_domain,
+                      heat_coeffs, interval_domain, normal_gamma,
+                      outward_drift_chunk, same_bits, sine_start, zero_start)
 
 
 def heat_run(J=15, dt=1e-3, steps=50, stride=1):
@@ -52,6 +55,16 @@ def test_energy_report_closed_form():
     q = (1.0 + mu * dt) ** -2
     exact = dt * mu ** 2 * 0.5 * (1.0 - q ** steps) / (1.0 - q)
     assert rep["int_H2"] == pytest.approx(exact, rel=1e-10)
+
+
+def test_sup_h4_squares_as_a_python_float():
+    # sweep.csv and report.json have always squared sup |u|_H^2 as a
+    # Python float, whose pow rounds this value unlike numpy's x * x
+    top = 0.42672114373024106
+    assert top ** 2 != float(np.square(top))
+    traj = heat_run()
+    traj.series.h_sq[:] = top
+    assert energy_report(traj)["sup_H4"] == top ** 2
 
 
 def test_penetration_report_zero_when_inactive():
@@ -182,6 +195,51 @@ def test_weighted_distance_discount_property(lam, extra):
     hi = weighted_distance(a, b, lam + extra)
     assert hi["weighted_sup"] <= lo["weighted_sup"] * (1 + 1e-12)
     assert hi["weighted_int"] <= lo["weighted_int"] * (1 + 1e-12)
+
+
+# -- readers of a whole chunk -------------------------------------------
+
+
+def readings(x, reference) -> dict:
+    """Every reader's values on a run or chunk x, by name: the Cauchy gap
+    and the weighted distance to the run ``reference``, both reports and
+    the reflection measure's total variation."""
+    gap_h, gap_v = state_gap(x, reference)
+    weighted = weighted_distance(x, reference, 2.0)
+    return {"gap_H": gap_h, "gap_V": gap_v, **weighted,
+            **energy_report(x), **penetration_report(x),
+            "total_variation": x.measure.total_variation}
+
+
+@pytest.mark.parametrize("slice_bytes", [trajectory.SLICE_BYTES, 1])
+@pytest.mark.parametrize("model", [outward_drift_chunk, ball_box_2d_chunk])
+def test_chunk_readers_equal_single_run_reads(model, slice_bytes,
+                                              monkeypatch):
+    # each member of a penetrating chunk, one of which stays inside, read
+    # whole (with slices of one row at a time too) against its own run
+    kwargs = model()
+    alone = [solve_penalized_spde(**dict(kwargs, noise=path, control=ctl))
+             for path, ctl in zip(kwargs["noise"], kwargs["control"])]
+    skeleton = solve_penalized_spde(**dict(kwargs, epsilon=0.0, noise=None,
+                                           control=kwargs["control"][0]))
+    want = [readings(run, skeleton) for run in alone]
+    want_pairs = [state_gap(run, nxt) for run, nxt in zip(alone, alone[1:])]
+    monkeypatch.setattr(trajectory, "SLICE_BYTES", slice_bytes)
+    chunk = solve_penalized_spde(**kwargs)
+    pen = chunk.series.pen_h.max(axis=1)
+    assert len(alone) >= 3 and (pen > 0).any() and (pen == 0).any()
+    got = readings(chunk, skeleton)
+    assert got.keys() == want[0].keys()
+    for name, values in got.items():
+        assert all(type(w[name]) is float for w in want), name
+        assert values.shape == (len(alone),), name
+        assert same_bits(values, [w[name] for w in want]), name
+    assert same_bits(TRAJECTORY_FUNCTIONALS["eta_mass"](chunk),
+                     [w["eta_total_variation"] for w in want])
+    # consecutive members, as a penalty sweep compares its ladder
+    gap_h, gap_v = state_gap(chunk.members(slice(None, -1)),
+                             chunk.members(slice(1, None)))
+    assert same_bits(np.column_stack([gap_h, gap_v]), want_pairs)
 
 
 # -- continuity of the control-to-solution map -------------------------

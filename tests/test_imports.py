@@ -135,10 +135,13 @@ def test_every_top_level_definition_is_read() -> None:
 def test_cli_import_leaves_scipy_stats_unloaded() -> None:
     # scipy.stats costs about 0.8 s to import and only the Sobol draws of
     # unit_directions need it; a d = 2 polytope's boundedness audit
-    # draws them, so it must still build.
+    # draws them, so it must still build.  The process pool, with
+    # multiprocessing, is imported only by a run that starts one.
     code = ("import sys\n"
             "import rspde.cli\n"
             "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'\n"
+            "assert 'concurrent.futures.process' not in sys.modules, "
+            "'concurrent.futures.process loaded'\n"
             "from rspde.geometry import Polytope\n"
             "p = Polytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])\n"
             "assert abs(p.bounding_radius - 2 ** 0.5) < 1e-2, p.bounding_radius\n")

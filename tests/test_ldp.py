@@ -15,8 +15,8 @@ from rspde.coefficients import make_coefficients
 from rspde.controls import (Control, constant_control, sine_control,
                             tabulated_control)
 from rspde.diagnostics import penetration_report
-from rspde.fields import h_norm
-from rspde.geometry import Ball, Box, Intersection, ObliqueField
+from rspde.fields import Field, h_norm
+from rspde.geometry import Box
 from rspde import ldp
 from rspde.ldp import (TRAJECTORY_FUNCTIONALS, CompareRow, EventSpec,
                        MCResult, RateResult, _replicas, ldp_compare, mc_rows, minimize_rate,
@@ -25,8 +25,9 @@ from rspde.ldp import (TRAJECTORY_FUNCTIONALS, CompareRow, EventSpec,
 from rspde.solvers import (ReplicaPlan, resolve_time_grid, sample_brownian,
                            solve_penalized_spde)
 
-from conftest import (forced_coeffs, free_domain, heat_coeffs,
-                      interval_domain, normal_gamma, sine_start, zero_start)
+from conftest import (ball_box_2d_chunk, forced_coeffs, free_domain,
+                      heat_coeffs, interval_domain, normal_gamma, same_bits,
+                      zero_start)
 
 
 def small_run():
@@ -45,7 +46,7 @@ def small_run():
 
 def test_terminal_ball_event_and_complement():
     run = small_run()
-    r = h_norm(run.member(0).terminal)
+    r = h_norm(Field(run.grid, run.states[0, -1]))
     assert r > 0.0
     inside = EventSpec("terminal_ball", radius=2 * r)
     outside = EventSpec("terminal_ball", radius=2 * r, complement=True)
@@ -80,22 +81,6 @@ def test_functional_threshold_event():
     assert ev2.shortfall(run) == pytest.approx(mean, rel=1e-12)
 
 
-def _ball_box_2d():
-    # oblique reflection on ball-box in d = 2 with a state-dependent sigma:
-    # the forced members penetrate, the unforced one does not
-    dom = Intersection([Ball(center=[0.0, 0.0], radius=0.5),
-                        Box(lower=[-0.4, -0.45], upper=[0.45, 0.4])])
-    coeffs = make_coefficients(
-        2, 2, b={"name": "linear", "matrix": [[8.0, 1.0], [-1.0, 6.0]]},
-        sigma={"name": "diag_affine", "base": [0.4, 0.3], "slope": [0.5, -0.2]})
-    ctl = constant_control(0.2, [12.0, 10.0], K=4)
-    return dict(coeffs=coeffs, domain=dom,
-                gamma=ObliqueField(dom, "rotated_normal", angle=0.2),
-                u0=sine_start(15, 0.2, d=2), n_pen=256.0, dt=1e-3, steps=200,
-                epsilon=0.05, control=[ctl.scaled(c) for c in (1.0, 0.0, -0.5, 0.6, 0.3)],
-                noise=[sample_brownian(2, 200, 1e-3, seed) for seed in range(5)])
-
-
 def _box_3d():
     # a box in d = 3 with constant sigma (m = 2): the members with the
     # strongest controls penetrate
@@ -114,7 +99,7 @@ def _box_3d():
 
 # the single-run forms of the functionals, read on one trajectory
 SINGLE_RUN_FUNCTIONALS = {
-    "terminal_h_norm": lambda tr: h_norm(tr.terminal),
+    "terminal_h_norm": lambda tr: h_norm(Field(tr.grid, tr.states[-1])),
     "sup_h_norm": lambda tr: math.sqrt(float(np.max(tr.series.h_sq))),
     "eta_mass": lambda tr: penetration_report(tr)["eta_total_variation"],
     "terminal_mean": lambda tr: tr.grid.dx * float(np.sum(tr.states[-1][0])),
@@ -165,11 +150,8 @@ def mixed_events(members) -> list:
     return events
 
 
-def same_bits(got, want) -> bool:
-    return np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
-
-
-@pytest.mark.parametrize("model", [_ball_box_2d, _box_3d])
+@pytest.mark.parametrize("model", [ball_box_2d_chunk, _box_3d],
+                         ids=["_ball_box_2d", "_box_3d"])
 def test_chunk_event_reads_equal_single_run_reads(model):
     assert SINGLE_RUN_FUNCTIONALS.keys() == TRAJECTORY_FUNCTIONALS.keys()
     kwargs = model()
@@ -190,6 +172,8 @@ def test_chunk_event_reads_equal_single_run_reads(model):
         for b, run in enumerate(alone):
             assert event.occurred(run).tolist() == [hits[b]]
             assert same_bits(event.shortfall(run), [shortfalls[b]])
+    # every event reads the states or the measure: no norm series is computed
+    assert all("_norms" in vars(run.series) for run in alone)
 
 
 def test_event_constructor_rejects_bad_specs():
@@ -239,7 +223,7 @@ def planted_setup(K=4, T=0.05):
 def test_minimize_rate_beats_planted_control():
     coeffs, dom, g, u0, planted, target = planted_setup()
     i_plant = rate_functional(planted)
-    radius = 0.2 * h_norm(target.terminal)
+    radius = 0.2 * h_norm(Field(target.grid, target.states[-1]))
     event = EventSpec("terminal_ball", radius=radius,
                       center=target.states[-1].copy())
     res = minimize_rate(coeffs, dom, g, u0, event, T=0.05, K=4,

@@ -29,13 +29,14 @@ from rspde.geometry import Ball, Box, Intersection, ObliqueField, Polytope
 from rspde.solvers import (
     NoisePath,
     ReplicaPlan,
+    PenaltySweepRow,
     SolverError,
-    _sweep_row,
     resolve_time_grid,
     sample_brownian,
     solve_penalized_spde,
     solve_skeleton,
 )
+from rspde.diagnostics import energy_report, penetration_report
 from rspde.trajectory import TrajectorySeries, state_gap
 
 
@@ -480,13 +481,24 @@ def sequential_sweep(coeffs, domain, gamma, u0, control, dt, T, ns,
     runs = [solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n,
                                  dt=dt_eff, steps=steps, control=control)
             for n in ns]
+
+    def row(traj, ch=math.nan, cv=math.nan):
+        energy, pen = energy_report(traj), penetration_report(traj)
+        return PenaltySweepRow(
+            n_pen=traj.n_pen, sup_pen_H=pen["sup_pen_H"],
+            n_times_l1_integral=pen["n_l1_integral"],
+            n2_times_h2_integral=pen["n2_h2_integral"],
+            cauchy_to_next=ch + cv, sup_H4=energy["sup_H4"],
+            sup_V2=energy["sup_V2"], int_H2=energy["int_H2"],
+            cauchy_H_to_next=ch, cauchy_V_to_next=cv)
+
     rows = []
     for prev, cur in zip(runs, runs[1:]):
         ch, cv = state_gap(prev, cur)
-        rows.append(_sweep_row(prev, ch + cv, ch, cv))
+        rows.append(row(prev, ch, cv))
         if ch + cv < tol_cauchy:
-            return rows + [_sweep_row(cur, math.nan)], cur
-    return rows + [_sweep_row(runs[-1], math.nan)], runs[-1]
+            return rows + [row(cur)], cur
+    return rows + [row(runs[-1])], runs[-1]
 
 
 def test_sweep_chunk_matches_sequential_solves() -> None:
