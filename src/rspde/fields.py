@@ -64,12 +64,6 @@ class Field:
     def zeros(cls, grid: SpatialGrid) -> "Field":
         return cls(grid, np.zeros((grid.d, grid.J)))
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-    def __sub__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values - other.values)
-
 
 # ---------------------------------------------------------------------------
 # difference operators and norms (array backends used by the hot loops)

@@ -17,16 +17,18 @@ normals of ``_anchored_normals``, on boundary and exterior points only:
 the penalty acts outside O, and certification and the
 variational-inequality check query the boundary and the exterior.
 
-Supported bodies: balls, axis-aligned boxes, halfspace polytopes, and
-finite intersections of those.  Balls and boxes project in closed form.
-Polytopes and intersections share one projection over their members
-(halfspaces or bodies): each exterior point is projected onto the members
-in turn, keeping a member's projection when it lies in every other member
-(the nearest point of a superset that lies in the body is the nearest
-point of the body); only points where two or more members are active go
-through Dykstra's alternating scheme, where each point's iteration stops
-on its own displacement.  Face products are reduced row by row, so no
-point's projection depends on the batch it came in.
+Supported bodies: balls, and finite intersections of balls and
+halfspaces.  Boxes and polytopes are intersections of their halfspace
+faces, so every query (membership, face margin, outward normal, ray exit,
+projection) has one implementation over members.  Balls and boxes project
+in closed form.  Every other intersection projects each exterior point
+onto its members (bodies or faces) in turn, keeping a member's projection
+when it lies in every other member (the nearest point of a superset that
+lies in the body is the nearest point of the body); only points where two
+or more members are active go through Dykstra's alternating scheme, where
+each point's iteration stops on its own displacement.  Face and centre
+products are summed row by row, so no point's answer depends on the batch
+it came in.
 
 Each body also records the half-width of a cube centred at 0 that it
 contains (``cube_half_width``), so a caller can tell from max |x_i| alone
@@ -70,9 +72,9 @@ class ConvexDomain:
 
     ``cube_half_width`` is the half-width a of a cube [-a, a]^d centred
     at 0 that the body contains, computed once when the body is built:
-    (r - |c|)/sqrt(d) for a ball, min(-lower, upper) for a box (the
-    largest such cube), min_i b_i/|n_i|_1 for a polytope (likewise), and
-    the minimum over the members of an intersection.  A batch with
+    (r - |c|)/sqrt(d) for a ball, b/|n|_1 for a halfspace face, and the
+    minimum over the members of an intersection (for a box or polytope,
+    the largest such cube).  A batch with
     max |x_i| <= a lies inside, so ``project_many`` moves none of its
     points; the membership slack covers the rounding of a.
     """
@@ -168,7 +170,8 @@ class Ball(ConvexDomain):
         return v / nv[:, None], np.zeros(len(points), dtype=bool)
 
     def ray_exit_many(self, directions):
-        b = directions @ self.center
+        # <u, c> summed row by row, as a halfspace sums its face products
+        b = np.add.reduce(directions * self.center, axis=1)
         c = float(self.center @ self.center) - self.radius ** 2
         return b + np.sqrt(b * b - c)
 
@@ -177,123 +180,10 @@ class Ball(ConvexDomain):
         return float(np.linalg.norm(self.center)) + self.radius
 
 
-class Box(ConvexDomain):
-    def __init__(self, lower, upper):
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
-            raise GeometryError("box bounds must be vectors of equal length")
-        if not np.all(self.lower < 0) or not np.all(self.upper > 0):
-            raise GeometryError("box must contain the origin in its interior")
-        self.dim = self.lower.size
-        self.cube_half_width = float(min(-self.lower.max(), self.upper.min()))
-        self._set_membership_slack()
-        self._slack_bounds = (self.lower - self._slack, self.upper + self._slack)
-
-    def contains_many(self, points, tol=None):
-        if tol is None:
-            lo, hi = self._slack_bounds
-        else:
-            lo, hi = self.lower - tol, self.upper + tol
-        return ((points >= lo) & (points <= hi)).all(axis=1)
-
-    def project_many(self, points):
-        return np.clip(points, self.lower, self.upper)
-
-    def interior_gap_many(self, points):
-        return np.minimum(np.min(points - self.lower, axis=1),
-                          np.min(self.upper - points, axis=1))
-
-    def outward_normal_many(self, points):
-        lo_active = np.abs(points - self.lower) <= BOUNDARY_ATOL
-        hi_active = np.abs(self.upper - points) <= BOUNDARY_ATOL
-        if np.any(self.interior_gap_many(points) < -BOUNDARY_ATOL):
-            raise GeometryError("outward_normal: point is outside the box")
-        n_active = lo_active.sum(axis=1) + hi_active.sum(axis=1)
-        if np.any(n_active == 0):
-            raise GeometryError("outward_normal: point is not on the boundary")
-        v = hi_active.astype(float) - lo_active.astype(float)
-        return v / np.linalg.norm(v, axis=1)[:, None], n_active > 1
-
-    def ray_exit_many(self, directions):
-        with np.errstate(divide="ignore"):
-            t = np.where(directions > 0, self.upper / directions,
-                         np.where(directions < 0, self.lower / directions, np.inf))
-        return np.min(t, axis=1)
-
-    @property
-    def bounding_radius(self):
-        return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
-
-
-class Polytope(ConvexDomain):
-    """Intersection of halfspaces <n_i, x> <= b_i with unit normals n_i."""
-
-    def __init__(self, normals, offsets):
-        normals = np.asarray(normals, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
-        if normals.ndim != 2 or offsets.ndim != 1 or normals.shape[0] != offsets.size:
-            raise GeometryError("polytope needs (k, d) normals and (k,) offsets")
-        lengths = np.linalg.norm(normals, axis=1)
-        if np.any(np.abs(lengths - 1.0) > 1e-6):
-            raise GeometryError("halfspace normals must have unit length")
-        self.normals = normals / lengths[:, None]
-        self.offsets = offsets
-        if not np.all(self.offsets > 0):
-            raise GeometryError("polytope must contain the origin in its interior")
-        self.dim = normals.shape[1]
-        # <n_i, x> <= |n_i|_1 a <= b_i on the cube
-        self.cube_half_width = float(np.min(self.offsets
-                                            / np.abs(self.normals).sum(axis=1)))
-        self._bounding_radius = self._audit_bounded()
-        self._set_membership_slack()
-        self._faces = [_HalfspaceSet(n, b, self._slack)
-                       for n, b in zip(self.normals, self.offsets)]
-
-    def _audit_bounded(self) -> float:
-        # Numerical boundedness audit: every sampled direction must exit.
-        dirs = unit_directions(self.dim, max(64, 32 * self.dim), seed=0)
-        t = self.ray_exit_many(dirs)
-        if not np.all(np.isfinite(t)):
-            raise GeometryError("polytope appears unbounded (no exit along a sampled direction)")
-        return float(np.max(t))
-
-    def contains_many(self, points, tol=None):
-        if tol is None:
-            tol = self._slack
-        # row by row, as _HalfspaceSet sums its face products
-        dots = np.add.reduce(points[:, None, :] * self.normals, axis=2)
-        return np.all(self.offsets - dots >= -tol, axis=1)
-
-    def project_many(self, points):
-        return _project_onto_members(points, self._faces)
-
-    def interior_gap_many(self, points):
-        return np.min(self.offsets - points @ self.normals.T, axis=1)
-
-    def outward_normal_many(self, points):
-        slack = self.offsets - points @ self.normals.T
-        if np.any(slack < -BOUNDARY_ATOL):
-            raise GeometryError("outward_normal: point is outside the polytope")
-        active = slack <= BOUNDARY_ATOL
-        n_active = active.sum(axis=1)
-        if np.any(n_active == 0):
-            raise GeometryError("outward_normal: point is not on the boundary")
-        v = active.astype(float) @ self.normals
-        return v / np.linalg.norm(v, axis=1)[:, None], n_active > 1
-
-    def ray_exit_many(self, directions):
-        dots = directions @ self.normals.T
-        with np.errstate(divide="ignore"):
-            t = np.where(dots > 0, self.offsets / dots, np.inf)
-        return np.min(t, axis=1)
-
-    @property
-    def bounding_radius(self):
-        return self._bounding_radius
-
-
 class Intersection(ConvexDomain):
+    """Intersection of members: bodies, or the halfspace faces of a box
+    or polytope.  Every query is answered over the members."""
+
     def __init__(self, members):
         members = list(members)
         if not members:
@@ -305,6 +195,9 @@ class Intersection(ConvexDomain):
         self.dim = dims.pop()
         self.cube_half_width = min(m.cube_half_width for m in members)
         self._set_membership_slack()
+        for m in members:
+            if isinstance(m, _Halfspace):    # no scale of its own
+                m._slack = self._slack
 
     def contains_many(self, points, tol=None):
         out = np.ones(points.shape[0], dtype=bool)
@@ -346,27 +239,103 @@ class Intersection(ConvexDomain):
         return min(m.bounding_radius for m in self.members)
 
 
-class _HalfspaceSet:
-    """Single halfspace <normal, x> <= offset with the batch-projection and
-    membership interface of a polytope's members.
+class _Halfspace:
+    """Halfspace <normal, x> <= offset: a face of a box or polytope, with
+    the queries of a member.  It has no scale of its own, so it takes the
+    membership slack of the body it bounds.
 
     <normal, x> is summed row by row: ``points @ normal`` rounds a one-row
-    batch differently from a larger one, so a point's projection would
+    batch differently from a larger one, so a point's answers would
     depend on the other rows of its batch."""
 
-    def __init__(self, normal, offset, slack):
+    def __init__(self, normal, offset):
         self.normal = normal
         self.offset = offset
-        self._slack = slack
+        self.dim = normal.size
+        # <n, x> <= |n|_1 a <= b on the cube
+        self.cube_half_width = float(offset / np.add.reduce(np.abs(normal)))
+
+    def _dots(self, points):
+        return np.add.reduce(points * self.normal, axis=1)
 
     def contains_many(self, points, tol=None):
-        return (np.add.reduce(points * self.normal, axis=1)
-                <= self.offset + (self._slack if tol is None else tol))
+        return self._dots(points) <= self.offset + (self._slack if tol is None else tol)
 
     def project_many(self, points):
-        excess = np.add.reduce(points * self.normal, axis=1) - self.offset
+        excess = self._dots(points) - self.offset
         np.maximum(excess, 0.0, out=excess)
         return points - excess[:, None] * self.normal[None, :]
+
+    def interior_gap_many(self, points):
+        return self.offset - self._dots(points)
+
+    def outward_normal_many(self, points):
+        # its body asks only on the rows where this face is active
+        return (np.broadcast_to(self.normal, points.shape),
+                np.zeros(len(points), dtype=bool))
+
+    def ray_exit_many(self, directions):
+        dots = self._dots(directions)
+        with np.errstate(divide="ignore"):
+            return np.where(dots > 0, self.offset / dots, np.inf)
+
+
+class Box(Intersection):
+    """lower <= x <= upper: the faces x_i <= upper_i and -x_i <= -lower_i,
+    with a closed-form projection, membership and bounding radius."""
+
+    def __init__(self, lower, upper):
+        self.lower = np.asarray(lower, dtype=float)
+        self.upper = np.asarray(upper, dtype=float)
+        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
+            raise GeometryError("box bounds must be vectors of equal length")
+        if not np.all(self.lower < 0) or not np.all(self.upper > 0):
+            raise GeometryError("box must contain the origin in its interior")
+        eye = np.eye(self.lower.size)
+        super().__init__(map(_Halfspace, np.vstack([eye, -eye]),
+                             np.concatenate([self.upper, -self.lower])))
+        self._slack_bounds = (self.lower - self._slack, self.upper + self._slack)
+
+    def contains_many(self, points, tol=None):
+        if tol is None:
+            lo, hi = self._slack_bounds
+        else:
+            lo, hi = self.lower - tol, self.upper + tol
+        return ((points >= lo) & (points <= hi)).all(axis=1)
+
+    def project_many(self, points):
+        return np.clip(points, self.lower, self.upper)
+
+    @property
+    def bounding_radius(self):
+        return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
+
+
+class Polytope(Intersection):
+    """Intersection of halfspaces <n_i, x> <= b_i with unit normals n_i."""
+
+    def __init__(self, normals, offsets):
+        normals = np.asarray(normals, dtype=float)
+        offsets = np.asarray(offsets, dtype=float)
+        if normals.ndim != 2 or offsets.ndim != 1 or normals.shape[0] != offsets.size:
+            raise GeometryError("polytope needs (k, d) normals and (k,) offsets")
+        lengths = np.linalg.norm(normals, axis=1)
+        if np.any(np.abs(lengths - 1.0) > 1e-6):
+            raise GeometryError("halfspace normals must have unit length")
+        self.normals = normals / lengths[:, None]
+        self.offsets = offsets
+        if not np.all(self.offsets > 0):
+            raise GeometryError("polytope must contain the origin in its interior")
+        super().__init__(map(_Halfspace, self.normals, self.offsets))
+
+    @functools.cached_property
+    def bounding_radius(self):
+        # Numerical boundedness audit, run when the membership slack is
+        # set in __init__: every sampled direction must exit.
+        t = self.ray_exit_many(unit_directions(self.dim, max(64, 32 * self.dim), seed=0))
+        if not np.all(np.isfinite(t)):
+            raise GeometryError("polytope appears unbounded (no exit along a sampled direction)")
+        return float(np.max(t))
 
 
 def _project_onto_members(points, members):
@@ -431,9 +400,23 @@ def _dykstra(points, sets):
             return out
         rows, x = rows[going], x[going]
         corrections = [c[going] for c in corrections]
-    raise GeometryError(
-        f"Dykstra projection did not converge in {DYKSTRA_MAX_SWEEPS} sweeps "
-        f"(last sweep displacement {delta.max():.3e})")
+    # A row still moving usually sits at its answer already, while the
+    # correction of a set inactive there drains by about its margin per
+    # sweep.  It is projected again onto the sets active at its iterate
+    # alone, and the result kept where the other sets contain it (the
+    # nearest point of a superset that lies in the body).
+    active = np.array([s.interior_gap_many(x) <= BOUNDARY_ATOL for s in sets]).T
+    for pattern in np.unique(active, axis=0):
+        take = rows[(active == pattern).all(axis=1)]
+        if pattern.any() and not pattern.all():
+            out[take] = _dykstra(points[take], [s for s, a in zip(sets, pattern) if a])
+            if all(s.contains_many(out[take]).all()
+                   for s, a in zip(sets, pattern) if not a):
+                continue
+        raise GeometryError(
+            f"Dykstra projection did not converge in {DYKSTRA_MAX_SWEEPS} sweeps "
+            f"(last sweep displacement {delta.max():.3e})")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -468,50 +451,16 @@ def unit_directions(d: int, count: int, seed: int) -> np.ndarray:
 def boundary_points(domain: ConvexDomain, count: int, seed: int):
     """Boundary samples with their outward normals: (points, normals, nonsmooth).
 
-    Balls use low-discrepancy directions; boxes stratify across faces
-    proportionally to face area; polytopes and intersections ray-cast
-    low-discrepancy directions from the origin.
+    Balls use low-discrepancy directions; intersections, boxes and
+    polytopes included, ray-cast low-discrepancy directions from the
+    origin.
     """
-    if isinstance(domain, Ball):
-        dirs = unit_directions(domain.dim, count, seed)
-        pts = domain.center + domain.radius * dirs
-        return pts, dirs, np.zeros(count, dtype=bool)
-    if isinstance(domain, Box):
-        return _box_boundary(domain, count, seed)
     dirs = unit_directions(domain.dim, count, seed)
+    if isinstance(domain, Ball):
+        return domain.center + domain.radius * dirs, dirs, np.zeros(count, dtype=bool)
     pts = domain.ray_exit_many(dirs)[:, None] * dirs
     normals, nonsmooth = domain.outward_normal_many(pts)
     return pts, normals, nonsmooth
-
-
-def _box_boundary(box: Box, count: int, seed: int):
-    d = box.dim
-    extent = box.upper - box.lower
-    faces = []
-    for i in range(d):
-        area = float(np.prod(np.delete(extent, i))) if d > 1 else 1.0
-        faces.append((i, box.lower[i], -1.0, area))
-        faces.append((i, box.upper[i], +1.0, area))
-    total = sum(f[3] for f in faces)
-    # Largest-remainder allocation of samples to faces.
-    quotas = [count * f[3] / total for f in faces]
-    counts = [int(q) for q in quotas]
-    remainders = sorted(range(len(faces)), key=lambda k: quotas[k] - counts[k], reverse=True)
-    for k in remainders[: count - sum(counts)]:
-        counts[k] += 1
-    rng = np.random.Generator(np.random.Philox(seed))
-    pts = np.empty((count, d))
-    normals = np.zeros((count, d))
-    row = 0
-    for (axis, level, sign, _), c in zip(faces, counts):
-        if c == 0:
-            continue
-        block = rng.uniform(box.lower, box.upper, size=(c, d))
-        block[:, axis] = level
-        pts[row:row + c] = block
-        normals[row:row + c, axis] = sign
-        row += c
-    return pts, normals, np.zeros(count, dtype=bool)
 
 
 def exterior_points(domain: ConvexDomain, count: int, seed: int, shell: float = 0.5):

@@ -151,10 +151,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.arange(self.steps + 1) * self.dt
 
-    @property
-    def T(self) -> float:
-        return self.steps * self.dt
-
     def snapshot_indices(self) -> np.ndarray:
         idx = np.arange(0, self.steps + 1, self.stride)
         if idx[-1] != self.steps:
