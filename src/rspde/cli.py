@@ -10,12 +10,12 @@ written as exact float64 .npy arrays, so identical (config, seed) runs
 produce byte-identical files; wall-time fields in the manifest are the
 only exception.
 
-Every P(event) estimate, of ``mc`` and of the ``ldp-compare`` table,
-goes through ``_estimate``, and the ``weighted.csv`` replicas through
-``_cmd_weighted``: both split the replica index range across --workers
-processes (``_fan_out``) and merge the results in index order, so the
-output does not depend on the worker count.  One run estimates each
-(epsilon, time grid) pair once, so ``all`` reuses the comparison's
+Every replica goes through ``_fan_out``: it splits a replica index range
+across --workers processes, runs one of ``ldp``'s readers on each range
+(the Monte Carlo rows of every P(event) estimate, the ldp1 stray flags,
+the ``weighted.csv`` distances) and returns the results in index order,
+so the output does not depend on the worker count.  One run estimates
+each (epsilon, time grid) pair once, so ``all`` reuses the comparison's
 estimate for ``mc`` when the two grids agree.
 """
 
@@ -37,8 +37,8 @@ from .controls import zero_control
 from .diagnostics import continuity_experiment, estimate_report
 from .geometry import GeometryError, build_oblique_matrix, validate_oblique_field
 from .ldp import (CompareRow, ReplicaRow, WeightedTrendRow, ldp_compare,
-                  mc_rows, minimize_rate, summarize_rows, summarize_weighted,
-                  weighted_rows)
+                  mc_rows, minimize_rate, stray_flags, summarize_rows,
+                  summarize_weighted, weighted_rows)
 from .solvers import (ReplicaPlan, SolverError, resolve_time_grid,
                       sample_brownian, solve_penalized_spde, solve_skeleton)
 
@@ -228,34 +228,34 @@ def _cmd_rate(cfg: ExperimentConfig, args, out: str) -> list:
     return ["rate.json"]
 
 
-def _mc_chunk(payload):
-    """Worker body: build the model from the validated config and run a
-    contiguous replica range on the time grid (n_pen, dt, steps).
-    Module-level so it pickles."""
-    cfg, seed, eps, (n_pen, dt, steps), start, stop = payload
-    coeffs, dom, gamma, u0 = _solver_pieces(cfg)
-    plan = ReplicaPlan(base_seed=seed, count=cfg.replica_count)
-    return mc_rows(coeffs, dom, gamma, u0, cfg.build_event(), eps, n_pen, dt,
-                   steps, plan, start, stop)
+def _read_range(payload):
+    """Worker body: build the model from the validated config and read one
+    contiguous replica range of the plan.  Module-level so it pickles."""
+    read, cfg, seed, count, params, lo, hi = payload
+    return read(*_solver_pieces(cfg),
+                plan=ReplicaPlan(base_seed=seed, count=count), start=lo,
+                stop=hi, **params)
 
 
-def _fan_out(body, cfg: ExperimentConfig, args, count: int, *params) -> list:
-    """body((config, base seed, *params, lo, hi)) of each of the --workers
+def _fan_out(read, cfg: ExperimentConfig, args, seed: int, count: int,
+             **params) -> list:
+    """read(coeffs, domain, gamma, u0, plan=ReplicaPlan(seed, count),
+    start=lo, stop=hi, **params) of each of the at most --workers
     contiguous ranges [lo, hi) that split the replica indices [0, count),
-    in index order; each range runs in its own process when there are
-    several workers.  The validated config pickles as it is, so a worker
-    does not validate it again, and the process pool is imported only
-    when one is started."""
-    workers = max(1, args.workers)
-    bounds = [count * i // workers for i in range(workers + 1)]
-    payloads = [(cfg, args.base_seed, *params, lo, hi)
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-    if workers == 1:
-        return list(map(body, payloads))
+    in index order.  Each range runs in its own process when there are
+    several, and one range runs in this one.  The validated config pickles as it is, so
+    a worker does not validate it again, and the process pool is imported
+    only when one is started."""
+    ranges = min(args.workers, count)
+    bounds = [count * i // ranges for i in range(ranges + 1)]
+    payloads = [(read, cfg, seed, count, params, lo, hi)
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if ranges == 1:
+        return [_read_range(payloads[0])]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(body, payloads))
+    with ProcessPoolExecutor(max_workers=ranges) as pool:
+        return list(pool.map(_read_range, payloads))
 
 
 def _estimate(cfg: ExperimentConfig, args, eps, grid, estimates: dict):
@@ -267,7 +267,10 @@ def _estimate(cfg: ExperimentConfig, args, eps, grid, estimates: dict):
     if key in estimates:
         return estimates[key]
     count = cfg.replica_count
-    chunks = _fan_out(_mc_chunk, cfg, args, count, eps, grid)
+    n_pen, dt, steps = grid
+    chunks = _fan_out(mc_rows, cfg, args, args.base_seed, count,
+                      event=cfg.build_event(), epsilon=eps, n_pen=n_pen,
+                      dt=dt, steps=steps)
     estimates[key] = summarize_rows([r for c in chunks for r in c], count)
     return estimates[key]
 
@@ -295,17 +298,21 @@ def _cmd_mc(cfg: ExperimentConfig, args, out: str) -> list:
 def _emit_compare(cfg: ExperimentConfig, args, out: str,
                   estimates=None) -> list:
     """Rate minimization plus the across-epsilon table, estimated on the
-    rate's time grid; writes rate.json and comparison.csv."""
-    coeffs, dom, gamma, u0 = _solver_pieces(cfg)
-    rate = _compute_rate(cfg, out, coeffs, dom, gamma, u0)
+    rate's time grid, and the ldp1 stray flags of the replicas seeded from
+    base seed + 1 at the optimizer's control; writes rate.json and
+    comparison.csv."""
+    rate = _compute_rate(cfg, out, *_solver_pieces(cfg))
     grid = (rate.n_pen, rate.dt, rate.steps)
     estimates = {} if estimates is None else estimates
+    levels = [(eps, _estimate(cfg, args, eps, grid, estimates))
+              for eps in cfg.epsilons]
     ldp1 = cfg.ldp1
-    rows = ldp_compare(coeffs, dom, gamma, u0, rate,
-                       [(eps, _estimate(cfg, args, eps, grid, estimates))
-                        for eps in cfg.epsilons],
-                       base_seed=args.base_seed, ldp1_delta_sq=ldp1["delta_sq"],
-                       ldp1_replicas=ldp1["replicas"])
+    strays = _fan_out(stray_flags, cfg, args, args.base_seed + 1,
+                      ldp1["replicas"], control=rate.control,
+                      epsilons=cfg.epsilons, delta_sq=ldp1["delta_sq"],
+                      n_pen=rate.n_pen, dt=rate.dt, steps=rate.steps)
+    rows = ldp_compare(rate, levels,
+                       [sum(level, []) for level in zip(*strays)])
     _write_csv(os.path.join(out, "comparison.csv"), CompareRow.CSV_HEADER,
                [r.csv_line() for r in rows])
     _say(args, "ldp-compare: " + " ".join(
@@ -313,34 +320,17 @@ def _emit_compare(cfg: ExperimentConfig, args, out: str,
     return ["rate.json", "comparison.csv"]
 
 
-def _weighted_plan(cfg: ExperimentConfig, seed: int) -> tuple:
-    """The weighted trend's noise levels and replica plan."""
-    w = cfg.weighted
-    return (w.get("epsilons", cfg.epsilons),
-            ReplicaPlan(base_seed=seed, count=w.get("replicas", cfg.replica_count)))
-
-
-def _weighted_chunk(payload):
-    """Worker body: build the model from the validated config and return
-    the weighted distances of a contiguous replica range at every noise
-    level.  Module-level so it pickles."""
-    cfg, seed, start, stop = payload
-    coeffs, dom, gamma, u0 = _solver_pieces(cfg)
-    epsilons, plan = _weighted_plan(cfg, seed)
-    return weighted_rows(coeffs, dom, gamma, u0, cfg.build_control(),
-                         epsilons, plan, lam=cfg.weighted["lam"],
-                         n_pen=cfg.n_event, dt=cfg.dt, T=cfg.T, start=start,
-                         stop=stop)
-
-
 def _cmd_weighted(cfg: ExperimentConfig, args, out: str) -> list:
-    if cfg.build_control() is None:
+    control = cfg.build_control()
+    if control is None:
         return []
-    epsilons, plan = _weighted_plan(cfg, args.base_seed)
-    parts = _fan_out(_weighted_chunk, cfg, args, plan.count)
-    levels = [[w for part in parts for w in part[e]]
-              for e in range(len(epsilons))]
-    rows = summarize_weighted(epsilons, levels, plan.count)
+    w = cfg.weighted
+    parts = _fan_out(weighted_rows, cfg, args, args.base_seed, w["replicas"],
+                     control=control, epsilons=w["epsilons"], lam=w["lam"],
+                     n_pen=cfg.n_event, dt=cfg.dt, T=cfg.T)
+    # each level's lists, joined over the ranges in index order
+    levels = [sum(level, []) for level in zip(*parts)]
+    rows = summarize_weighted(w["epsilons"], levels, w["replicas"])
     _write_csv(os.path.join(out, "weighted.csv"), WeightedTrendRow.CSV_HEADER,
                [r.csv_line() for r in rows])
     _say(args, f"weighted: {len(rows)} noise levels")
@@ -385,16 +375,20 @@ _HANDLERS = {
 }
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type of --seed: the schema's base_seed >= 0, checked when
-    the arguments are parsed."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _int_at_least(lowest: int):
+    """argparse type of an integer flag that must be >= lowest, checked
+    when the arguments are parsed: --seed (the schema's base_seed >= 0)
+    and --workers (>= 1)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lowest - 1
+        if value < lowest:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {lowest}, got {text!r}")
+        return value
+    return parse
 
 
 @functools.cache
@@ -410,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to config JSON")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--seed", type=_nonnegative_int, default=None,
+        p.add_argument("--workers", type=_int_at_least(1),
+                       default=os.cpu_count() or 1)
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="override the config's base seed (an integer >= 0)")
         p.add_argument("--quiet", action="store_true")
     return parser

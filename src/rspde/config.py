@@ -363,6 +363,12 @@ class ExperimentConfig:
 
     # -- sections with defaults ---------------------------------------
 
+    def _merged(self, name: str, spec: dict = None) -> dict:
+        """DEFAULTS[name] overridden by ``spec``, by default the config's
+        top-level section ``name``."""
+        return {**DEFAULTS[name],
+                **(self.raw.get(name, {}) if spec is None else spec)}
+
     @property
     def J(self) -> int:
         return self.raw["grid"]["J"]
@@ -385,9 +391,7 @@ class ExperimentConfig:
 
     @property
     def sweep(self) -> dict:
-        out = dict(DEFAULTS["sweep"])
-        out.update(self.raw["penalty"].get("sweep", {}))
-        return out
+        return self._merged("sweep", self.raw["penalty"].get("sweep", {}))
 
     @property
     def epsilons(self) -> list:
@@ -403,36 +407,29 @@ class ExperimentConfig:
 
     @property
     def ldp1(self) -> dict:
-        out = dict(DEFAULTS["ldp1"])
-        out.update(self.raw.get("ldp1", {}))
-        return out
+        return self._merged("ldp1")
 
     @property
     def weighted(self) -> dict:
-        out = dict(DEFAULTS["weighted"])
-        out.update(self.raw.get("weighted", {}))
-        return out
+        """The weighted trend's section; its noise levels and replica
+        count fall back to the run's ``epsilons`` and ``replicas.count``."""
+        return {"epsilons": self.epsilons, "replicas": self.replica_count,
+                **self._merged("weighted")}
 
     @property
     def validation(self) -> dict:
-        out = dict(DEFAULTS["validation"])
-        out.update(self.raw.get("validation", {}))
-        return out
+        return self._merged("validation")
 
     @property
     def tolerances(self) -> dict:
-        out = dict(DEFAULTS["tolerances"])
-        out.update(self.raw.get("tolerances", {}))
-        return out
+        return self._merged("tolerances")
 
     @property
     def rate_options(self) -> dict:
         spec = self.raw.get("rate")
         if spec is None:
             raise ConfigError("config has no 'rate' section")
-        out = dict(DEFAULTS["rate"])
-        out.update(spec)
-        return out
+        return self._merged("rate", spec)
 
     # -- model builders ------------------------------------------------
 

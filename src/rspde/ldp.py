@@ -23,7 +23,10 @@ batches, and the iterates end on the constraint, not short of it.
 
 Monte Carlo runs the stochastic solver over a ReplicaPlan, so replica
 seeds are independent of worker count and order, and the same replica
-index reuses the same Brownian path across noise levels.  Replicas, and
+index reuses the same Brownian path across noise levels.  The readers
+``mc_rows``, ``weighted_rows`` and ``stray_flags`` take the model, their
+own parameters and ``plan, start, stop``, and return their values for
+replicas [start, stop), so one fan-out serves all three.  Replicas, and
 the minimizer's controls, are solved in chunks: one batched solve steps
 as many of them as CHUNK_BYTES of (B, steps + 1, d, J) state stack holds,
 and a chunk's members do not interact, so no result depends on how they
@@ -31,7 +34,7 @@ are chunked.  A chunk's seeds and Philox keys come from one vectorised
 pass of numpy's SeedSequence hash, and its paths from one reseated
 generator, bit for bit what each replica's own SeedSequence and Philox
 give.  Every read of a chunk (events, their shortfalls, the Monte Carlo
-rows, the ldp1 stray count's Cauchy gaps and the weighted distances) is
+rows, the ldp1 stray flags' Cauchy gaps and the weighted distances) is
 one call on the whole chunk, one value per member, each bit for bit the
 value a read of that member alone gives.
 """
@@ -439,16 +442,13 @@ def _replicas(read, coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
 
 def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
             n_pen: float, dt: float, steps: int, plan: ReplicaPlan,
-            start: int, stop: int, control: Control = None) -> list:
+            start: int, stop: int) -> list:
     """Replica rows for indices [start, stop) of the plan.
 
     Splitting a plan across workers and concatenating the row lists in
     index order reproduces the serial run exactly, because every replica's
     noise depends only on its own plan seed and a chunk's members do not
-    interact.  The runner estimates every P(event), the comparison table's
-    too, by fanning replica ranges out to its workers and passing the
-    merged rows to ``summarize_rows``.  Each column is read from the
-    whole chunk at once.
+    interact.  Each column is read from the whole chunk at once.
     """
     def rows(part, seeds, chunk):
         columns = (chunk.series.pen_h.max(axis=1).tolist(),
@@ -459,7 +459,7 @@ def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
                 for i, seed, pen, norm, hit in zip(part, seeds, *columns)]
 
     return _replicas(rows, coeffs, domain, gamma, u0, plan,
-                     range(start, stop), epsilon, n_pen, dt, steps, control)
+                     range(start, stop), epsilon, n_pen, dt, steps)
 
 
 def summarize_rows(rows: list, replicas: int) -> MCResult:
@@ -497,41 +497,48 @@ class CompareRow:
                 f"{self.neg_eps_log_p!r},{self.i_star!r},{self.ldp1_prob!r}")
 
 
-def ldp_compare(coeffs, domain, gamma, u0, rate: RateResult, estimates,
-                base_seed: int, ldp1_delta_sq: float,
-                ldp1_replicas: int) -> list:
-    """One row per (epsilon, MCResult) pair of ``estimates``: sampled
-    -eps*log P(event) against I*, plus the fraction of controlled
-    replicas that stray from the skeleton.
-
-    The estimates must come from the rate result's own time grid and
-    penalty level, which the stray count uses too.  ldp1_prob estimates
-        P( sup|Y^eps - Z|_H^2 + int |Y^eps - Z|_V^2 dt > delta^2 )
-    for Y^eps the controlled stochastic solution at the optimizer's h and
-    Z = G0(h), on ldp1_replicas replicas seeded from base_seed + 1 (the
-    same paths at every epsilon); it should fall to zero with epsilon.
-    """
-    n_pen, dt, steps = rate.n_pen, rate.dt, rate.steps
-    h_star = rate.control
-    skeleton = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
-                                    dt=dt, steps=steps, control=h_star)
-    ldp1_plan = ReplicaPlan(base_seed=base_seed + 1, count=ldp1_replicas)
-
-    def stray(part, seeds, chunk):
-        gap_h, gap_v = state_gap(chunk, skeleton)
-        return (gap_h + gap_v > ldp1_delta_sq).tolist()
-
+def ldp_compare(rate: RateResult, estimates, strays) -> list:
+    """One row per (epsilon, MCResult) pair of ``estimates`` and that
+    level's ``stray_flags``, all on the rate result's time grid: sampled
+    -eps*log P(event) against I*, and the fraction of flags set."""
     out = []
-    for eps, res in estimates:
+    for (eps, res), flags in zip(estimates, strays):
         neg = -eps * math.log(res.p_hat) if res.p_hat > 0 else math.nan
-        strays = sum(_replicas(stray, coeffs, domain, gamma, u0, ldp1_plan,
-                               range(ldp1_replicas), eps, n_pen, dt, steps,
-                               h_star))
         out.append(CompareRow(epsilon=float(eps), p_hat=res.p_hat,
                               stderr=res.stderr, neg_eps_log_p=neg,
                               i_star=rate.rate,
-                              ldp1_prob=strays / ldp1_replicas))
+                              ldp1_prob=sum(flags) / len(flags)))
     return out
+
+
+def _controlled(read, coeffs, domain, gamma, u0, control: Control, epsilons,
+                plan: ReplicaPlan, n_pen: float, dt: float, steps: int,
+                start: int, stop: int) -> list:
+    """For each noise level, read(chunk, G0(control)) of the controlled
+    solutions of replicas [start, stop) (common paths across levels).  As
+    with ``mc_rows``, joining ranges' lists in index order is the serial
+    run."""
+    skeleton = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
+                                    dt=dt, steps=steps, control=control)
+    return [_replicas(lambda part, seeds, chunk: read(chunk, skeleton),
+                      coeffs, domain, gamma, u0, plan, range(start, stop),
+                      eps, n_pen, dt, steps, control)
+            for eps in epsilons]
+
+
+def stray_flags(coeffs, domain, gamma, u0, control: Control, epsilons,
+                plan: ReplicaPlan, delta_sq: float, n_pen: float, dt: float,
+                steps: int, start: int, stop: int) -> list:
+    """For each noise level, the ldp1 test of each controlled solution
+    Y^eps of replicas [start, stop) against Z = G0(control),
+        sup|Y^eps - Z|_H^2 + int |Y^eps - Z|_V^2 dt > delta_sq;
+    the fraction set should fall to zero with epsilon."""
+    def strays(chunk, skeleton):
+        gap_h, gap_v = state_gap(chunk, skeleton)
+        return (gap_h + gap_v > delta_sq).tolist()
+
+    return _controlled(strays, coeffs, domain, gamma, u0, control, epsilons,
+                       plan, n_pen, dt, steps, start, stop)
 
 
 @dataclass
@@ -551,29 +558,18 @@ def weighted_rows(coeffs, domain, gamma, u0, control: Control, epsilons,
                   plan: ReplicaPlan, lam: float, n_pen: float, dt: float,
                   T: float, start: int, stop: int) -> list:
     """For each noise level, the discounted distances (weighted_distance
-    dicts) between the controlled stochastic solutions of replicas
-    [start, stop) of the plan and their skeleton (common Brownian paths
-    across levels).  The discount rate lam multiplies the accumulated
-    gradient energy of both runs.
-
-    As with ``mc_rows``, splitting the plan across workers and joining
-    each level's lists in index order reproduces the serial run; the
-    runner fans the replica ranges out and passes the joined lists to
-    ``summarize_weighted``.
-    """
-    steps, dt_eff = resolve_time_grid(T, dt, n_pen, control.K)
-    skeleton = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
-                                    dt=dt_eff, steps=steps, control=control)
-
-    def distances(part, seeds, chunk):
+    dicts) between the controlled solutions of replicas [start, stop) and
+    their skeleton, on the control's time grid.  The discount rate lam
+    multiplies the accumulated gradient energy of both runs."""
+    def distances(chunk, skeleton):
         w = weighted_distance(chunk, skeleton, lam)
         return [{"weighted_sup": sup, "weighted_int": integral}
                 for sup, integral in zip(w["weighted_sup"].tolist(),
                                          w["weighted_int"].tolist())]
 
-    return [_replicas(distances, coeffs, domain, gamma, u0, plan,
-                      range(start, stop), eps, n_pen, dt_eff, steps, control)
-            for eps in epsilons]
+    steps, dt_eff = resolve_time_grid(T, dt, n_pen, control.K)
+    return _controlled(distances, coeffs, domain, gamma, u0, control,
+                       epsilons, plan, n_pen, dt_eff, steps, start, stop)
 
 
 def summarize_weighted(epsilons, levels: list, count: int) -> list:

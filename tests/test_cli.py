@@ -518,7 +518,7 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
 
 class RecordingPool:
     """An in-process stand-in for ProcessPoolExecutor that records each
-    map's worker body and replica ranges."""
+    map's reader, pool size and replica ranges."""
 
     maps = []
 
@@ -533,7 +533,8 @@ class RecordingPool:
 
     def map(self, body, payloads):
         payloads = list(payloads)
-        self.maps.append((body.__name__, [p[-2:] for p in payloads]))
+        self.maps.append((payloads[0][0].__name__, self.max_workers,
+                          [p[-2:] for p in payloads]))
         return map(body, payloads)
 
 
@@ -555,8 +556,48 @@ def test_weighted_replicas_fan_out_over_workers(tmp_path, monkeypatch):
     code, out = run(tmp_path, "all", payload, extra=("--workers", "3"),
                     name="recorded")
     assert code == 0
-    assert RecordingPool.maps == [("_weighted_chunk", [(0, 4), (4, 8), (8, 12)])]
+    assert RecordingPool.maps == [("weighted_rows", 3, [(0, 4), (4, 8), (8, 12)])]
     assert read_bytes(out, "weighted.csv") == read_bytes(out1, "weighted.csv")
+    # one process per non-empty range, and none for a single range
+    RecordingPool.maps.clear()
+    code, out = run(tmp_path, "all", payload, extra=("--workers", "16"),
+                    name="sixteen")
+    assert code == 0
+    assert RecordingPool.maps == [
+        ("weighted_rows", 12, [(i, i + 1) for i in range(12)])]
+    assert read_bytes(out, "weighted.csv") == read_bytes(out1, "weighted.csv")
+    RecordingPool.maps.clear()
+    code, _ = run(tmp_path, "all", {**payload, "weighted": {"replicas": 1}},
+                  extra=("--workers", "3"), name="single")
+    assert code == 0
+    assert RecordingPool.maps == []
+
+
+def test_ldp_compare_replicas_fan_out_over_workers(tmp_path, monkeypatch):
+    # every noise level's Monte Carlo replicas, then the 5 ldp1 stray
+    # replicas (seeded from base seed + 1), split into three ranges each
+    code, out1 = run(tmp_path, "ldp-compare", COMPARE,
+                     extra=("--workers", "1"), name="w1")
+    assert code == 0
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.maps.clear()
+    code, out = run(tmp_path, "ldp-compare", COMPARE,
+                    extra=("--workers", "3"), name="recorded")
+    assert code == 0
+    mc = ("mc_rows", 3, [(0, 4), (4, 8), (8, 12)])
+    assert RecordingPool.maps == [mc, mc,
+                                  ("stray_flags", 3, [(0, 1), (1, 3), (3, 5)])]
+    for name in ("comparison.csv", "rate.json"):
+        assert read_bytes(out, name) == read_bytes(out1, name)
+
+
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys):
+    for bad in ("0", "-2", "x"):
+        code, out = run(tmp_path, "mc", FREE, extra=("--workers", bad))
+        assert code == 2
+        assert (f"--workers: expected an integer >= 1, got '{bad}'"
+                in capsys.readouterr().err)
+        assert not os.path.exists(out)
 
 
 def test_consecutive_main_calls_parse_independently(tmp_path, capsys):

@@ -91,6 +91,14 @@ def test_defaults_merge_with_overrides():
     assert cfg.snapshot_stride == 1
     assert cfg.n_event == 256.0
     assert cfg.ldp1 == DEFAULTS["ldp1"]
+    # the weighted trend falls back to the run's noise levels and count
+    assert cfg.weighted == {**DEFAULTS["weighted"], "epsilons": cfg.epsilons,
+                            "replicas": cfg.replica_count}
+    payload = base_payload()
+    payload["weighted"] = {"epsilons": [0.3], "replicas": 7}
+    weighted = ExperimentConfig.from_dict(payload).weighted
+    assert weighted == {**DEFAULTS["weighted"], "epsilons": [0.3],
+                        "replicas": 7}
 
 
 def test_domain_dimension_must_match_coefficients():

@@ -20,8 +20,8 @@ from rspde.geometry import Box
 from rspde import ldp
 from rspde.ldp import (TRAJECTORY_FUNCTIONALS, CompareRow, EventSpec,
                        MCResult, RateResult, _replicas, ldp_compare, mc_rows, minimize_rate,
-                       rate_functional, summarize_rows, summarize_weighted,
-                       weighted_rows)
+                       rate_functional, stray_flags, summarize_rows,
+                       summarize_weighted, weighted_rows)
 from rspde.solvers import (ReplicaPlan, resolve_time_grid, sample_brownian,
                            solve_penalized_spde)
 
@@ -521,14 +521,19 @@ def manual_rate_result(T=0.05, n_pen=32.0):
 def compare(coeffs, dom, gamma, u0, event, rate, epsilons, plan,
             ldp1_delta_sq, ldp1_replicas):
     """The table on the path ``rspde ldp-compare`` takes: each epsilon
-    estimated on the rate's time grid, then ldp_compare."""
+    estimated on the rate's time grid, the stray flags of ldp1_replicas
+    replicas seeded from the plan's base seed + 1 at the rate's control,
+    then ldp_compare."""
     estimates = [(eps, summarize_rows(
         mc_rows(coeffs, dom, gamma, u0, event, eps, rate.n_pen, rate.dt,
                 rate.steps, plan, 0, plan.count), plan.count))
         for eps in epsilons]
-    return ldp_compare(coeffs, dom, gamma, u0, rate, estimates,
-                       base_seed=plan.base_seed, ldp1_delta_sq=ldp1_delta_sq,
-                       ldp1_replicas=ldp1_replicas)
+    strays = stray_flags(coeffs, dom, gamma, u0, rate.control, epsilons,
+                         ReplicaPlan(base_seed=plan.base_seed + 1,
+                                     count=ldp1_replicas),
+                         ldp1_delta_sq, rate.n_pen, rate.dt, rate.steps, 0,
+                         ldp1_replicas)
+    return ldp_compare(rate, estimates, strays)
 
 
 def test_ldp_compare_rows_and_zero_hit_marking():
@@ -566,6 +571,20 @@ def test_ldp1_deviation_probability_falls_with_epsilon():
                    ldp1_delta_sq=0.01, ldp1_replicas=25)
     assert rows[0].ldp1_prob >= rows[1].ldp1_prob
     assert rows[1].ldp1_prob == 0.0
+
+
+def test_stray_flags_split_reproduces_serial_run():
+    dom = interval_domain(0.25)
+    coeffs = forced_coeffs(s=1.0, c=4.0)
+    rate = manual_rate_result()
+    plan = ReplicaPlan(base_seed=4, count=7)
+    args = (coeffs, dom, normal_gamma(dom), zero_start(15), rate.control,
+            [1.0, 0.1], plan, 0.01, rate.n_pen, rate.dt, rate.steps)
+    whole = stray_flags(*args, 0, 7)
+    parts = [stray_flags(*args, lo, hi) for lo, hi in ((0, 3), (3, 7))]
+    assert whole == [a + b for a, b in zip(*parts)]
+    assert [len(level) for level in whole] == [7, 7]
+    assert any(whole[0]) and not all(whole[1])
 
 
 def test_weighted_trend_decreases_with_epsilon():
