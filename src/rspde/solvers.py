@@ -18,18 +18,19 @@ the grid and the time step and may differ in their noise paths, their
 controls and their penalty levels n_pen, as one (d, B * J) state; a
 single run is the chunk of one.  The coefficients and the projection act
 pointwise, so every step evaluates them once on the chunk's B * J
-points.  I - dt * Lap_h is the same tridiagonal matrix for every
-component, member and step, so each solve factors it once (LAPACK
-dgttrf) and every step only back-substitutes (dgttrs), all B * d columns
-at once.  Work that does not depend on the state is done before the
-loop: a zero or constant drift is evaluated once, and for a constant
-sigma the control terms of every step and member come from one product,
-as do the noise terms (sigma = 0 adds nothing).  Members never mix: each
-member's states equal those of its own single run bit for bit.  A chunk
-comes back as a TrajectoryChunk, whose ``steps`` counts member-steps
-(B * K); the Monte Carlo replicas and the rate minimizer's skeleton
-solves (one control per member) size their chunks by ``ldp.CHUNK_BYTES``,
-and a penalty sweep is one chunk (one n_pen per member).
+points.  I - dt * Lap_h is one symmetric positive definite tridiagonal
+matrix for every component, member and step: each solve factors it once
+as L D L^T without pivots (LAPACK dpttrf), and each step
+back-substitutes all B * d columns (dpttrs).  Work that does not depend
+on the state is done before the loop: a zero or constant drift is
+evaluated once, and for a constant sigma the control terms of every step
+and member come from one product, as do the noise terms (sigma = 0 adds
+nothing).  Members never mix: each member's states equal those of its
+own single run bit for bit.  A chunk comes back as a TrajectoryChunk,
+whose ``steps`` counts member-steps (B * K); the Monte Carlo replicas
+and the rate minimizer's skeleton solves (one control per member) size
+their chunks by ``ldp.CHUNK_BYTES``, and a penalty sweep is one chunk
+(one n_pen per member).
 
 A step does only the work that can change the state.  The blow-up guard
 already takes max |u| of every state; when it is at most the half-width
@@ -78,7 +79,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 # Unused here; kept importable because benchmark tracing patches it by name.
 from scipy.linalg import solve_banded  # noqa: F401
 
@@ -344,11 +345,10 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
                 raise SolverError(f"noise dt {path.dt!r} != solver dt {dt!r}")
         sqrt_eps = math.sqrt(epsilon)
 
-    # I - dt*Lap_h is one tridiagonal matrix for every component, member
-    # and step: factor it here, back-substitute all B*d columns per step.
+    # I - dt*Lap_h is SPD, so L D L^T needs no pivots; a step's forward sweep
+    # rounds as an LU solve's, its back substitution as b_i/d_i - x_{i+1}e_i.
     r = dt / (dx * dx)
-    off = np.full(J - 1, -r)
-    *lu, info = dgttrf(off, np.full(J, 1.0 + 2.0 * r), off)
+    *ldl, info = dpttrf(np.full(J, 1.0 + 2.0 * r), np.full(J - 1, -r))
     if info != 0:
         raise SolverError(f"heat operator factorization failed (info = {info})")
 
@@ -376,7 +376,7 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     # The state is one (d, B * J) array, member b in columns b*J:(b+1)*J,
     # updated in place: u.T is the (B * J, d) batch of points, ``blocks``
     # its (d, B, J) view by member, and ``cols`` its (J, B * d) view, the
-    # right-hand sides that dgttrs overwrites with the next state.  The
+    # right-hand sides that dpttrs overwrites with the next state.  The
     # states are stored by member, (B, steps + 1, d, J), through their
     # (steps + 1, d, B, J) view ``by_step``.
     u = np.empty((d, B * J))
@@ -444,7 +444,7 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         if state_sig:
             for c, stack in paths:
                 blocks += c * np.einsum("dmbj,bm->dbj", sig, stack[:, :, k])
-        dgttrs(*lu, cols, overwrite_b=True)       # solves in place: u is u_{k+1}
+        dpttrs(*ldl, cols, overwrite_b=True)  # in place: u is u_{k+1}
         top = float(np.abs(u).max())
         if not math.isfinite(top):
             top = retire(~np.isfinite(np.abs(blocks).max(axis=(0, 2))), k + 1)
