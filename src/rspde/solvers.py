@@ -18,16 +18,17 @@ the grid and the time step and may differ in their noise paths, their
 controls and their penalty levels n_pen, as one (d, B * J) state; a
 single run is the chunk of one.  The coefficients and the projection act
 pointwise, so every step evaluates them once on the chunk's B * J
-points.  I - dt * Lap_h is one symmetric positive definite tridiagonal
-matrix for every component, member and step: each solve factors it once
-as L D L^T without pivots (LAPACK dpttrf), and each step
-back-substitutes all B * d columns (dpttrs).  Work that does not depend
-on the state is done before the loop: a zero or constant drift is
-evaluated once, and for a constant sigma the control terms of every step
-and member come from one product, as do the noise terms (sigma = 0 adds
-nothing).  Members never mix: each member's states equal those of its
-own single run bit for bit.  A chunk comes back as a TrajectoryChunk,
-whose ``steps`` counts member-steps (B * K); the Monte Carlo replicas
+points.  I - dt * Lap_h is one J x J matrix for every component, member
+and step: each solve inverts it once (numpy.linalg.inv), and each step is
+one BLAS product (gemm) of the state's B * d rows of length J with the
+inverse.  Work that does not depend on the state is done before the
+loop: a zero or constant drift is evaluated once, and for a constant
+sigma the control terms of every step and member come from one product,
+as do the noise terms (sigma = 0 adds nothing).  Members never mix: gemm
+computes each row of a product in the same order at any row count (the
+solver tests check this), so each member's states equal those of its own
+single run bit for bit.  A chunk comes back as a TrajectoryChunk, whose
+``steps`` counts member-steps (B * K); the Monte Carlo replicas
 and the rate minimizer's skeleton solves (one control per member) size
 their chunks by ``ldp.CHUNK_BYTES``, and a penalty sweep is one chunk
 (one n_pen per member).
@@ -79,9 +80,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
-# Unused here; kept importable because benchmark tracing patches it by name.
-from scipy.linalg import solve_banded  # noqa: F401
 
 from .coefficients import ModelCoefficients
 from .controls import Control
@@ -93,6 +91,15 @@ from .trajectory import (ReflectionMeasure, Trajectory, TrajectoryChunk,
 
 # Explicit penalty relaxation factor dt * n_pen must stay at or below this.
 PENALTY_STABILITY = 0.5
+
+
+def __getattr__(name):
+    """``solve_banded``, imported from scipy.linalg only when read: the
+    benchmark's tracer patches it by name, and nothing here calls it."""
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverError(RuntimeError):
@@ -345,12 +352,12 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
                 raise SolverError(f"noise dt {path.dt!r} != solver dt {dt!r}")
         sqrt_eps = math.sqrt(epsilon)
 
-    # I - dt*Lap_h is SPD, so L D L^T needs no pivots; a step's forward sweep
-    # rounds as an LU solve's, its back substitution as b_i/d_i - x_{i+1}e_i.
+    # (I - dt*Lap_h)^{-1}, formed once; the operator is symmetric, so a
+    # step solves every row x of the state as the product x @ inv
     r = dt / (dx * dx)
-    *ldl, info = dpttrf(np.full(J, 1.0 + 2.0 * r), np.full(J - 1, -r))
-    if info != 0:
-        raise SolverError(f"heat operator factorization failed (info = {info})")
+    inv = np.linalg.inv(np.diag(np.full(J, 1.0 + 2.0 * r))
+                        + np.diag(np.full(J - 1, -r), 1)
+                        + np.diag(np.full(J - 1, -r), -1))
 
     # state-independent work, done once: a zero or constant drift, and for
     # a constant sigma the control and noise terms of every step
@@ -373,15 +380,19 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         terms = [c * np.einsum("dm,bmk->kdb", sig_fixed, stack)[..., None]
                  for c, stack in paths]
 
-    # The state is one (d, B * J) array, member b in columns b*J:(b+1)*J,
-    # updated in place: u.T is the (B * J, d) batch of points, ``blocks``
-    # its (d, B, J) view by member, and ``cols`` its (J, B * d) view, the
-    # right-hand sides that dpttrs overwrites with the next state.  The
-    # states are stored by member, (B, steps + 1, d, J), through their
+    # The state is one (d, B * J) array u, member b in columns
+    # b*J:(b+1)*J: u.T is the (B * J, d) batch of points and ``blocks`` its
+    # (d, B, J) view by member.  u is the first B * d rows of a C-contiguous
+    # (rows, J) buffer; a step writes the product of the buffer with inv
+    # into a second buffer, and the two swap with their views.  numpy sends
+    # a one-row product to gemv, which rounds unlike gemm, so a lone row
+    # gets a zero row below it and every row goes through gemm.  The states
+    # are stored by member, (B, steps + 1, d, J), through their
     # (steps + 1, d, B, J) view ``by_step``.
-    u = np.empty((d, B * J))
-    blocks = u.reshape(d, B, J)
-    cols = u.reshape(d * B, J).T
+    bufs = np.zeros((2, max(B * d, 2), J))
+    views = [(buf, buf[:B * d].reshape(d, B * J), buf[:B * d].reshape(d, B, J))
+             for buf in bufs]
+    rows, u, blocks = views[0]
     blocks[:] = u0.values[:, None, :]
     states = np.empty((B, steps + 1, d, J))
     by_step = states.transpose(1, 2, 0, 3)
@@ -430,7 +441,7 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         # guard before any squaring can overflow
         if top > 1e150:
             top = retire(np.abs(blocks).max(axis=(0, 2)) > 1e150, k)
-        # everything the step reads from u_k, before u is overwritten
+        # everything the step reads from u_k, before u is updated in place
         b = coeffs.drift(u) if b_fixed is None else b_fixed
         if state_sig:
             sig = coeffs.diffusion(u).reshape(d, coeffs.m, B, J)
@@ -444,7 +455,9 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         if state_sig:
             for c, stack in paths:
                 blocks += c * np.einsum("dmbj,bm->dbj", sig, stack[:, :, k])
-        dpttrs(*ldl, cols, overwrite_b=True)  # in place: u is u_{k+1}
+        nxt = views[(k + 1) % 2]
+        np.dot(rows, inv, out=nxt[0])
+        rows, u, blocks = nxt                     # u is u_{k+1}
         top = float(np.abs(u).max())
         if not math.isfinite(top):
             top = retire(~np.isfinite(np.abs(blocks).max(axis=(0, 2))), k + 1)

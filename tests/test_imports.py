@@ -3,6 +3,7 @@ top-level function or class that nothing in the package reads, and no
 heavy module loaded by the command-line entry point."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -11,12 +12,6 @@ from pathlib import Path
 import rspde
 
 PACKAGE = Path(rspde.__file__).parent
-
-# (module, name) pairs imported only so that other code can reach them
-# through the module: the benchmark's tracer patches
-# rspde.solvers.solve_banded by name.
-ALLOWED = {("solvers", "solve_banded")}
-
 
 def unused_imports(source: str) -> list:
     """Names bound by the module's top-level imports that nothing reads."""
@@ -46,11 +41,8 @@ def test_scan_finds_an_unused_import() -> None:
 
 
 def test_no_unused_top_level_imports() -> None:
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for name in unused_imports(path.read_text(encoding="utf-8")):
-            if (path.stem, name) not in ALLOWED:
-                found.append(f"{path.name}: {name}")
+    found = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
 
 
@@ -58,6 +50,10 @@ def test_no_unused_top_level_imports() -> None:
 # "Class.method") of methods, that no module of the package reads, each
 # kept for the reason given.
 UNREAD_ALLOWED = {
+    ("solvers", "__getattr__"):
+        "imports scipy.linalg.solve_banded when rspde.solvers.solve_banded is "
+        "read, for the benchmark's tracer (bench/tracing.py), which patches "
+        "that name; it goes when the program reports its own phase times",
     ("coefficients", "audit_lipschitz"):
         "samples a coefficient pair's Lipschitz ratio against the declared "
         "constant; the coefficient tests audit the registry with it",
@@ -163,16 +159,61 @@ def test_every_top_level_definition_is_read() -> None:
     assert set(UNREAD_ALLOWED) <= set(unread_definitions(sources))
 
 
-def test_cli_import_leaves_scipy_stats_unloaded() -> None:
+# small inline configs: mc and rate on the free interval, and a penalty
+# sweep on ball-box in d = 2 with rotated gamma
+_FREE = {
+    "domain": {"kind": "ball", "center": [0.0], "radius": 100.0},
+    "gamma": {"rule": "normal"},
+    "coefficients": {"d": 1, "m": 1, "b": {"name": "zero"},
+                     "sigma": {"name": "constant", "matrix": [[1.0]]}},
+    "u0": {"kind": "zero"},
+    "grid": {"J": 15, "dt": 2e-3, "T": 0.05},
+    "penalty": {"n_event": 64.0},
+    "replicas": {"base_seed": 3, "count": 10},
+    "epsilons": [0.5],
+    "event": {"kind": "terminal_ball", "radius": 0.05, "complement": True},
+    "rate": {"K": 2, "max_iters": 5},
+}
+_SWEEP = {
+    "domain": {"kind": "intersection", "members": [
+        {"kind": "ball", "center": [0.0, 0.0], "radius": 0.5},
+        {"kind": "box", "lower": [-0.4, -0.45], "upper": [0.45, 0.4]}]},
+    "gamma": {"rule": "rotated_normal", "angle": 0.2},
+    "coefficients": {"d": 2, "m": 2,
+                     "b": {"name": "constant", "value": [4.0, 3.0]},
+                     "sigma": {"name": "zero"}},
+    "u0": {"kind": "zero"},
+    "grid": {"J": 15, "dt": 2e-3, "T": 0.05},
+    "penalty": {"sweep": {"n_start": 16.0, "factor": 4.0, "n_max": 64.0,
+                          "tol_cauchy": 0.0}},
+    "replicas": {"base_seed": 3, "count": 1},
+}
+
+
+def test_cli_and_its_commands_leave_scipy_stats_and_linalg_unloaded(
+        tmp_path) -> None:
     # scipy.stats costs about 0.8 s to import and only the Sobol draws of
     # unit_directions need it; a d = 2 polytope's boundedness audit
-    # draws them, so it must still build.  The process pool, with
+    # draws them, so it must still build.  scipy.linalg costs about 0.25 s
+    # and no command needs it: the step loop multiplies by the heat
+    # operator's inverse from numpy.linalg.  The process pool, with
     # multiprocessing, is imported only by a run that starts one.
+    runs = []
+    for sub, raw in (("mc", _FREE), ("rate", _FREE), ("penalty-sweep", _SWEEP)):
+        path = tmp_path / f"{sub}.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        runs.append([sub, "--config", str(path), "--out",
+                     str(tmp_path / sub), "--workers", "1", "--quiet"])
     code = ("import sys\n"
+            "def unloaded(*names):\n"
+            "    for name in names:\n"
+            "        assert name not in sys.modules, name + ' loaded'\n"
             "import rspde.cli\n"
-            "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'\n"
-            "assert 'concurrent.futures.process' not in sys.modules, "
-            "'concurrent.futures.process loaded'\n"
+            "unloaded('scipy.stats', 'scipy.linalg', "
+            "'concurrent.futures.process')\n"
+            f"for argv in {runs!r}:\n"
+            "    assert rspde.cli.main(argv) == 0, argv\n"
+            "    unloaded('scipy.stats', 'scipy.linalg')\n"
             "from rspde.geometry import Polytope\n"
             "p = Polytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])\n"
             "assert abs(p.bounding_radius - 2 ** 0.5) < 1e-2, p.bounding_radius\n")

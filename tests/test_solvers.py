@@ -553,10 +553,32 @@ def test_state_gap_requires_matching_grids() -> None:
 # the step loop against a reference
 
 
+def heat_inverse(r, J):
+    """(I - dt Lap_h)^{-1} on J points, with r = dt / dx^2."""
+    return np.linalg.inv((1.0 + 2.0 * r) * np.eye(J)
+                         - r * (np.eye(J, k=1) + np.eye(J, k=-1)))
+
+
+def padded_rows(rows):
+    """``rows`` with one zero row below it when it has a single row: numpy
+    sends a one-row product to gemv, and the padded one goes to gemm."""
+    padded = np.zeros((max(len(rows), 2), rows.shape[1]))
+    padded[:len(rows)] = rows
+    return padded
+
+
+def inverse_solve(r, rhs):
+    """(I - dt Lap_h)^{-1} rhs, with r = dt / dx^2, as the step loop forms
+    it: the d rows of rhs.T, padded, times the operator's inverse in one
+    gemm."""
+    rows = rhs.T
+    return np.dot(padded_rows(rows), heat_inverse(r, len(rhs)))[:len(rows)].T
+
+
 def ldlt_solve(r, rhs):
-    """(I - dt Lap_h)^{-1} rhs, with r = dt / dx^2, by LAPACK ptsv (dpttrf
-    then dpttrs, the step loop's L D L^T): the upper banded form holds -r
-    above the diagonal 1 + 2r."""
+    """The same solve by LAPACK ptsv (dpttrf then dpttrs, the symmetric
+    positive definite L D L^T): the upper banded form holds -r above the
+    diagonal 1 + 2r."""
     ab = np.empty((2, len(rhs)))
     ab[0] = -r
     ab[1] = 1.0 + 2.0 * r
@@ -573,10 +595,10 @@ def lu_solve(r, rhs):
 
 
 def reference_solve(coeffs, domain, gamma, u0, n_pen, dt, steps, epsilon=0.0,
-                    noise=None, control=None, solve=ldlt_solve):
-    """The scheme evaluated plainly: banded solve, drift, diffusion, penalty
+                    noise=None, control=None, solve=inverse_solve):
+    """The scheme evaluated plainly: implicit solve, drift, diffusion, penalty
     and its projection each step, as solve_penalized_spde first did it.
-    ``solve(r, rhs)`` is the implicit step's banded solve of the (J, d)
+    ``solve(r, rhs)`` is the implicit step's solve of the (J, d)
     right-hand sides.
 
     Returns (states, series, increments, magnitude); raises SolverError
@@ -816,20 +838,49 @@ def test_step_loop_matches_reference(case, rtol) -> None:
                                   getattr(single.series, name))
 
 
-@pytest.mark.parametrize("case", [case for case, _ in REFERENCE_CASES] + [
-    _chunk(case) for case, _ in REFERENCE_CASES])
-def test_step_loop_is_close_to_the_lu_solve(case) -> None:
-    # The loop solves by L D L^T, whose back substitution rounds unlike
-    # the pivoted LU's; every state of every member stays within 1e-12 of
-    # the run's max |u| of the LU reference's
+def check_close_to_banded_solve(case, solve) -> None:
+    """Every state of every member of the case's run within 1e-12 of the
+    run's max |u| of the reference run with the banded ``solve``: the loop
+    multiplies by the inverse, which rounds unlike a banded solve."""
     kwargs = case()
     result = solve_penalized_spde(**kwargs)
     paths = kwargs["noise"] if isinstance(kwargs["noise"], list) else [
         kwargs["noise"]]
     got = result.states.reshape((len(paths),) + result.states.shape[-3:])
     for member, path in zip(got, paths):
-        want = reference_solve(**dict(kwargs, noise=path), solve=lu_solve)[0]
+        want = reference_solve(**dict(kwargs, noise=path), solve=solve)[0]
         assert np.abs(member - want).max() <= 1e-12 * np.abs(want).max()
+
+
+BANDED_CASES = [case for case, _ in REFERENCE_CASES] + [
+    _chunk(case) for case, _ in REFERENCE_CASES]
+
+
+@pytest.mark.parametrize("case", BANDED_CASES)
+def test_step_loop_is_close_to_the_lu_solve(case) -> None:
+    check_close_to_banded_solve(case, lu_solve)
+
+
+@pytest.mark.parametrize("case", BANDED_CASES)
+def test_step_loop_is_close_to_the_ldlt_solve(case) -> None:
+    check_close_to_banded_solve(case, ldlt_solve)
+
+
+@pytest.mark.parametrize("J", [7, 15, 31, 64])
+def test_step_product_rounds_each_row_as_its_lone_product(J) -> None:
+    # Members never mix only if gemm computes each row of the step's
+    # product in the same order at any row count: every row of a 1..70-row
+    # product equals that row's own padded product bit for bit
+    inv = heat_inverse((J + 1) ** 2 / 512.0, J)     # dt = 1/512
+    rng = np.random.default_rng(J)
+    for n in range(1, 71):
+        rows = rng.standard_normal((n, J))
+        got = np.empty((max(n, 2), J))
+        np.dot(padded_rows(rows), inv, out=got)
+        for i, row in enumerate(rows):
+            alone = np.dot(padded_rows(row[None]), inv)[0]
+            assert np.array_equal(got[i], alone), (
+                f"row {i} of a {n}-row product rounds unlike its lone product")
 
 
 def test_outward_return_leaves_and_reenters_the_cube() -> None:
