@@ -29,10 +29,9 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig
+from .config import MAX_BASE_SEED, ConfigError, ExperimentConfig
 from .controls import zero_control
 from .diagnostics import continuity_experiment, estimate_report
 from .geometry import GeometryError, build_oblique_matrix, validate_oblique_field
@@ -375,10 +374,10 @@ _HANDLERS = {
 }
 
 
-def _int_at_least(lowest: int):
-    """argparse type of an integer flag that must be >= lowest, checked
-    when the arguments are parsed: --seed (the schema's base_seed >= 0)
-    and --workers (>= 1)."""
+def _int_in(lowest: int, highest: int = None):
+    """argparse type of an integer flag that must lie in [lowest, highest]
+    (no upper bound when highest is None), checked when the arguments are
+    parsed: --seed (the schema's base_seed range) and --workers (>= 1)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -387,6 +386,9 @@ def _int_at_least(lowest: int):
         if value < lowest:
             raise argparse.ArgumentTypeError(
                 f"expected an integer >= {lowest}, got {text!r}")
+        if highest is not None and value > highest:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer <= {highest}, got {text!r}")
         return value
     return parse
 
@@ -404,10 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to config JSON")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--workers", type=_int_at_least(1),
+        p.add_argument("--workers", type=_int_in(1),
                        default=os.cpu_count() or 1)
-        p.add_argument("--seed", type=_int_at_least(0), default=None,
-                       help="override the config's base seed (an integer >= 0)")
+        p.add_argument("--seed", type=_int_in(0, MAX_BASE_SEED), default=None,
+                       help="override the config's base seed (an integer "
+                            f"in [0, {MAX_BASE_SEED}])")
         p.add_argument("--quiet", action="store_true")
     return parser
 
@@ -426,8 +429,7 @@ def main(argv=None) -> int:
         "config_hash": None,
         "seed": args.seed,
         "versions": {"python": sys.version.split()[0],
-                     "numpy": np.__version__, "scipy": scipy.__version__,
-                     "rspde": __version__},
+                     "numpy": np.__version__, "rspde": __version__},
         "status": "ok",
         "outputs": [],
         "started_unix": started,
@@ -456,6 +458,9 @@ def main(argv=None) -> int:
         manifest["error"] = f"{type(err).__name__}: {err}"
         raise
     finally:
+        # scipy is loaded only by what needs it (the d >= 2 directions)
+        if "scipy" in sys.modules:
+            manifest["versions"]["scipy"] = sys.modules["scipy"].__version__
         manifest["wall_time_seconds"] = time.time() - started
         _write_json(os.path.join(out, "manifest.json"), manifest)
     return code

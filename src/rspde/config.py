@@ -40,6 +40,10 @@ _INT_POS = {"type": "integer", "minimum": 1}
 _VEC = {"type": "array", "items": _NUM, "minItems": 1}
 _MAT = {"type": "array", "items": _VEC, "minItems": 1}
 
+# The largest base seed: a replica's Philox key holds its base seed as one
+# 64-bit word, and the ldp1 stray replicas run from base_seed + 1.
+MAX_BASE_SEED = 2**64 - 2
+
 
 def _kind_needs(fields: dict) -> list:
     """``allOf`` clauses requiring, for each kind, the fields it reads."""
@@ -193,7 +197,8 @@ SCHEMA = {
             "additionalProperties": False,
             "required": ["base_seed", "count"],
             "properties": {
-                "base_seed": {"type": "integer", "minimum": 0},
+                "base_seed": {"type": "integer", "minimum": 0,
+                              "maximum": MAX_BASE_SEED},
                 "count": _INT_POS,
             },
         },

@@ -21,22 +21,22 @@ line search whose ladder of step sizes is one more batch, solved only
 when the full step fails.  Two starts run side by side in the same
 batches, and the iterates end on the constraint, not short of it.
 
-Monte Carlo runs the stochastic solver over a ReplicaPlan, so replica
-seeds are independent of worker count and order, and the same replica
-index reuses the same Brownian path across noise levels.  The readers
-``mc_rows``, ``weighted_rows`` and ``stray_flags`` take the model, their
-own parameters and ``plan, start, stop``, and return their values for
+Monte Carlo runs the stochastic solver over a ReplicaPlan, so a
+replica's noise stream, Philox keyed by (base seed, replica index), is
+independent of worker count and order, and the same replica index reuses
+the same Brownian path across noise levels.  The readers ``mc_rows``,
+``weighted_rows`` and ``stray_flags`` take the model, their own
+parameters and ``plan, start, stop``, and return their values for
 replicas [start, stop), so one fan-out serves all three.  Replicas, and
 the minimizer's controls, are solved in chunks: one batched solve steps
 as many of them as CHUNK_BYTES of (B, steps + 1, d, J) state stack holds,
 and a chunk's members do not interact, so no result depends on how they
-are chunked.  A chunk's seeds and Philox keys come from one vectorised
-pass of numpy's SeedSequence hash, and its paths from one reseated
-generator, bit for bit what each replica's own SeedSequence and Philox
-give.  Every read of a chunk (events, their shortfalls, the Monte Carlo
-rows, the ldp1 stray flags' Cauchy gaps and the weighted distances) is
-one call on the whole chunk, one value per member, each bit for bit the
-value a read of that member alone gives.
+are chunked.  A chunk's keys come from one ``seed_for`` call and its
+paths from one reseated generator, bit for bit what each replica's own
+Philox gives.  Every read of a chunk (events, their shortfalls, the Monte
+Carlo rows, the ldp1 stray flags' Cauchy gaps and the weighted distances)
+is one call on the whole chunk, one value per member, each bit for bit
+the value a read of that member alone gives.
 """
 
 from __future__ import annotations
@@ -383,16 +383,18 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
 
 @dataclass
 class ReplicaRow:
+    """One line of mc.csv.  The replica's noise stream is named by its
+    index here and the run's base seed in report.json."""
+
     replica: int
-    seed: int
     sup_pen_H: float
     terminal_H_norm: float
     event: int
 
-    CSV_HEADER = "replica,seed,sup_pen_H,terminal_H_norm,event"
+    CSV_HEADER = "replica,sup_pen_H,terminal_H_norm,event"
 
     def csv_line(self) -> str:
-        return (f"{self.replica},{self.seed},{self.sup_pen_H!r},"
+        return (f"{self.replica},{self.sup_pen_H!r},"
                 f"{self.terminal_H_norm!r},{self.event}")
 
 
@@ -416,26 +418,25 @@ class MCResult:
 def _replicas(read, coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
               epsilon: float, n_pen: float, dt: float, steps: int,
               control: Control = None) -> list:
-    """The replica indices' values in order: read(indices, seeds, chunk)
-    gives one value per member of each chunk that is solved.
+    """The replica indices' values in order: read(indices, chunk) gives
+    one value per member of each chunk that is solved.
 
-    Each replica's noise depends only on its own plan seed.  The replicas
+    Each replica's noise depends only on its own plan key.  The replicas
     are solved a chunk at a time, as many members as CHUNK_BYTES of state
-    stack holds; a chunk's seeds come from one ``seed_for`` call and its
-    noise paths from one ``sample_brownian`` call, each a vectorised pass
-    over the chunk that equals the per-replica derivation bit for bit.  A
-    chunk's arrays are dropped before the next one starts, so ``read``
-    must not keep the chunk it is given.  The sampler and the solver are
-    looked up in this module's namespace, where wrappers may replace them.
+    stack holds; a chunk's keys come from one ``seed_for`` call and its
+    noise paths from one ``sample_brownian`` call, each path bit for bit
+    its replica's own.  A chunk's arrays are dropped before the next one
+    starts, so ``read`` must not keep the chunk it is given.  The sampler
+    and the solver are looked up in this module's namespace, where
+    wrappers may replace them.
     """
     out = []
     for part in _chunks(indices, steps, u0.grid):
-        seeds = plan.seed_for(part)
         chunk = solve_penalized_spde(
             coeffs, domain, gamma, u0, n_pen=n_pen, dt=dt, steps=steps,
             epsilon=epsilon, control=control,
-            noise=sample_brownian(coeffs.m, steps, dt, seeds))
-        out += read(part, seeds, chunk)
+            noise=sample_brownian(coeffs.m, steps, dt, plan.seed_for(part)))
+        out += read(part, chunk)
         del chunk
     return out
 
@@ -447,16 +448,16 @@ def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
 
     Splitting a plan across workers and concatenating the row lists in
     index order reproduces the serial run exactly, because every replica's
-    noise depends only on its own plan seed and a chunk's members do not
+    noise depends only on its own plan key and a chunk's members do not
     interact.  Each column is read from the whole chunk at once.
     """
-    def rows(part, seeds, chunk):
+    def rows(part, chunk):
         columns = (chunk.series.pen_h.max(axis=1).tolist(),
                    _terminal_h_norm(chunk).tolist(),
                    event.occurred(chunk).tolist())
-        return [ReplicaRow(replica=i, seed=seed, sup_pen_H=pen,
-                           terminal_H_norm=norm, event=int(hit))
-                for i, seed, pen, norm, hit in zip(part, seeds, *columns)]
+        return [ReplicaRow(replica=i, sup_pen_H=pen, terminal_H_norm=norm,
+                           event=int(hit))
+                for i, pen, norm, hit in zip(part, *columns)]
 
     return _replicas(rows, coeffs, domain, gamma, u0, plan,
                      range(start, stop), epsilon, n_pen, dt, steps)
@@ -520,7 +521,7 @@ def _controlled(read, coeffs, domain, gamma, u0, control: Control, epsilons,
     run."""
     skeleton = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=n_pen,
                                     dt=dt, steps=steps, control=control)
-    return [_replicas(lambda part, seeds, chunk: read(chunk, skeleton),
+    return [_replicas(lambda part, chunk: read(chunk, skeleton),
                       coeffs, domain, gamma, u0, plan, range(start, stop),
                       eps, n_pen, dt, steps, control)
             for eps in epsilons]

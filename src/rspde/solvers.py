@@ -114,8 +114,9 @@ class SolverError(RuntimeError):
 class NoisePath:
     """Brownian increments (m, K) with their seed.
 
-    Reproducible bit for bit from (seed, shape): increments are i.i.d.
-    N(0, dt) drawn from numpy's counter-based Philox generator.
+    ``seed`` is the path's 128-bit Philox key, and the increments are
+    i.i.d. N(0, dt): ``Generator(Philox(key=seed)).normal(0, sqrt(dt),
+    (m, K))`` bit for bit.
     """
 
     dt: float
@@ -123,151 +124,64 @@ class NoisePath:
     seed: int
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
-# uint32 words, the hash constants of mix_entropy/hashmix and of
-# generate_state, the multipliers of mix, and the 16-bit xor-shift.
-_POOL = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
-
-
-def _int_words(n: int) -> list:
-    """The uint32 words of a non-negative integer, least significant
-    first, [0] for 0, as numpy's SeedSequence splits its entropy."""
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _seed_sequence_state(entropy: list, n_words: int) -> np.ndarray:
-    """``SeedSequence(row).generate_state(n_words, np.uint32)`` of B rows
-    at once, as a (B, n_words) array; ``entropy`` holds the rows' words
-    as columns, one (B,) uint32 array per word.  The hash constant's
-    progression is the same for every row, so it stays a Python int
-    masked to 32 bits, and every product is one of two uint32 operands,
-    which wraps as numpy's uint32_t arithmetic does."""
-    B = len(entropy[0])
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> _SHIFT
-
-    def mix(x, y):
-        value = _MIX_L * x - _MIX_R * y
-        return value ^ value >> _SHIFT
-
-    # mix_entropy: the pool from the first words (zeros past the last),
-    # every pool word into every other, then each remaining word in turn
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(B, np.uint32))
-            for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out = np.empty((B, n_words), np.uint32)
-    const = _INIT_B
-    for i in range(n_words):
-        value = pool[i % _POOL] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        out[:, i] = value ^ value >> _SHIFT
-    return out
-
-
-def _spawned_uint64(prefix: list, values: list, n_words: int) -> np.ndarray:
-    """(B, n_words) uint64: ``SeedSequence(prefix + words(v))
-    .generate_state(n_words, np.uint64)`` for each of B Python ints v in
-    [0, 2**64), where ``prefix`` is a list of uint32 words shared by all.
-    Values below 2**32 have one entropy word and the others two; each
-    group is hashed in one pass."""
-    if values and (min(values) < 0 or max(values) >> 64):
-        raise ValueError("seeds and replica indices must lie in [0, 2**64)")
-    v = np.array(values, dtype=np.uint64)
-    low = (v & np.uint64(_MASK32)).astype(np.uint32)
-    high = (v >> np.uint64(32)).astype(np.uint32)
-    words = np.empty((len(values), 2 * n_words), np.uint32)
-    for wide in (False, True):
-        rows = np.flatnonzero((high != 0) == wide)
-        if rows.size:
-            cols = [np.full(rows.size, w, np.uint32) for w in prefix]
-            cols += [low[rows], high[rows]] if wide else [low[rows]]
-            words[rows] = _seed_sequence_state(cols, 2 * n_words)
-    # generate_state's uint64 words: little-endian pairs of uint32 words
-    return (words[:, 0::2].astype(np.uint64)
-            | words[:, 1::2].astype(np.uint64) << np.uint64(32))
-
-
 def sample_brownian(m: int, K: int, dt: float, seed) -> NoisePath | list:
-    """The NoisePath of ``seed``, or for a sequence of seeds one NoisePath
-    per seed, whose increments are views of one (B, m, K) array.
+    """The NoisePath of Philox key ``seed``, or for a sequence of keys one
+    NoisePath per key, whose increments are views of one (B, m, K) array.
 
-    Path b's increments are ``Generator(Philox(seed_b)).normal(0, sqrt(dt),
-    (m, K))`` bit for bit, for any seed in [0, 2**64).  ``Philox(seed)``
-    keys itself with ``SeedSequence(seed).generate_state(2, np.uint64)``;
-    here every path's key comes from one vectorised pass of that hash,
-    and one Philox is reseated through its state dict (the key, counter
-    0 and an empty buffer, as Philox(seed) starts) before each path is
-    drawn from one Generator.  A single seed is the chunk of one.
+    Path b's increments are ``Generator(Philox(key=seed_b)).normal(0,
+    sqrt(dt), (m, K))`` bit for bit, for any key in [0, 2**128); a
+    replica's key is its ``ReplicaPlan.seed_for``.  One Philox is reseated
+    through its state dict (the key's two 64-bit words, low word first,
+    with counter 0 and an empty buffer, as a new Philox starts) before
+    each path is drawn from one Generator.  A single key is the chunk of
+    one.  A key outside [0, 2**128) raises ValueError.
     """
     scalar = np.ndim(seed) == 0
-    seeds = [operator.index(s) for s in ([seed] if scalar else seed)]
-    keys = _spawned_uint64([], seeds, 2).tolist()
+    keys = [operator.index(s) for s in ([seed] if scalar else seed)]
+    if keys and (min(keys) < 0 or max(keys) >> 128):
+        raise ValueError("Philox keys must lie in [0, 2**128)")
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
-    fresh = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    inc = np.empty((len(seeds), m, K))
+    fresh = bitgen.state
+    inc = np.empty((len(keys), m, K))
     scale = math.sqrt(dt)
     for b, key in enumerate(keys):
-        fresh["state"]["key"] = key
+        high, low = divmod(key, 1 << 64)
+        fresh["state"]["key"] = [low, high]
         bitgen.state = fresh
         inc[b] = rng.normal(0.0, scale, size=(m, K))
-    paths = [NoisePath(dt=dt, increments=i, seed=s) for i, s in zip(inc, seeds)]
+    paths = [NoisePath(dt=dt, increments=i, seed=k) for i, k in zip(inc, keys)]
     return paths[0] if scalar else paths
 
 
 @dataclass
 class ReplicaPlan:
-    """Replica count with counter-based per-replica seed derivation.
+    """Replica count with counter-based per-replica Philox keys.
 
-    Replica i's seed is ``SeedSequence(base_seed, spawn_key=(i,))
-    .generate_state(1, np.uint64)[0]``, so its stream is independent of
-    every other index and of the order or worker the replicas run on.
-    ``seed_for`` computes a whole chunk's seeds in one vectorised pass
-    of that hash, bit for bit equal to numpy's.
+    Replica i's key is ``base_seed + (i << 64)``, whose two 64-bit words
+    are (base_seed, i), so replica 0 draws from ``Philox(key=base_seed)``.
+    Philox streams under distinct keys are independent by design (Salmon,
+    Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2, 3",
+    SC 2011), so the key needs no hash, and a replica's stream does not
+    depend on the order or the worker the replicas run on.
     """
 
     base_seed: int
     count: int
 
     def seed_for(self, index):
-        """Replica ``index``'s seed as a Python int, or for a sequence of
-        indices (each in [0, 2**64)) the list of their seeds; a single
-        index is the chunk of one.  A negative base seed or index raises
+        """Replica ``index``'s Philox key as a Python int, or for a
+        sequence of indices the list of their keys; a single index is the
+        chunk of one.  A base seed or an index outside [0, 2**64) raises
         ValueError."""
         scalar = np.ndim(index) == 0
         indices = [operator.index(i) for i in ([index] if scalar else index)]
-        # with a spawn key, numpy pads the base seed's words to the pool
-        prefix = _int_words(self.base_seed)
-        prefix += [0] * (_POOL - len(prefix))
-        seeds = _spawned_uint64(prefix, indices, 1)[:, 0].tolist()
-        return seeds[0] if scalar else seeds
+        words = [operator.index(self.base_seed), *indices]
+        if min(words) < 0 or max(words) >> 64:
+            raise ValueError("base seeds and replica indices must lie in "
+                             "[0, 2**64)")
+        keys = [words[0] + (i << 64) for i in indices]
+        return keys[0] if scalar else keys
 
 
 def resolve_time_grid(T: float, dt_target: float, n_pen: float,

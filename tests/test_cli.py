@@ -5,13 +5,14 @@ import copy
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from rspde import cli, config, ldp, solvers
 from rspde.cli import build_parser, main
-from rspde.config import ExperimentConfig
+from rspde.config import MAX_BASE_SEED, ExperimentConfig
 from rspde.solvers import (ReplicaPlan, SolverError, resolve_time_grid,
                            sample_brownian, solve_penalized_spde)
 
@@ -71,6 +72,8 @@ def test_validate_domain_unit_ball_normal(tmp_path):
     man = read_json(out, "manifest.json")
     assert man["status"] == "ok" and man["outputs"] == ["report.json"]
     assert man["config_hash"]
+    # the d = 2 boundary directions load scipy, so its version is listed
+    assert man["versions"]["scipy"] == sys.modules["scipy"].__version__
 
 
 def test_unknown_subcommand_exits_2(tmp_path, capsys):
@@ -244,7 +247,7 @@ def test_mc_outputs_and_worker_invariance(tmp_path):
     rep = read_json(out1, "report.json")
     assert rep["replicas"] == 12 and 0.0 <= rep["p_hat"] <= 1.0
     lines = read_bytes(out1, "mc.csv").decode().splitlines()
-    assert lines[0] == "replica,seed,sup_pen_H,terminal_H_norm,event"
+    assert lines[0] == "replica,sup_pen_H,terminal_H_norm,event"
     assert len(lines) == 13
 
 
@@ -336,7 +339,7 @@ def test_outputs_do_not_depend_on_chunk_composition(tmp_path, monkeypatch):
         outs.append(out)
     for name in ("mc.csv", "comparison.csv", "weighted.csv"):
         assert [read_bytes(o, name) for o in outs[1:]] == [read_bytes(outs[0], name)] * 2
-    pen = [float(line.split(",")[2]) for line in
+    pen = [float(line.split(",")[1]) for line in
            read_bytes(outs[0], "mc.csv").decode().splitlines()[1:]]
     assert 0 < sum(p > 0.0 for p in pen) < len(pen)
 
@@ -467,7 +470,7 @@ def test_mc_seeds_and_samples_a_chunk_in_one_call(tmp_path, monkeypatch,
     payload = {**copy.deepcopy(FREE), "replicas": {"base_seed": 6161, "count": 200}}
     member = chunk_budgets(payload)[0]
     monkeypatch.setattr(ldp, "CHUNK_BYTES", per_chunk * member)
-    calls = []
+    calls, keys = [], []
 
     def seed_for(plan, index, seed_for=solvers.ReplicaPlan.seed_for):
         calls.append(("seed_for", len(index)))
@@ -475,6 +478,7 @@ def test_mc_seeds_and_samples_a_chunk_in_one_call(tmp_path, monkeypatch,
 
     def sample_brownian(m, K, dt, seeds, sample=ldp.sample_brownian):
         calls.append(("sample_brownian", len(seeds)))
+        keys.extend(seeds)
         return sample(m, K, dt, seeds)
 
     monkeypatch.setattr(solvers.ReplicaPlan, "seed_for", seed_for)
@@ -484,11 +488,11 @@ def test_mc_seeds_and_samples_a_chunk_in_one_call(tmp_path, monkeypatch,
     sizes = [min(per_chunk, 200 - lo) for lo in range(0, 200, per_chunk)]
     assert calls == [(name, size) for size in sizes
                      for name in ("seed_for", "sample_brownian")]
-    # each row's seed is numpy's SeedSequence seed of its replica
+    # replica i is keyed by the words (base seed, i), and mc.csv's rows
+    # are the replicas in index order
+    assert keys == [6161 + (i << 64) for i in range(200)]
     rows = read_bytes(out, "mc.csv").decode().splitlines()[1:]
-    assert [tuple(map(int, row.split(",")[:2])) for row in rows] == [
-        (i, int(np.random.SeedSequence(6161, spawn_key=(i,))
-                .generate_state(1, np.uint64)[0])) for i in range(200)]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(200))
 
 
 def test_mc_validates_its_config_once(tmp_path, monkeypatch):
@@ -512,8 +516,26 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
         assert code == 2
         assert f"--seed: expected an integer >= 0, got '{bad}'" in capsys.readouterr().err
         assert not os.path.exists(out)
-    assert build_parser().parse_args(
-        ["mc", "--config", "c", "--out", "o", "--seed", "0"]).seed == 0
+    # above the schema's largest base seed, 2**64 - 2
+    for bad in ("18446744073709551616", "18446744073709551615"):
+        code, out = run(tmp_path, "mc", FREE, extra=("--seed", bad))
+        assert code == 2
+        assert (f"--seed: expected an integer <= {MAX_BASE_SEED}, got '{bad}'"
+                in capsys.readouterr().err)
+        assert not os.path.exists(out)
+    for good in (0, MAX_BASE_SEED):
+        assert build_parser().parse_args(
+            ["mc", "--config", "c", "--out", "o", "--seed", str(good)]).seed == good
+
+
+def test_ldp_compare_runs_at_the_largest_seed(tmp_path):
+    # the ldp1 strays run from base seed + 1, still a 64-bit key word
+    code, out = run(tmp_path, "ldp-compare", COMPARE,
+                    extra=("--seed", str(MAX_BASE_SEED), "--workers", "1"))
+    assert code == 0
+    assert read_json(out, "manifest.json")["seed"] == MAX_BASE_SEED
+    lines = read_bytes(out, "comparison.csv").decode().splitlines()
+    assert len(lines) == 1 + len(COMPARE["epsilons"])
 
 
 class RecordingPool:

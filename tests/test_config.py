@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from rspde.config import DEFAULTS, ConfigError, ExperimentConfig, canonical_json
+from rspde.config import (DEFAULTS, MAX_BASE_SEED, ConfigError,
+                          ExperimentConfig, canonical_json)
 from rspde.geometry import Ball, Intersection
 from rspde.ldp import EventSpec
 
@@ -61,6 +62,21 @@ def test_wrong_type_reports_field_path():
     payload["grid"]["J"] = "thirty"
     with pytest.raises(ConfigError, match=r"grid\.J"):
         ExperimentConfig.from_dict(payload)
+
+
+def test_base_seed_must_be_a_key_word():
+    # a replica's Philox key holds the base seed as one 64-bit word, and
+    # the ldp1 strays run from base_seed + 1
+    for top in (MAX_BASE_SEED, 0):
+        payload = base_payload()
+        payload["replicas"]["base_seed"] = top
+        assert ExperimentConfig.from_dict(payload).base_seed == top
+    for bad in (2**64, 2**64 - 1, -1):
+        payload = base_payload()
+        payload["replicas"]["base_seed"] = bad
+        with pytest.raises(ConfigError,
+                           match=r"config field replicas\.base_seed"):
+            ExperimentConfig.from_dict(payload)
 
 
 def test_missing_required_section_rejected():

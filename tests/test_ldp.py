@@ -614,7 +614,7 @@ def test_noisy_penetration_falls_with_penalty_on_common_seeds():
     means = []
     for n in (32.0, 128.0):
         steps, dt = resolve_time_grid(0.12, 1e-3, n, 1)
-        sups = _replicas(lambda part, seeds, chunk: chunk.series.pen_h.max(axis=1).tolist(),
+        sups = _replicas(lambda part, chunk: chunk.series.pen_h.max(axis=1).tolist(),
                          coeffs, dom, normal_gamma(dom), zero_start(15), plan,
                          range(plan.count), 0.1, n, dt, steps)
         means.append(math.fsum(sups) / plan.count)
