@@ -377,7 +377,8 @@ _HANDLERS = {
 def _int_in(lowest: int, highest: int = None):
     """argparse type of an integer flag that must lie in [lowest, highest]
     (no upper bound when highest is None), checked when the arguments are
-    parsed: --seed (the schema's base_seed range) and --workers (>= 1)."""
+    parsed: --seed (the schema's base_seed range, or >= 0 for
+    validate-domain) and --workers (>= 1)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -408,9 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--workers", type=_int_in(1),
                        default=os.cpu_count() or 1)
-        p.add_argument("--seed", type=_int_in(0, MAX_BASE_SEED), default=None,
+        # validate-domain's --seed replaces validation.seed (no maximum)
+        top = None if name == "validate-domain" else MAX_BASE_SEED
+        p.add_argument("--seed", type=_int_in(0, top), default=None,
                        help="override the config's base seed (an integer "
-                            f"in [0, {MAX_BASE_SEED}])")
+                            f"in [0, {MAX_BASE_SEED}]; validate-domain: "
+                            "validation.seed, >= 0)")
         p.add_argument("--quiet", action="store_true")
     return parser
 

@@ -528,6 +528,19 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
             ["mc", "--config", "c", "--out", "o", "--seed", str(good)]).seed == good
 
 
+def test_validate_domain_seed_is_not_capped_at_the_base_seed_range(tmp_path):
+    # validate-domain's --seed replaces validation.seed, which has no
+    # maximum; only the subcommands that key Philox by it are capped
+    for seed in (MAX_BASE_SEED + 1, 2**64):
+        code, out = run(tmp_path, "validate-domain",
+                        extra=("--seed", str(seed)), name=f"v{seed}")
+        assert code == 0
+        assert read_json(out, "manifest.json")["seed"] == seed
+    assert build_parser().parse_args(
+        ["validate-domain", "--config", "c", "--out", "o",
+         "--seed", str(2**64)]).seed == 2**64
+
+
 def test_ldp_compare_runs_at_the_largest_seed(tmp_path):
     # the ldp1 strays run from base seed + 1, still a 64-bit key word
     code, out = run(tmp_path, "ldp-compare", COMPARE,

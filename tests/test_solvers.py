@@ -337,6 +337,14 @@ def test_chunk_brownian_equals_each_seeds_philox(m) -> None:
     for path, key in zip(paths, keys):
         assert path.dt == dt and type(path.seed) is int
         assert path.increments.tobytes() == philox_path(key, m, 50, dt).tobytes()
+    # a numpy uint64 array of the keys that fit in it gives the same
+    # paths, with int seeds, as the list of those keys
+    small = [k for k in keys if k < 2**64]
+    again = sample_brownian(m, 50, dt, np.array(small, dtype=np.uint64))
+    assert [p.seed for p in again] == small
+    assert all(type(p.seed) is int for p in again)
+    by_key = {p.seed: p.increments.tobytes() for p in paths}
+    assert [p.increments.tobytes() for p in again] == [by_key[k] for k in small]
     # a single key is the chunk of one
     one = sample_brownian(m, 50, dt, keys[3])
     assert one.seed == keys[3]
