@@ -462,9 +462,6 @@ def main(argv=None) -> int:
         manifest["error"] = f"{type(err).__name__}: {err}"
         raise
     finally:
-        # scipy is loaded only by what needs it (the d >= 2 directions)
-        if "scipy" in sys.modules:
-            manifest["versions"]["scipy"] = sys.modules["scipy"].__version__
         manifest["wall_time_seconds"] = time.time() - started
         _write_json(os.path.join(out, "manifest.json"), manifest)
     return code

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .coefficients import ModelCoefficients, make_coefficients
 from .controls import (Control, constant_control, sine_control,
@@ -281,16 +282,78 @@ DEFAULTS = {
              "max_dim": 64},
 }
 
-_VALIDATOR = Draft202012Validator(SCHEMA)
+_TYPES = {"number": numbers.Number, "object": dict, "array": list,
+          "string": str, "boolean": bool}
+
+
+def _is_type(x, name: str) -> bool:
+    """JSON Schema's types: a bool is no number, and 1.0 is an integer."""
+    if isinstance(x, bool) and name != "boolean":
+        return False
+    if name == "integer":
+        return isinstance(x, int) or isinstance(x, float) and x.is_integer()
+    return isinstance(x, _TYPES[name])
+
+
+# keyword: (the type it applies to, violated(x, rule), message) for the
+# keywords that do not descend; SCHEMA's enums and consts hold strings and
+# its minItems are all 1
+_CHECKS = {
+    "type": (None, lambda x, r: not _is_type(x, r), "{x!r} is not of type {r!r}"),
+    "enum": (None, lambda x, r: x not in r, "{x!r} is not one of {r!r}"),
+    "const": (None, operator.ne, "{r!r} was expected"),
+    "minimum": ("number", operator.lt, "{x!r} is less than the minimum of {r!r}"),
+    "maximum": ("number", operator.gt, "{x!r} is greater than the maximum of {r!r}"),
+    "exclusiveMinimum": ("number", operator.le,
+                         "{x!r} is less than or equal to the minimum of {r!r}"),
+    "minItems": ("array", lambda x, r: len(x) < r, "{x!r} should be non-empty"),
+}
+
+
+def _errors(schema: dict, x, path: tuple = ()):
+    """(path, message) of each violation of ``schema`` by ``x``, in the
+    schema's keyword order, with JSON Schema 2020-12's messages.  Covers the
+    keywords SCHEMA uses (``additionalProperties`` only as false);
+    ``$schema``, ``$defs`` and ``deprecated`` assert nothing."""
+    for key, rule in schema.items():
+        if key in _CHECKS:
+            applies, violated, message = _CHECKS[key]
+            if (applies is None or _is_type(x, applies)) and violated(x, rule):
+                yield path, message.format(x=x, r=rule)
+        elif key == "$ref":
+            yield from _errors(SCHEMA["$defs"][rule.rsplit("/", 1)[1]], x, path)
+        elif key == "allOf":
+            for sub in rule:
+                yield from _errors(sub, x, path)
+        elif key == "if" and "then" in schema and not any(_errors(rule, x, path)):
+            yield from _errors(schema["then"], x, path)
+        elif key == "items" and isinstance(x, list):
+            for i, item in enumerate(x):
+                yield from _errors(rule, item, path + (i,))
+        elif not isinstance(x, dict):
+            continue
+        elif key == "required":
+            yield from ((path, f"{name!r} is a required property")
+                        for name in rule if name not in x)
+        elif key == "properties":
+            for name, sub in rule.items():
+                if name in x:
+                    yield from _errors(sub, x[name], path + (name,))
+        elif key == "additionalProperties":
+            extra = sorted(set(x) - set(schema.get("properties", {})))
+            if extra:
+                yield path, ("Additional properties are not allowed ("
+                             f"{', '.join(map(repr, extra))} "
+                             f"{'was' if len(extra) == 1 else 'were'} unexpected)")
 
 
 def validate_config(payload: dict) -> None:
-    errors = sorted(_VALIDATOR.iter_errors(payload),
-                    key=lambda e: list(e.absolute_path))
+    """Raise ConfigError on the first violation of SCHEMA in path order."""
+    errors = list(_errors(SCHEMA, payload))
     if errors:
-        e = errors[0]
-        path = ".".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {e.message}")
+        path, message = min(errors, key=lambda e: e[0])
+        raise ConfigError(f"config field {'.'.join(map(str, path)) or '<root>'}: "
+                          f"{message}")
 
 
 def canonical_json(payload: dict) -> str:

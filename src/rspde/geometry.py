@@ -424,36 +424,29 @@ def _dykstra(points, sets):
 
 
 def unit_directions(d: int, count: int, seed: int) -> np.ndarray:
-    """Low-discrepancy unit vectors in R^d, deterministic for a given seed.
+    """Unit vectors in R^d spread over the sphere, deterministic for a
+    given seed.
 
-    d = 1 alternates the two directions; d >= 2 maps a scrambled Sobol
-    sequence through the Gaussian inverse CDF and normalizes.
+    d = 1 alternates the two directions; d = 2 takes ``count`` equally
+    spaced angles turned by a seeded offset, a point set exactly uniform on
+    the circle; d >= 3 normalizes Gaussian draws from Philox(seed).
     """
     if d == 1:
         signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
         return signs[:, None]
-    # Imported here: scipy.stats loads in about 0.8 s, and the solvers
-    # never draw Sobol points.
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(d, scramble=True, seed=seed)
-    m = 1 << max(1, (count - 1).bit_length())
-    u = sob.random(m)[:count]
-    # Clip away exact 0/1 before the inverse CDF.
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    g = ndtri(u)
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0] = 1.0
-    return g / norms[:, None]
+    rng = np.random.Generator(np.random.Philox(seed))
+    if d == 2:
+        angles = 2.0 * np.pi * (rng.random() + np.arange(count) / count)
+        return np.column_stack([np.cos(angles), np.sin(angles)])
+    g = rng.standard_normal((count, d))
+    return g / np.linalg.norm(g, axis=1)[:, None]
 
 
 def boundary_points(domain: ConvexDomain, count: int, seed: int):
     """Boundary samples with their outward normals: (points, normals, nonsmooth).
 
-    Balls use low-discrepancy directions; intersections, boxes and
-    polytopes included, ray-cast low-discrepancy directions from the
-    origin.
+    Balls place ``unit_directions`` on their sphere; intersections, boxes
+    and polytopes included, ray-cast them from the origin.
     """
     dirs = unit_directions(domain.dim, count, seed)
     if isinstance(domain, Ball):
@@ -473,7 +466,7 @@ def exterior_points(domain: ConvexDomain, count: int, seed: int, shell: float = 
 
 
 def interior_points(domain: ConvexDomain, count: int, seed: int):
-    """Points in the interior, spread by low-discrepancy directions and a
+    """Points in the interior, spread by ``unit_directions`` and a
     volume-corrected radial factor."""
     dirs = unit_directions(domain.dim, count, seed)
     rng = np.random.Generator(np.random.Philox(seed + 2))

@@ -19,15 +19,15 @@ controls and their penalty levels n_pen, as one (d, B * J) state; a
 single run is the chunk of one.  The coefficients and the projection act
 pointwise, so every step evaluates them once on the chunk's B * J
 points.  I - dt * Lap_h is one J x J matrix for every component, member
-and step: each solve inverts it once (numpy.linalg.inv), and each step is
-one BLAS product (gemm) of the state's B * d rows of length J with the
-inverse.  Work that does not depend on the state is done before the
-loop: a zero or constant drift is evaluated once, and for a constant
-sigma the control terms of every step and member come from one product,
-as do the noise terms (sigma = 0 adds nothing).  Members never mix: gemm
-computes each row of a product in the same order at any row count (the
-solver tests check this), so each member's states equal those of its own
-single run bit for bit.  A chunk comes back as a TrajectoryChunk, whose
+and step: it is inverted once per (J, dt) (numpy.linalg.inv) and shared
+by every solve, and each step is one BLAS product (gemm) of the state's
+B * d rows of length J with the inverse.  Work that does not depend on
+the state is done before the loop: a zero or constant drift is
+evaluated once, and for a constant sigma the control terms of every step
+and member come from one product, as do the noise terms (sigma = 0 adds
+nothing).  Members never mix: gemm computes each row of a product in the
+same order at any row count (the solver tests check this), so each
+member's states equal those of its own single run bit for bit.  A chunk comes back as a TrajectoryChunk, whose
 ``steps`` counts member-steps (B * K); the Monte Carlo replicas
 and the rate minimizer's skeleton solves (one control per member) size
 their chunks by ``ldp.CHUNK_BYTES``, and a penalty sweep is one chunk
@@ -108,6 +108,17 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, step: int = None):
         super().__init__(message)
         self.step = step
+
+
+@functools.lru_cache(maxsize=8)
+def _heat_inverse(J: int, r: float) -> np.ndarray:
+    """(I - dt*Lap_h)^{-1} on J interior nodes, r = dt / dx**2: formed once
+    per (J, r) and shared, read-only, by every solve on that grid and step."""
+    inv = np.linalg.inv(np.diag(np.full(J, 1.0 + 2.0 * r))
+                        + np.diag(np.full(J - 1, -r), 1)
+                        + np.diag(np.full(J - 1, -r), -1))
+    inv.flags.writeable = False
+    return inv
 
 
 @dataclass
@@ -266,12 +277,9 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
                 raise SolverError(f"noise dt {path.dt!r} != solver dt {dt!r}")
         sqrt_eps = math.sqrt(epsilon)
 
-    # (I - dt*Lap_h)^{-1}, formed once; the operator is symmetric, so a
-    # step solves every row x of the state as the product x @ inv
-    r = dt / (dx * dx)
-    inv = np.linalg.inv(np.diag(np.full(J, 1.0 + 2.0 * r))
-                        + np.diag(np.full(J - 1, -r), 1)
-                        + np.diag(np.full(J - 1, -r), -1))
+    # the operator is symmetric, so a step solves every row x of the
+    # state as the product x @ inv
+    inv = _heat_inverse(J, dt / (dx * dx))
 
     # state-independent work, done once: a zero or constant drift, and for
     # a constant sigma the control and noise terms of every step

@@ -2,12 +2,13 @@
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rspde.config import (DEFAULTS, MAX_BASE_SEED, ConfigError,
-                          ExperimentConfig, canonical_json)
+from rspde.config import (DEFAULTS, MAX_BASE_SEED, SCHEMA, ConfigError,
+                          ExperimentConfig, canonical_json, validate_config)
 from rspde.geometry import Ball, Intersection
 from rspde.ldp import EventSpec
 
@@ -223,3 +224,143 @@ def test_rate_section_required_for_rate_options():
     opts = ExperimentConfig.from_dict(payload).rate_options
     assert opts["K"] == 8 and opts["max_iters"] == 40
     assert opts["fd_step"] == DEFAULTS["rate"]["fd_step"]
+
+
+# ---------------------------------------------------------------------------
+# the package's validator against jsonschema's, as an oracle
+
+ROOT = Path(__file__).resolve().parent.parent
+_DROP = object()
+
+
+def _resolve(schema: dict) -> dict:
+    while "$ref" in schema:
+        schema = SCHEMA["$defs"][schema["$ref"].rsplit("/", 1)[1]]
+    return schema
+
+
+def _nodes(value, schema: dict, path: tuple = ()):
+    """(path, subschema, value) at every node of a valid payload."""
+    schema = _resolve(schema)
+    yield path, schema, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nodes(item, schema["properties"][key], path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nodes(item, schema["items"], path + (i,))
+
+
+def _with(payload: dict, path: tuple, value) -> dict:
+    """A copy of ``payload`` with ``value`` at ``path`` (_DROP deletes it)."""
+    out = copy.deepcopy(payload)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+def _mutations(payload: dict):
+    """Payloads one edit away from ``payload``: each key dropped, an
+    unknown key in each object, a wrong type at each node, an empty array
+    for each array, each bound met and overstepped, a bool where a number
+    goes, an unknown kind, and each kind without the fields it needs."""
+    for path, schema, value in _nodes(payload, SCHEMA):
+        if path:
+            yield _with(payload, path, 5 if isinstance(value, str) else "x")
+        if isinstance(value, list):
+            yield _with(payload, path, [])
+        if not isinstance(value, dict):
+            continue
+        for key in value:
+            yield _with(payload, path + (key,), _DROP)
+        yield _with(payload, path + ("unknown_key",), 1)
+        if "kind" in value:
+            yield _with(payload, path + ("kind",), "no_such_kind")
+        for clause in schema.get("allOf", []):
+            kind = clause["if"]["properties"]["kind"]["const"]
+            bare = {k: v for k, v in value.items()
+                    if k not in clause["then"]["required"]}
+            yield _with(payload, path, {**bare, "kind": kind})
+        for key, sub in schema["properties"].items():
+            sub = _resolve(sub)
+            if sub.get("type") in ("number", "integer"):
+                yield _with(payload, path + (key,), True)
+            if sub.get("type") == "integer" and key in value:
+                yield _with(payload, path + (key,), float(value[key]))
+            for bound, past in (("minimum", -1), ("maximum", 1),
+                                ("exclusiveMinimum", -1)):
+                if bound in sub:
+                    at = sub[bound]
+                    step = (past if sub["type"] == "integer"
+                            else np.nextafter(at, past * np.inf) - at)
+                    yield _with(payload, path + (key,), at)
+                    yield _with(payload, path + (key,), at + step)
+
+
+def _first_error(validator, payload: dict):
+    """validate_config's message from the oracle's errors, or None."""
+    errors = sorted(validator.iter_errors(payload),
+                    key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    path = ".".join(str(p) for p in errors[0].absolute_path) or "<root>"
+    return f"config field {path}: {errors[0].message}"
+
+
+def _own_error(payload: dict):
+    try:
+        validate_config(payload)
+    except ConfigError as err:
+        return str(err)
+    return None
+
+
+def test_validator_agrees_with_jsonschema(monkeypatch):
+    jsonschema = pytest.importorskip("jsonschema")
+    oracle = jsonschema.Draft202012Validator(SCHEMA)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import WORKLOADS
+
+    payloads = [json.loads(p.read_text(encoding="utf-8"))
+                for p in sorted((ROOT / "configs").glob("*.json"))]
+    payloads += [w.make_config(1) for w in WORKLOADS.values()]
+    payloads.append(base_payload())
+    checked = failed = 0
+    for payload in payloads:
+        assert _own_error(payload) is None and _first_error(oracle, payload) is None
+        for mutant in _mutations(payload):
+            want = _first_error(oracle, mutant)
+            assert _own_error(mutant) == want, mutant
+            checked += 1
+            failed += want is not None
+    assert checked > 1000 and 0 < failed < checked
+
+
+def test_validator_edge_cases():
+    payload = base_payload()
+    # 1.0 is an integer and true is not a number, as in JSON Schema
+    payload["grid"]["J"] = 31.0
+    validate_config(payload)
+    payload["grid"]["dt"] = True
+    with pytest.raises(ConfigError,
+                       match=r"grid\.dt: True is not of type 'number'"):
+        validate_config(payload)
+    # the deprecated rate keys the benchmark's rate workload still sends
+    payload = base_payload()
+    payload["rate"] = {"K": 4, "mu_schedule": [1e2, 1e4], "stag_window": 10}
+    validate_config(payload)
+    # the first error in path order, not in the schema's key order
+    payload["domain"]["radius"] = "big"
+    payload["coefficients"]["d"] = 0
+    with pytest.raises(ConfigError, match=r"^config field coefficients\.d: "
+                       r"0 is less than the minimum of 1$"):
+        validate_config(payload)
+    del payload["u0"]
+    with pytest.raises(ConfigError,
+                       match=r"^config field <root>: 'u0' is a required"):
+        validate_config(payload)

@@ -378,6 +378,10 @@ def test_unit_directions_are_unit_and_spread() -> None:
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
         # at least both half-spaces visited in every coordinate
         assert (dirs > 0).any(axis=0).all() and (dirs < 0).any(axis=0).all()
+    # d = 2: equally spaced angles, turned by an offset that the seed sets
+    angles = np.sort(np.arctan2(*unit_directions(2, 128, seed=5).T[::-1]))
+    assert np.allclose(np.diff(angles), 2 * np.pi / 128, rtol=0, atol=1e-12)
+    assert not np.allclose(unit_directions(2, 8, seed=1), unit_directions(2, 8, seed=2))
 
 
 def test_boundary_points_lie_on_boundary() -> None:

@@ -188,44 +188,81 @@ _SWEEP = {
                           "tol_cauchy": 0.0}},
     "replicas": {"base_seed": 3, "count": 1},
 }
+# the same sweep on a hexagon, whose boundedness audit draws directions
+_POLYTOPE = {**_SWEEP, "domain": {
+    "kind": "polytope",
+    "normals": [[0.984807753012208, 0.17364817766693033],
+                [0.3420201433256688, 0.9396926207859083],
+                [-0.6427876096865394, 0.766044443118978],
+                [-0.984807753012208, -0.17364817766693047],
+                [-0.34202014332566855, -0.9396926207859084],
+                [0.6427876096865393, -0.7660444431189781]],
+    "offsets": [0.5, 0.6, 0.55, 0.5, 0.65, 0.6]}}
+_RUNS = (("mc", _FREE), ("rate", _FREE), ("penalty-sweep", _SWEEP),
+         ("penalty-sweep", _POLYTOPE), ("validate-domain", _SWEEP),
+         ("validate-domain", _POLYTOPE))
 
 
-def test_cli_and_its_commands_leave_scipy_stats_and_linalg_unloaded(
-        tmp_path) -> None:
-    # No scipy module loads: scipy.stats costs about 0.8 s to import and
-    # only the Sobol draws of unit_directions need it; a d = 2 polytope's
-    # boundedness audit draws them, so it must still build.  scipy.linalg
-    # costs about 0.25 s and no command needs it: the step loop multiplies
-    # by the heat operator's inverse from numpy.linalg.  scipy itself is
-    # read only for the manifest's version, when something else loaded
-    # it.  The process pool, with multiprocessing, is imported only by a
-    # run that starts one.
+def _run_cli(tmp_path, prelude: str, check: str) -> None:
+    """Run ``prelude``, import rspde.cli and run ``rspde.cli.main`` on each
+    of _RUNS in one fresh process, with ``check`` after each run; every
+    run must exit 0."""
     runs = []
-    for sub, raw in (("mc", _FREE), ("rate", _FREE), ("penalty-sweep", _SWEEP)):
-        path = tmp_path / f"{sub}.json"
+    for i, (sub, raw) in enumerate(_RUNS):
+        path = tmp_path / f"{i}-{sub}.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
         runs.append([sub, "--config", str(path), "--out",
-                     str(tmp_path / sub), "--workers", "1", "--quiet"])
-    code = ("import json, sys\n"
+                     str(tmp_path / f"{i}-{sub}"), "--workers", "1", "--quiet"])
+    code = (prelude + "import json, sys\n"
             "def unloaded(*names):\n"
             "    for name in names:\n"
             "        assert name not in sys.modules, name + ' loaded'\n"
             "import rspde.cli\n"
-            "unloaded('scipy', 'concurrent.futures.process')\n"
+            "unloaded('scipy', 'jsonschema', 'concurrent.futures.process')\n"
             f"for argv in {runs!r}:\n"
             "    assert rspde.cli.main(argv) == 0, argv\n"
-            "    unloaded('scipy')\n"
-            "    with open(argv[argv.index('--out') + 1] + '/manifest.json') as fh:\n"
-            "        assert 'scipy' not in json.load(fh)['versions'], argv\n"
-            "from rspde.geometry import Polytope\n"
-            "p = Polytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])\n"
-            "assert abs(p.bounding_radius - 2 ** 0.5) < 1e-2, p.bounding_radius\n")
+            + check)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_and_its_commands_leave_scipy_stats_and_linalg_unloaded(
+        tmp_path) -> None:
+    # No scipy or jsonschema module loads: numpy is the only runtime
+    # dependency.  A d = 2 polytope's boundedness audit and validate-domain
+    # draw unit directions from numpy alone; the step loop multiplies by
+    # the heat operator's inverse from numpy.linalg; and the package checks
+    # configs against its schema itself.  The process pool, with
+    # multiprocessing, is imported only by a run that starts one.
+    _run_cli(tmp_path, "", (
+        "    unloaded('scipy', 'jsonschema')\n"
+        "    with open(argv[argv.index('--out') + 1] + '/manifest.json') as fh:\n"
+        "        assert 'scipy' not in json.load(fh)['versions'], argv\n"
+        "from rspde.geometry import Polytope\n"
+        "p = Polytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])\n"
+        # 64 equally spaced directions: one lies within pi / 64 of the
+        # corner (1, 1), and every sampled exit is inside the square
+        "from math import cos, sin, pi\n"
+        "low = 2 ** 0.5 / (cos(pi / 64) + sin(pi / 64))\n"
+        "assert low <= p.bounding_radius <= 2 ** 0.5, p.bounding_radius\n"
+        "unloaded('scipy')\n"))
+
+
+def test_commands_run_with_scipy_and_jsonschema_blocked(tmp_path) -> None:
+    # A finder ahead of every other refuses both, as on an install of the
+    # package's runtime dependency alone.
+    blocker = (
+        "import sys\n"
+        "class Blocker:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] in ('scipy', 'jsonschema'):\n"
+        "            raise ModuleNotFoundError(name + ' is blocked', name=name)\n"
+        "sys.meta_path.insert(0, Blocker())\n")
+    _run_cli(tmp_path, blocker, "")
 
 
 def test_benchmark_tracer_finds_every_name(monkeypatch) -> None:

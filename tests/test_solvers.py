@@ -555,6 +555,24 @@ def test_state_gap_requires_matching_grids() -> None:
         state_gap(a, b)
 
 
+def test_solves_on_one_grid_and_step_share_one_inverse(monkeypatch) -> None:
+    seen = []
+
+    def spy(J, r):
+        seen.append(real(J, r))
+        return seen[-1]
+
+    real = solvers._heat_inverse
+    monkeypatch.setattr(solvers, "_heat_inverse", spy)
+    a, b = run_heat(J=15, steps=5), run_heat(J=15, steps=5)
+    run_heat(J=15, dt=2e-3, steps=5)
+    assert seen[0] is seen[1] and seen[2] is not seen[0]
+    assert not seen[0].flags.writeable and not seen[2].flags.writeable
+    assert np.array_equal(a.states, b.states)
+    r = 1e-3 * 16.0**2
+    assert np.allclose(seen[0], heat_inverse(r, 15), rtol=1e-13, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # the step loop against a reference
 
