@@ -331,8 +331,10 @@ class Polytope(Intersection):
     @functools.cached_property
     def bounding_radius(self):
         # Numerical boundedness audit, run when the membership slack is
-        # set in __init__: every sampled direction must exit.
-        t = self.ray_exit_many(unit_directions(self.dim, max(64, 32 * self.dim), seed=0))
+        # set in __init__: every sampled direction must exit.  In d = 2 the
+        # 512 directions are equally spaced, so every corner lies within
+        # pi/512 of one: a square's radius comes out at most 0.0086 low.
+        t = self.ray_exit_many(unit_directions(self.dim, max(512, 32 * self.dim), seed=0))
         if not np.all(np.isfinite(t)):
             raise GeometryError("polytope appears unbounded (no exit along a sampled direction)")
         return float(np.max(t))

@@ -27,11 +27,11 @@ evaluated once, and for a constant sigma the control terms of every step
 and member come from one product, as do the noise terms (sigma = 0 adds
 nothing).  Members never mix: gemm computes each row of a product in the
 same order at any row count (the solver tests check this), so each
-member's states equal those of its own single run bit for bit.  A chunk comes back as a TrajectoryChunk, whose
-``steps`` counts member-steps (B * K); the Monte Carlo replicas
-and the rate minimizer's skeleton solves (one control per member) size
-their chunks by ``ldp.CHUNK_BYTES``, and a penalty sweep is one chunk
-(one n_pen per member).
+member's states equal those of its own single run bit for bit.  A chunk
+comes back as a TrajectoryChunk, whose ``steps`` counts member-steps
+(B * K); the Monte Carlo replicas and the rate minimizer's skeleton
+solves (one control per member) size their chunks by ``ldp.CHUNK_BYTES``,
+and a penalty sweep is one chunk (one n_pen per member).
 
 A step does only the work that can change the state.  The blow-up guard
 already takes max |u| of every state; when it is at most the half-width

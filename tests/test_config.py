@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rspde.config import (DEFAULTS, MAX_BASE_SEED, SCHEMA, ConfigError,
-                          ExperimentConfig, canonical_json, validate_config)
+from rspde.config import (_CHECKS, DEFAULTS, MAX_BASE_SEED, SCHEMA,
+                          ConfigError, ExperimentConfig, canonical_json,
+                          validate_config)
 from rspde.geometry import Ball, Intersection
 from rspde.ldp import EventSpec
 
@@ -339,6 +340,36 @@ def test_validator_agrees_with_jsonschema(monkeypatch):
             checked += 1
             failed += want is not None
     assert checked > 1000 and 0 < failed < checked
+
+
+def test_schema_uses_only_what_the_validator_covers():
+    # _errors passes over a keyword it does not know, and its messages
+    # assume string enums and consts and minItems 1: a SCHEMA edit outside
+    # these would validate wrongly without an error
+    descending = {"$ref", "allOf", "if", "then", "items", "required",
+                  "properties", "additionalProperties"}
+    annotations = {"$schema", "$defs", "deprecated"}
+    seen = set()
+
+    def walk(schema: dict):
+        assert set(schema) <= set(_CHECKS) | descending | annotations, schema
+        seen.update(schema)
+        assert schema.get("additionalProperties", False) is False, schema
+        assert schema.get("minItems", 1) == 1, schema
+        assert isinstance(schema.get("type", "string"), str), schema
+        assert all(isinstance(v, str) for v in schema.get("enum", [])), schema
+        assert isinstance(schema.get("const", ""), str), schema
+        assert ("if" in schema) == ("then" in schema), schema
+        assert schema.get("$ref", "#/$defs/").startswith("#/$defs/"), schema
+        for sub in [*schema.get("properties", {}).values(),
+                    *schema.get("$defs", {}).values(), *schema.get("allOf", [])]:
+            walk(sub)
+        for key in ("items", "if", "then"):
+            if key in schema:
+                walk(schema[key])
+
+    walk(SCHEMA)
+    assert seen == set(_CHECKS) | descending | annotations
 
 
 def test_validator_edge_cases():

@@ -384,6 +384,16 @@ def test_unit_directions_are_unit_and_spread() -> None:
     assert not np.allclose(unit_directions(2, 8, seed=1), unit_directions(2, 8, seed=2))
 
 
+def test_polytope_audit_radius_is_close_at_every_offset() -> None:
+    # the audit's 512 equally spaced rays find the square's radius sqrt(2)
+    # within 1e-2 whatever offset the seed turns them by
+    square = Polytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+    assert abs(square.bounding_radius - np.sqrt(2)) < 1e-2
+    for seed in range(50):
+        radius = np.max(square.ray_exit_many(unit_directions(2, 512, seed)))
+        assert np.sqrt(2) - 1e-2 < radius <= np.sqrt(2), seed
+
+
 def test_boundary_points_lie_on_boundary() -> None:
     for name, dom in DOMAINS.items():
         pts, normals, _ = boundary_points(dom, 100, seed=6)
