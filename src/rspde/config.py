@@ -232,7 +232,6 @@ SCHEMA = {
                 "max_iters": _INT_POS,
                 "stag_window": {**_INT_POS, "deprecated": True},
                 "feas_tol": _POS,
-                "max_dim": _INT_POS,
             },
         },
         "ldp1": {
@@ -278,8 +277,7 @@ DEFAULTS = {
     "weighted": {"lam": 1.0},
     "validation": {"samples": 1000, "seed": 0},
     "tolerances": {"rho_min": 0.7072, "delta_min": 0.0},
-    "rate": {"fd_step": 1e-4, "max_iters": 150, "feas_tol": 1e-3,
-             "max_dim": 64},
+    "rate": {"fd_step": 1e-4, "max_iters": 150, "feas_tol": 1e-3},
 }
 
 _TYPES = {"number": numbers.Number, "object": dict, "array": list,

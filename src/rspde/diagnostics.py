@@ -18,8 +18,6 @@ serialized trajectory agrees with the in-memory one exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .controls import Control
@@ -107,21 +105,6 @@ def estimate_report(traj) -> dict:
     return {**energy_report(traj), **penetration_report(traj)}
 
 
-@dataclass
-class ContinuityRow:
-    """One member of a control family compared against the limit run."""
-
-    label: str
-    cm_gap_sq: float   # |h_r - h|_CM^2 between the controls themselves
-    gap_H: float       # sup_t |u_r - u|_H^2
-    gap_V: float       # int |u_r - u|_V^2 dt
-    converged: bool    # penalty sweep of this member hit its tolerance
-
-    @property
-    def rho_sq(self) -> float:
-        return self.gap_H + self.gap_V
-
-
 def continuity_experiment(coeffs, domain, gamma, u0, family, limit: Control,
                           dt: float, T: float, n_start: float = 16.0,
                           factor: float = 2.0, n_max: float = 1024.0,
@@ -130,8 +113,11 @@ def continuity_experiment(coeffs, domain, gamma, u0, family, limit: Control,
 
     ``family`` is a list of (label, Control) pairs.  Every control must
     share the limit's step count so all runs land on one time grid; each
-    run is a full penalty sweep and rows coming from a sweep that did not
-    reach its Cauchy tolerance are flagged rather than dropped.
+    run is a full penalty sweep.  One row per member: its label,
+    cm_gap_sq = |h_r - h|_CM^2 between the controls themselves,
+    gap_H = sup_t |u_r - u|_H^2, gap_V = int |u_r - u|_V^2 dt, their sum
+    rho_sq, and whether both sweeps reached their Cauchy tolerance (rows
+    of a sweep that did not are flagged rather than dropped).
     """
     from .solvers import SolverError, solve_skeleton
 
@@ -152,7 +138,7 @@ def continuity_experiment(coeffs, domain, gamma, u0, family, limit: Control,
         gap_h, gap_v = state_gap(res.trajectory, base.trajectory)
         delta = ctrl.values - limit.values
         cm_gap = float(np.sum(delta * delta)) * limit.dt
-        rows.append(ContinuityRow(label=label, cm_gap_sq=cm_gap,
-                                  gap_H=gap_h, gap_V=gap_v,
-                                  converged=res.converged and base.converged))
+        rows.append({"label": label, "cm_gap_sq": cm_gap, "gap_H": gap_h,
+                     "gap_V": gap_v, "rho_sq": gap_h + gap_v,
+                     "converged": res.converged and base.converged})
     return rows

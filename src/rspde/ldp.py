@@ -37,6 +37,10 @@ Philox gives.  Every read of a chunk (events, their shortfalls, the Monte
 Carlo rows, the ldp1 stray flags' Cauchy gaps and the weighted distances)
 is one call on the whole chunk, one value per member, each bit for bit
 the value a read of that member alone gives.
+
+Every table row here (a replica of ``mc_rows``, a noise level of
+``ldp_compare`` or ``summarize_weighted``) is a dict keyed by the name of
+its column in ``cli``'s CSV files, and ``cli`` alone formats them.
 """
 
 from __future__ import annotations
@@ -241,8 +245,7 @@ class _Start:
 def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
                   gamma: ObliqueField, u0, event: EventSpec, T: float, K: int,
                   dt: float, n_pen: float = EVENT_N_PEN, fd_step: float = 1e-4,
-                  max_iters: int = 150, feas_tol: float = 1e-3,
-                  max_dim: int = 64) -> RateResult:
+                  max_iters: int = 150, feas_tol: float = 1e-3) -> RateResult:
     """I* = min 1/2 |h|_CM^2 subject to the event's margin c(h) >= 0, by
     sequential quadratic programming over the control's (m, K) table x.
 
@@ -256,8 +259,7 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
     halvings of its step: the first that passes is solved again, with its
     gradient, in the next batch, and when none passes the start stalls.  A
     start converges when |c| <= STOP_MARGIN and |y - x| <= STOP_STEP
-    (1 + |x|).  The control dimension m * K is capped, since a batch holds
-    dim + 1 solves per start.
+    (1 + |x|).
 
     The problem is not convex, so the starts +-START_SIZE (1, ..., 1) /
     sqrt(dim) run side by side and the lowest feasible result is
@@ -274,9 +276,6 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
     """
     m = coeffs.m
     dim = m * K
-    if dim > max_dim:
-        raise ValueError(f"control dimension m*K = {dim} exceeds {max_dim}; "
-                         "coarsen the control grid")
     steps, dt_eff = resolve_time_grid(T, dt, n_pen, K)
     w = T / K
     zero = np.zeros(dim)
@@ -382,23 +381,6 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
 
 
 @dataclass
-class ReplicaRow:
-    """One line of mc.csv.  The replica's noise stream is named by its
-    index here and the run's base seed in report.json."""
-
-    replica: int
-    sup_pen_H: float
-    terminal_H_norm: float
-    event: int
-
-    CSV_HEADER = "replica,sup_pen_H,terminal_H_norm,event"
-
-    def csv_line(self) -> str:
-        return (f"{self.replica},{self.sup_pen_H!r},"
-                f"{self.terminal_H_norm!r},{self.event}")
-
-
-@dataclass
 class MCResult:
     p_hat: float
     stderr: float
@@ -444,7 +426,9 @@ def _replicas(read, coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
 def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
             n_pen: float, dt: float, steps: int, plan: ReplicaPlan,
             start: int, stop: int) -> list:
-    """Replica rows for indices [start, stop) of the plan.
+    """Replica rows for indices [start, stop) of the plan: dicts of the
+    replica index (its noise stream is named by the index and the run's
+    base seed), sup_pen_H, terminal_H_norm and whether the event occurred.
 
     Splitting a plan across workers and concatenating the row lists in
     index order reproduces the serial run exactly, because every replica's
@@ -455,16 +439,15 @@ def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
         columns = (chunk.series.pen_h.max(axis=1).tolist(),
                    _terminal_h_norm(chunk).tolist(),
                    event.occurred(chunk).tolist())
-        return [ReplicaRow(replica=i, sup_pen_H=pen, terminal_H_norm=norm,
-                           event=int(hit))
-                for i, pen, norm, hit in zip(part, *columns)]
+        return [{"replica": i, "sup_pen_H": pen, "terminal_H_norm": norm,
+                 "event": hit} for i, pen, norm, hit in zip(part, *columns)]
 
     return _replicas(rows, coeffs, domain, gamma, u0, plan,
                      range(start, stop), epsilon, n_pen, dt, steps)
 
 
 def summarize_rows(rows: list, replicas: int) -> MCResult:
-    hits = sum(r.event for r in rows)
+    hits = sum(r["event"] for r in rows)
     p_hat = hits / replicas
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / replicas)
     upper = 3.0 / replicas if hits == 0 else None
@@ -475,40 +458,21 @@ def summarize_rows(rows: list, replicas: int) -> MCResult:
 # -- comparisons across noise levels -----------------------------------
 
 
-@dataclass
-class CompareRow:
-    """One noise level of the rate-versus-sampling comparison.
+def ldp_compare(rate: RateResult, estimates, strays) -> list:
+    """One row per (epsilon, MCResult) pair of ``estimates`` and that
+    level's ``stray_flags``, all on the rate result's time grid: sampled
+    -eps*log P(event) against I*, and the fraction of flags set.
 
     neg_eps_log_p is NaN when no replica hit the event; such rows are
     kept in the table (the upper bound still carries information) but are
     excluded from any trend assertion.
     """
-
-    epsilon: float
-    p_hat: float
-    stderr: float
-    neg_eps_log_p: float
-    i_star: float
-    ldp1_prob: float
-
-    CSV_HEADER = "epsilon,p_hat,stderr,neg_eps_log_p,I_star,ldp1_prob"
-
-    def csv_line(self) -> str:
-        return (f"{self.epsilon!r},{self.p_hat!r},{self.stderr!r},"
-                f"{self.neg_eps_log_p!r},{self.i_star!r},{self.ldp1_prob!r}")
-
-
-def ldp_compare(rate: RateResult, estimates, strays) -> list:
-    """One row per (epsilon, MCResult) pair of ``estimates`` and that
-    level's ``stray_flags``, all on the rate result's time grid: sampled
-    -eps*log P(event) against I*, and the fraction of flags set."""
     out = []
     for (eps, res), flags in zip(estimates, strays):
         neg = -eps * math.log(res.p_hat) if res.p_hat > 0 else math.nan
-        out.append(CompareRow(epsilon=float(eps), p_hat=res.p_hat,
-                              stderr=res.stderr, neg_eps_log_p=neg,
-                              i_star=rate.rate,
-                              ldp1_prob=sum(flags) / len(flags)))
+        out.append({"epsilon": float(eps), "p_hat": res.p_hat,
+                    "stderr": res.stderr, "neg_eps_log_p": neg,
+                    "I_star": rate.rate, "ldp1_prob": sum(flags) / len(flags)})
     return out
 
 
@@ -542,19 +506,6 @@ def stray_flags(coeffs, domain, gamma, u0, control: Control, epsilons,
                        plan, n_pen, dt, steps, start, stop)
 
 
-@dataclass
-class WeightedTrendRow:
-    epsilon: float
-    mean_weighted_sup: float
-    mean_weighted_int: float
-
-    CSV_HEADER = "epsilon,mean_weighted_sup,mean_weighted_int"
-
-    def csv_line(self) -> str:
-        return (f"{self.epsilon!r},{self.mean_weighted_sup!r},"
-                f"{self.mean_weighted_int!r}")
-
-
 def weighted_rows(coeffs, domain, gamma, u0, control: Control, epsilons,
                   plan: ReplicaPlan, lam: float, n_pen: float, dt: float,
                   T: float, start: int, stop: int) -> list:
@@ -577,8 +528,7 @@ def summarize_weighted(epsilons, levels: list, count: int) -> list:
     """One row per noise level: the means over its ``count`` replicas of
     ``levels``' weighted distances (as ``weighted_rows`` returns them),
     summed exactly, so the order of the replicas does not matter."""
-    return [WeightedTrendRow(
-                epsilon=float(eps),
-                mean_weighted_sup=math.fsum(w["weighted_sup"] for w in ws) / count,
-                mean_weighted_int=math.fsum(w["weighted_int"] for w in ws) / count)
+    return [{"epsilon": float(eps),
+             "mean_weighted_sup": math.fsum(w["weighted_sup"] for w in ws) / count,
+             "mean_weighted_int": math.fsum(w["weighted_int"] for w in ws) / count}
             for eps, ws in zip(epsilons, levels)]

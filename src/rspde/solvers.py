@@ -167,7 +167,7 @@ def sample_brownian(m: int, K: int, dt: float, seed) -> NoisePath | list:
 
 @dataclass
 class ReplicaPlan:
-    """Replica count with counter-based per-replica Philox keys.
+    """Counter-based per-replica Philox keys under one base seed.
 
     Replica i's key is ``base_seed + (i << 64)``, whose two 64-bit words
     are (base_seed, i), so replica 0 draws from ``Philox(key=base_seed)``.
@@ -178,7 +178,6 @@ class ReplicaPlan:
     """
 
     base_seed: int
-    count: int
 
     def seed_for(self, index):
         """Replica ``index``'s Philox key as a Python int, or for a
@@ -468,22 +467,6 @@ def _shared_zeros(B: int, shape: tuple) -> np.ndarray:
 
 
 @dataclass
-class PenaltySweepRow:
-    """Diagnostics for one sweep member, plus the Cauchy gap to the next."""
-
-    n_pen: float
-    sup_pen_H: float
-    n_times_l1_integral: float
-    n2_times_h2_integral: float
-    cauchy_to_next: float  # NaN for the final member
-    sup_H4: float
-    sup_V2: float
-    int_H2: float
-    cauchy_H_to_next: float = math.nan  # sup-H^2 part of the gap
-    cauchy_V_to_next: float = math.nan  # integral-V^2 part
-
-
-@dataclass
 class SkeletonResult:
     trajectory: Trajectory
     rows: list
@@ -492,7 +475,8 @@ class SkeletonResult:
 
     @property
     def final_cauchy(self) -> float:
-        vals = [r.cauchy_to_next for r in self.rows if not math.isnan(r.cauchy_to_next)]
+        vals = [r["cauchy_to_next"] for r in self.rows
+                if not math.isnan(r["cauchy_to_next"])]
         return vals[-1] if vals else math.nan
 
 
@@ -510,7 +494,10 @@ def solve_skeleton(coeffs: ModelCoefficients, domain: ConvexDomain,
     drops strictly below tol_cauchy (the members after that pair were
     solved speculatively and are not reported); reaching n_max without
     that flags the result as non-converged but still returns the finest
-    trajectory.
+    trajectory.  Each row is a dict of the member's n_pen, its
+    ``estimate_report`` values, and the gap to the next member: cauchy_H
+    (the sup-H^2 part), cauchy_V (the integral-V^2 part) and their sum
+    cauchy_to_next, all NaN for the final member.
     """
     if factor <= 1.0:
         raise SolverError("sweep factor must exceed 1")
@@ -537,14 +524,9 @@ def solve_skeleton(coeffs: ModelCoefficients, domain: ConvexDomain,
     cauchy = np.flatnonzero(gap_h + gap_v < tol_cauchy)
     last = int(cauchy[0]) + 1 if cauchy.size else len(ns) - 1
     ch, cv = (g[:last].tolist() + [math.nan] for g in (gap_h, gap_v))
-    rows = [PenaltySweepRow(
-                n_pen=ns[i], sup_pen_H=est["sup_pen_H"][i],
-                n_times_l1_integral=est["n_l1_integral"][i],
-                n2_times_h2_integral=est["n2_h2_integral"][i],
-                cauchy_to_next=ch[i] + cv[i], sup_H4=est["sup_H4"][i],
-                sup_V2=est["sup_V2"][i], int_H2=est["int_H2"][i],
-                cauchy_H_to_next=ch[i], cauchy_V_to_next=cv[i])
-            for i in range(last + 1)]
+    rows = [{"n_pen": ns[i], **{name: v[i] for name, v in est.items()},
+             "cauchy_H": ch[i], "cauchy_V": cv[i],
+             "cauchy_to_next": ch[i] + cv[i]} for i in range(last + 1)]
     # a copy, not views of the ladder's chunk, so the chunk is freed here
     return SkeletonResult(trajectory=copy.deepcopy(chunk.member(last)),
                           rows=rows, converged=bool(cauchy.size),

@@ -157,10 +157,10 @@ def drift_ladder():
 def test_criterion_03_penetration_decay(drift_ladder):
     res, el = drift_ladder
     rows = res.rows
-    ns = np.log([r.n_pen for r in rows])
-    slope = float(np.polyfit(ns, np.log([r.sup_pen_H for r in rows]), 1)[0])
-    l1 = [r.n_times_l1_integral for r in rows]
-    h2 = [r.n2_times_h2_integral for r in rows]
+    ns = np.log([r["n_pen"] for r in rows])
+    slope = float(np.polyfit(ns, np.log([r["sup_pen_H"] for r in rows]), 1)[0])
+    l1 = [r["n_l1_integral"] for r in rows]
+    h2 = [r["n2_h2_integral"] for r in rows]
     # uniform-bound reading: every member stays within 2x of the finest,
     # which is the best available proxy for the limiting reflection mass
     l1x = max(l1) / l1[-1]
@@ -172,7 +172,7 @@ def test_criterion_03_penetration_decay(drift_ladder):
 
 def test_criterion_04_cauchy_contraction(drift_ladder):
     res, el = drift_ladder
-    gaps = [r.cauchy_to_next for r in res.rows[:-1]]
+    gaps = [r["cauchy_to_next"] for r in res.rows[:-1]]
     decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
     ok = decreasing and gaps[-1] < 1e-4
     report(4, ok, f"gaps strictly decreasing ({gaps[0]:.1e} -> "
@@ -241,9 +241,9 @@ def test_criterion_06_continuity_of_the_limit_map():
     rows = continuity_experiment(coeffs, dom, oblique(dom), u0, family,
                                  zero_control(T, 1, K), dt=1e-3, T=T)
     el = time.perf_counter() - t0
-    rho = [r.rho_sq for r in rows]
+    rho = [r["rho_sq"] for r in rows]
     mono = all(b <= 1.1 * a for a, b in zip(rho, rho[1:]))
-    ok = all(r.converged for r in rows) and mono and el < 120.0
+    ok = all(r["converged"] for r in rows) and mono and el < 120.0
     report(6, ok, f"rho^2 falls {rho[0]:.2e} -> {rho[-1]:.2e} "
                   f"monotone within 10%", el, 120.0)
 
@@ -280,12 +280,12 @@ def test_criterion_08_weighted_distance_trend():
     epsilons = (1.0, 0.3, 0.1, 0.03)
     levels = weighted_rows(coeffs, dom, oblique(dom), u0,
                            sine_control(0.25, 1, 25, rate=1), epsilons,
-                           ReplicaPlan(base_seed=20260823, count=50),
+                           ReplicaPlan(base_seed=20260823),
                            lam=1.0, n_pen=256.0, dt=2e-3, T=0.25, start=0,
                            stop=50)
     rows = summarize_weighted(epsilons, levels, 50)
     el = time.perf_counter() - t0
-    sups = [r.mean_weighted_sup for r in rows]
+    sups = [r["mean_weighted_sup"] for r in rows]
     ok = (all(a >= b for a, b in zip(sups, sups[1:]))
           and sups[-1] <= 0.1 * sups[0] and el < 300.0)
     report(8, ok, f"mean weighted sup non-increasing, final/initial "

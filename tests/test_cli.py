@@ -159,10 +159,10 @@ def test_coefficient_vector_of_wrong_length_is_a_config_error(tmp_path, case):
 
 
 def test_unlisted_exception_is_recorded_then_raised(tmp_path, monkeypatch):
-    def broken(cfg, args, out):
+    def broken(cfg, args, out, run):
         raise RuntimeError("handler defect")
 
-    monkeypatch.setitem(cli._HANDLERS, "skeleton", broken)
+    monkeypatch.setitem(cli.STAGES, "skeleton", ("skeleton", None, broken))
     with pytest.raises(RuntimeError, match="handler defect"):
         run(tmp_path, "skeleton")
     man = read_json(str(tmp_path / "out"), "manifest.json")
@@ -193,7 +193,7 @@ def test_spde_states_follow_the_seeded_replica_path(tmp_path):
     coeffs, dom = cfg.build_coefficients(), cfg.build_domain()
     steps, dt = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event)
     noise = sample_brownian(coeffs.m, steps, dt,
-                            ReplicaPlan(base_seed=17, count=1).seed_for(0))
+                            ReplicaPlan(base_seed=17).seed_for(0))
     traj = solve_penalized_spde(coeffs, dom, cfg.build_gamma(dom),
                                 cfg.build_u0(), n_pen=cfg.n_event, dt=dt,
                                 steps=steps, epsilon=cfg.epsilons[0],
@@ -349,10 +349,10 @@ def test_blow_up_error_does_not_depend_on_chunk_composition(tmp_path,
     cfg = ExperimentConfig.from_dict(copy.deepcopy(BLOWING))
     coeffs, dom, u0 = cfg.build_coefficients(), cfg.build_domain(), cfg.build_u0()
     steps, dt = resolve_time_grid(cfg.T, cfg.dt, cfg.n_event, 1)
-    plan = ReplicaPlan(base_seed=cfg.base_seed, count=cfg.replica_count)
+    plan = ReplicaPlan(base_seed=cfg.base_seed)
     failed = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(plan.count):
+        for i in range(cfg.replica_count):
             try:
                 solve_penalized_spde(
                     coeffs, dom, cfg.build_gamma(dom), u0, n_pen=cfg.n_event,
@@ -592,13 +592,14 @@ def test_weighted_replicas_fan_out_over_workers(tmp_path, monkeypatch):
     assert code == 0
     assert RecordingPool.maps == [("weighted_rows", 3, [(0, 4), (4, 8), (8, 12)])]
     assert read_bytes(out, "weighted.csv") == read_bytes(out1, "weighted.csv")
-    # one process per non-empty range, and none for a single range
+    # one task per non-empty range in the call's pool of --workers
+    # processes, and no pool for a single range
     RecordingPool.maps.clear()
     code, out = run(tmp_path, "all", payload, extra=("--workers", "16"),
                     name="sixteen")
     assert code == 0
     assert RecordingPool.maps == [
-        ("weighted_rows", 12, [(i, i + 1) for i in range(12)])]
+        ("weighted_rows", 16, [(i, i + 1) for i in range(12)])]
     assert read_bytes(out, "weighted.csv") == read_bytes(out1, "weighted.csv")
     RecordingPool.maps.clear()
     code, _ = run(tmp_path, "all", {**payload, "weighted": {"replicas": 1}},
@@ -623,6 +624,32 @@ def test_ldp_compare_replicas_fan_out_over_workers(tmp_path, monkeypatch):
                                   ("stray_flags", 3, [(0, 1), (1, 3), (3, 5)])]
     for name in ("comparison.csv", "rate.json"):
         assert read_bytes(out, name) == read_bytes(out1, name)
+
+
+def test_one_process_pool_per_call(tmp_path, monkeypatch):
+    # the weighted replicas, two noise levels' Monte Carlo and the ldp1
+    # strays fan out in one pool, started by the first fan-out and shut
+    # down when the call ends; one worker starts none
+    payload = {**COMPARE, "control": {"kind": "constant", "vector": [4.0]}}
+    pools = []
+
+    def counted(max_workers, pool=concurrent.futures.ProcessPoolExecutor):
+        pools.append(pool(max_workers=max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    outs = []
+    for workers, started in (("2", 1), ("1", 0)):
+        pools.clear()
+        code, out = run(tmp_path, "all", payload,
+                        extra=("--workers", workers), name=f"w{workers}")
+        assert code == 0 and len(pools) == started
+        for pool in pools:
+            with pytest.raises(RuntimeError, match="shutdown"):
+                pool.submit(int)
+        outs.append(out)
+    for name in ("mc.csv", "comparison.csv", "weighted.csv", "report.json"):
+        assert read_bytes(outs[0], name) == read_bytes(outs[1], name)
 
 
 def test_workers_below_one_is_a_usage_error(tmp_path, capsys):

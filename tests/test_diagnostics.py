@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from rspde import trajectory
 from rspde.controls import constant_control, sine_control, zero_control
-from rspde.diagnostics import (ContinuityRow, continuity_experiment,
-                               energy_report, estimate_report,
-                               penetration_report, weighted_distance)
+from rspde.diagnostics import (continuity_experiment, energy_report,
+                               estimate_report, penetration_report,
+                               weighted_distance)
 from rspde.ldp import TRAJECTORY_FUNCTIONALS
 from rspde.solvers import SolverError, solve_penalized_spde
 from rspde.trajectory import Trajectory, state_gap
@@ -254,13 +254,14 @@ def test_continuity_distances_shrink_with_the_control():
                                  family, zero_control(T=0.05, m=1, K=50),
                                  dt=1e-3, T=0.05, n_start=16.0, n_max=64.0,
                                  tol_cauchy=1e-8)
-    assert [r.label for r in rows] == ["x1.0", "x0.5", "x0.25"]
-    assert all(isinstance(r, ContinuityRow) for r in rows)
-    gaps = [r.rho_sq for r in rows]
+    assert [r["label"] for r in rows] == ["x1.0", "x0.5", "x0.25"]
+    assert all(r["rho_sq"] == r["gap_H"] + r["gap_V"] for r in rows)
+    gaps = [r["rho_sq"] for r in rows]
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
     # the noise-free forced problem is linear in the control here, so the
     # solution gap scales like the control's squared CM gap
-    assert rows[0].cm_gap_sq == pytest.approx(4 * rows[1].cm_gap_sq, rel=1e-12)
+    assert rows[0]["cm_gap_sq"] == pytest.approx(4 * rows[1]["cm_gap_sq"],
+                                              rel=1e-12)
     assert gaps[0] == pytest.approx(4 * gaps[1], rel=1e-6)
 
 

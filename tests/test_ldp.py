@@ -17,8 +17,8 @@ from rspde.controls import (Control, constant_control, sine_control,
 from rspde.diagnostics import penetration_report
 from rspde.fields import Field, h_norm
 from rspde.geometry import Box
-from rspde import ldp
-from rspde.ldp import (TRAJECTORY_FUNCTIONALS, CompareRow, EventSpec,
+from rspde import cli, ldp
+from rspde.ldp import (TRAJECTORY_FUNCTIONALS, EventSpec,
                        MCResult, RateResult, _replicas, ldp_compare, mc_rows, minimize_rate,
                        rate_functional, stray_flags, summarize_rows,
                        summarize_weighted, weighted_rows)
@@ -387,12 +387,22 @@ def test_minimizer_does_not_depend_on_chunks(name, monkeypatch):
         assert any(mixed)
 
 
-def test_minimize_rate_rejects_oversized_control_grid():
-    coeffs, dom, g, u0, _, _ = planted_setup()
-    event = EventSpec("terminal_ball", radius=1.0)
-    with pytest.raises(ValueError):
-        minimize_rate(coeffs, dom, g, u0, event, T=0.05, K=100, dt=1e-3,
-                      max_dim=64)
+def test_minimizer_solves_one_control_value_per_step(monkeypatch):
+    # configs/small_noise.json at m * K = 128, one control value per time
+    # step: the discrete model's own infimum, which no cap on the control
+    # dimension rejects
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                             os.pardir, "bench"))
+    import reference
+
+    cfg, args, kwargs = rate_call("small-noise")
+    res = minimize_rate(*args, **{**kwargs, "K": 128})
+    assert (res.control.m * res.control.K, res.steps) == (128, 128)
+    assert res.feasible and not res.stagnated
+    want = reference.closed_form_rate(cfg.raw["grid"]["J"], res.dt,
+                                      res.steps, 128, cfg.T,
+                                      cfg.raw["event"]["radius"])
+    assert abs(res.rate - want) <= 1e-9 * want
 
 
 def test_minimum_energy_scales_quadratically_in_radius():
@@ -422,13 +432,14 @@ def dense_propagator(J, dt):
     return np.linalg.inv(np.eye(J) - dt * lap)
 
 
-def mc_estimate(coeffs, dom, gamma, u0, event, epsilon, n_pen, dt, T, plan):
+def mc_estimate(coeffs, dom, gamma, u0, event, epsilon, n_pen, dt, T, seed,
+                count):
     """P(event) on the path ``rspde mc`` takes: the time grid, one row per
-    replica, then the summary."""
+    replica of ``count`` under the base seed, then the summary."""
     steps, dt_eff = resolve_time_grid(T, dt, n_pen, 1)
     rows = mc_rows(coeffs, dom, gamma, u0, event, epsilon, n_pen, dt_eff,
-                   steps, plan, 0, plan.count)
-    return summarize_rows(rows, plan.count)
+                   steps, ReplicaPlan(seed), 0, count)
+    return summarize_rows(rows, count)
 
 
 def test_mc_probability_matches_gaussian_oracle():
@@ -452,8 +463,7 @@ def test_mc_probability_matches_gaussian_oracle():
                       level=level)
     res = mc_estimate(forced_coeffs(s=1.0), dom, normal_gamma(dom),
                       zero_start(J), event, epsilon=eps, n_pen=16.0,
-                      dt=dt, T=K * dt, plan=ReplicaPlan(base_seed=7,
-                                                        count=2000))
+                      dt=dt, T=K * dt, seed=7, count=2000)
     assert res.replicas == 2000
     assert abs(res.p_hat - p_exact) <= 4.0 * res.stderr + 1e-12
     assert res.stderr == pytest.approx(
@@ -465,8 +475,7 @@ def test_mc_zero_hits_reports_rule_of_three():
     event = EventSpec("terminal_ball", radius=50.0, complement=True)
     res = mc_estimate(forced_coeffs(s=1.0), dom, normal_gamma(dom),
                       zero_start(15), event, epsilon=0.01, n_pen=16.0,
-                      dt=1e-3, T=0.02, plan=ReplicaPlan(base_seed=1,
-                                                        count=60))
+                      dt=1e-3, T=0.02, seed=1, count=60)
     assert res.hits == 0 and res.p_hat == 0.0 and res.stderr == 0.0
     assert res.upper_bound == pytest.approx(3.0 / 60)
 
@@ -484,7 +493,7 @@ def test_mc_agrees_with_large_replica_oracle():
     res = mc_estimate(forced_coeffs(s=1.0, c=4.0), dom,
                       normal_gamma(dom), zero_start(15), event,
                       epsilon=0.1, n_pen=256.0, dt=2e-3, T=0.12,
-                      plan=ReplicaPlan(base_seed=606060, count=2000))
+                      seed=606060, count=2000)
     assert res.hits > 0
     assert abs(res.p_hat - p_oracle) <= 3.0 * res.stderr
 
@@ -494,7 +503,7 @@ def test_mc_rows_chunking_reproduces_serial_run():
     coeffs = forced_coeffs(s=1.0)
     g = normal_gamma(dom)
     event = EventSpec("terminal_ball", radius=0.05, complement=True)
-    plan = ReplicaPlan(base_seed=11, count=24)
+    plan = ReplicaPlan(base_seed=11)
     steps, dt = resolve_time_grid(0.02, 1e-3, 16.0, 1)
     whole = mc_rows(coeffs, dom, g, zero_start(15), event, 0.5, 16.0,
                     dt, steps, plan, 0, 24)
@@ -503,8 +512,8 @@ def test_mc_rows_chunking_reproduces_serial_run():
              + mc_rows(coeffs, dom, g, zero_start(15), event, 0.5, 16.0,
                        dt, steps, plan, 9, 24))
     assert whole == parts
-    agg = summarize_rows(whole, plan.count)
-    assert agg.hits == sum(r.event for r in parts)
+    agg = summarize_rows(whole, 24)
+    assert agg.hits == sum(r["event"] for r in parts)
 
 
 # -- comparisons -------------------------------------------------------
@@ -518,21 +527,19 @@ def manual_rate_result(T=0.05, n_pen=32.0):
                       trace=[], n_pen=n_pen, dt=dt, steps=steps)
 
 
-def compare(coeffs, dom, gamma, u0, event, rate, epsilons, plan,
+def compare(coeffs, dom, gamma, u0, event, rate, epsilons, seed, count,
             ldp1_delta_sq, ldp1_replicas):
     """The table on the path ``rspde ldp-compare`` takes: each epsilon
-    estimated on the rate's time grid, the stray flags of ldp1_replicas
-    replicas seeded from the plan's base seed + 1 at the rate's control,
-    then ldp_compare."""
+    estimated from ``count`` replicas on the rate's time grid, the stray
+    flags of ldp1_replicas replicas seeded from base seed + 1 at the
+    rate's control, then ldp_compare."""
     estimates = [(eps, summarize_rows(
         mc_rows(coeffs, dom, gamma, u0, event, eps, rate.n_pen, rate.dt,
-                rate.steps, plan, 0, plan.count), plan.count))
+                rate.steps, ReplicaPlan(seed), 0, count), count))
         for eps in epsilons]
     strays = stray_flags(coeffs, dom, gamma, u0, rate.control, epsilons,
-                         ReplicaPlan(base_seed=plan.base_seed + 1,
-                                     count=ldp1_replicas),
-                         ldp1_delta_sq, rate.n_pen, rate.dt, rate.steps, 0,
-                         ldp1_replicas)
+                         ReplicaPlan(seed + 1), ldp1_delta_sq, rate.n_pen,
+                         rate.dt, rate.steps, 0, ldp1_replicas)
     return ldp_compare(rate, estimates, strays)
 
 
@@ -543,21 +550,21 @@ def test_ldp_compare_rows_and_zero_hit_marking():
     rate = manual_rate_result()
     reachable = EventSpec("terminal_ball", radius=0.01, complement=True)
     rows = compare(coeffs, dom, g, zero_start(15), reachable, rate,
-                   epsilons=[0.5], plan=ReplicaPlan(base_seed=3, count=60),
+                   epsilons=[0.5], seed=3, count=60,
                    ldp1_delta_sq=0.05, ldp1_replicas=12)
     (row,) = rows
-    assert isinstance(row, CompareRow)
-    assert row.i_star == rate.rate
-    assert 0.0 <= row.ldp1_prob <= 1.0
-    assert row.p_hat > 0.0 and math.isfinite(row.neg_eps_log_p)
-    assert row.neg_eps_log_p == pytest.approx(-0.5 * math.log(row.p_hat))
+    assert row["I_star"] == rate.rate
+    assert 0.0 <= row["ldp1_prob"] <= 1.0
+    assert row["p_hat"] > 0.0 and math.isfinite(row["neg_eps_log_p"])
+    assert row["neg_eps_log_p"] == pytest.approx(-0.5 * math.log(row["p_hat"]))
 
     impossible = EventSpec("terminal_ball", radius=40.0, complement=True)
     rows = compare(coeffs, dom, g, zero_start(15), impossible, rate,
-                   epsilons=[0.1], plan=ReplicaPlan(base_seed=3, count=30),
+                   epsilons=[0.1], seed=3, count=30,
                    ldp1_delta_sq=0.01, ldp1_replicas=5)
-    assert rows[0].p_hat == 0.0 and math.isnan(rows[0].neg_eps_log_p)
-    assert "nan" in rows[0].csv_line()
+    assert rows[0]["p_hat"] == 0.0 and math.isnan(rows[0]["neg_eps_log_p"])
+    # the row stays in the table, its NaN written as such
+    assert cli._cell(rows[0]["neg_eps_log_p"]) == "nan"
 
 
 def test_ldp1_deviation_probability_falls_with_epsilon():
@@ -567,17 +574,17 @@ def test_ldp1_deviation_probability_falls_with_epsilon():
     event = EventSpec("terminal_ball", radius=0.01, complement=True)
     rows = compare(coeffs, dom, normal_gamma(dom), zero_start(15), event,
                    rate, epsilons=[1.0, 0.01],
-                   plan=ReplicaPlan(base_seed=5, count=10),
+                   seed=5, count=10,
                    ldp1_delta_sq=0.01, ldp1_replicas=25)
-    assert rows[0].ldp1_prob >= rows[1].ldp1_prob
-    assert rows[1].ldp1_prob == 0.0
+    assert rows[0]["ldp1_prob"] >= rows[1]["ldp1_prob"]
+    assert rows[1]["ldp1_prob"] == 0.0
 
 
 def test_stray_flags_split_reproduces_serial_run():
     dom = interval_domain(0.25)
     coeffs = forced_coeffs(s=1.0, c=4.0)
     rate = manual_rate_result()
-    plan = ReplicaPlan(base_seed=4, count=7)
+    plan = ReplicaPlan(base_seed=4)
     args = (coeffs, dom, normal_gamma(dom), zero_start(15), rate.control,
             [1.0, 0.1], plan, 0.01, rate.n_pen, rate.dt, rate.steps)
     whole = stray_flags(*args, 0, 7)
@@ -593,12 +600,12 @@ def test_weighted_trend_decreases_with_epsilon():
     ctrl = sine_control(T=0.05, m=1, K=50, rate=1, amplitude=2.0)
     epsilons = [1.0, 0.1, 0.01]
     levels = weighted_rows(coeffs, dom, normal_gamma(dom), zero_start(15),
-                           ctrl, epsilons, plan=ReplicaPlan(base_seed=9, count=10),
+                           ctrl, epsilons, plan=ReplicaPlan(base_seed=9),
                            lam=1.0, n_pen=32.0, dt=1e-3, T=0.05, start=0,
                            stop=10)
     rows = summarize_weighted(epsilons, levels, 10)
-    sups = [r.mean_weighted_sup for r in rows]
-    ints = [r.mean_weighted_int for r in rows]
+    sups = [r["mean_weighted_sup"] for r in rows]
+    ints = [r["mean_weighted_int"] for r in rows]
     assert sups[0] > sups[1] > sups[2] > 0.0
     assert ints[0] > ints[1] > ints[2] > 0.0
     # the controlled runs converge to the skeleton linearly in sqrt(eps)
@@ -610,12 +617,12 @@ def test_noisy_penetration_falls_with_penalty_on_common_seeds():
     # sup_t |u - pi(u)|_H falls from n = 32 to n = 128
     dom = interval_domain(0.25)
     coeffs = forced_coeffs(s=0.5, c=4.0)
-    plan = ReplicaPlan(base_seed=2, count=5)
+    plan = ReplicaPlan(base_seed=2)
     means = []
     for n in (32.0, 128.0):
         steps, dt = resolve_time_grid(0.12, 1e-3, n, 1)
         sups = _replicas(lambda part, chunk: chunk.series.pen_h.max(axis=1).tolist(),
                          coeffs, dom, normal_gamma(dom), zero_start(15), plan,
-                         range(plan.count), 0.1, n, dt, steps)
-        means.append(math.fsum(sups) / plan.count)
+                         range(5), 0.1, n, dt, steps)
+        means.append(math.fsum(sups) / 5)
     assert means[0] > means[1] > 0.0

@@ -1,7 +1,6 @@
 """Tests for the penalized semi-implicit solvers."""
 
 import copy
-import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +27,6 @@ from rspde.geometry import Ball, Box, Intersection, ObliqueField, Polytope
 from rspde.solvers import (
     NoisePath,
     ReplicaPlan,
-    PenaltySweepRow,
     SolverError,
     resolve_time_grid,
     sample_brownian,
@@ -268,7 +266,7 @@ def test_noise_reproducible_and_generator_sensitive() -> None:
 
 
 def test_replica_plan_seeds_are_stable_and_distinct() -> None:
-    plan = ReplicaPlan(base_seed=123, count=8)
+    plan = ReplicaPlan(base_seed=123)
     seeds = [plan.seed_for(i) for i in range(8)]
     assert len(set(seeds)) == 8
     assert seeds == [plan.seed_for(i) for i in range(8)]
@@ -288,7 +286,7 @@ EDGE_INDICES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
 @pytest.mark.parametrize("base", EDGE_BASES)
 def test_replica_keys_are_base_and_index_words(base) -> None:
-    plan = ReplicaPlan(base_seed=base, count=1)
+    plan = ReplicaPlan(base_seed=base)
     keys = plan.seed_for(EDGE_INDICES)
     assert keys == [base + (i << 64) for i in EDGE_INDICES]
     assert all(type(k) is int for k in keys)
@@ -305,14 +303,14 @@ def test_replica_keys_are_base_and_index_words(base) -> None:
 
 
 def test_seed_derivation_refuses_what_it_does_not_cover() -> None:
-    plan = ReplicaPlan(base_seed=5, count=1)
+    plan = ReplicaPlan(base_seed=5)
     for bad in (-1, -2**64, 2**64, 2**64 + 1, 2**128 + 3, 2**200 + 7):
         with pytest.raises(ValueError):
             plan.seed_for(bad)
         with pytest.raises(ValueError):
             plan.seed_for([0, bad])
         with pytest.raises(ValueError):
-            ReplicaPlan(base_seed=bad, count=1).seed_for([0, 1])
+            ReplicaPlan(base_seed=bad).seed_for([0, 1])
     for bad in (-1, 2**128):
         with pytest.raises(ValueError):
             sample_brownian(1, 4, 0.1, bad)
@@ -328,9 +326,9 @@ def test_seed_derivation_refuses_what_it_does_not_cover() -> None:
 def test_chunk_brownian_equals_each_seeds_philox(m) -> None:
     # the keys of replicas at the words' edges, and the widest keys
     keys = ([k for base in EDGE_BASES
-             for k in ReplicaPlan(base_seed=base, count=1).seed_for(EDGE_INDICES)]
+             for k in ReplicaPlan(base_seed=base).seed_for(EDGE_INDICES)]
             + [2**128 - 1, 2**64, 2**64 - 1]
-            + ReplicaPlan(base_seed=9, count=8).seed_for(range(8)))
+            + ReplicaPlan(base_seed=9).seed_for(range(8)))
     dt = 1e-3
     paths = sample_brownian(m, 50, dt, keys)
     assert [p.seed for p in paths] == keys
@@ -355,7 +353,7 @@ def test_chunk_brownian_equals_each_seeds_philox(m) -> None:
 @given(base=st.integers(0, 2**64 - 1),
        indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
 def test_chunk_brownian_equals_philox_on_random_seeds(base, indices) -> None:
-    keys = ReplicaPlan(base_seed=base, count=1).seed_for(indices)
+    keys = ReplicaPlan(base_seed=base).seed_for(indices)
     paths = sample_brownian(2, 9, 0.01, keys)
     assert [p.increments.tobytes() for p in paths] == [
         philox_path(k, 2, 9, 0.01).tobytes() for k in keys]
@@ -367,7 +365,7 @@ def test_neighbouring_keys_draw_uncorrelated_paths(base, index) -> None:
     # replicas (s, i), (s, i + 1) and (s + 1, i): keys one apart in either
     # word give streams with no sample correlation beyond 5 standard
     # errors over their N = 200 * 128 draws each
-    keys = [ReplicaPlan(base_seed=b, count=1).seed_for(i)
+    keys = [ReplicaPlan(base_seed=b).seed_for(i)
             for b, i in ((base, index), (base, index + 1), (base + 1, index))]
     draws = np.array([p.increments.ravel()
                       for p in sample_brownian(200, 128, 1.0 / 512.0, keys)])
@@ -448,6 +446,54 @@ def test_penetration_decays_with_penalty_strength() -> None:
     assert slope <= -0.4
 
 
+def test_oblique_reflection_leaves_the_component_orthogonal_to_gamma_free(
+        ) -> None:
+    # Ball(0, 0.5) cut by the face nu.x <= 0.3, nu = (-sin 0.6, -cos 0.6),
+    # with far faces at offset 2: on that face gamma = R(0.6) nu = (0, -1),
+    # so the penalty has no e_1 part, and for a state-free b and sigma
+    # component 0 of every run is the free scheme's, at every n.  This is
+    # the half-space Skorokhod problem with a constant oblique direction
+    # (Harrison & Reiman, Ann. Probab. 9, 1981); it holds while a path
+    # touches that face alone.
+    theta = 0.6
+    nu = np.array([-math.sin(theta), -math.cos(theta)])
+    dom = Intersection([Ball([0.0, 0.0], 0.5),
+                        Polytope([nu, [1.0, 0.0], [0.0, 1.0]], [0.3, 2.0, 2.0])])
+    coeffs = make_coefficients(
+        2, 2, b={"name": "constant", "value": [0.0, -6.0]},
+        sigma={"name": "constant", "matrix": [[1.0, 0.0], [0.5, 1.0]]})
+    ladder = [16.0, 64.0, 256.0, 1024.0]
+    steps, dt = resolve_time_grid(0.15, 1.0, ladder[-1])
+    paths = sample_brownian(2, steps, dt, ReplicaPlan(29).seed_for(range(20)))
+    model = dict(u0=zero_start(15, d=2), dt=dt, steps=steps, epsilon=0.02)
+    wide = Ball([0.0, 0.0], 100.0)
+    free = solve_penalized_spde(coeffs, wide, normal_gamma(wide),
+                                n_pen=ladder[0], noise=paths, **model)
+
+    def gaps(rule, angle=0.0):
+        """sup |u_0 - free u_0| / max|u| of each (rung, path), the runs'
+        states by (rung, path), and their chunk."""
+        chunk = solve_penalized_spde(
+            coeffs, dom, ObliqueField(dom, rule, angle=angle),
+            n_pen=[n for n in ladder for _ in paths],
+            noise=paths * len(ladder), **model)
+        states = chunk.states.reshape(len(ladder), len(paths), steps + 1, 2, 15)
+        gap = np.abs(states[:, :, :, 0] - free.states[:, :, 0]).max(axis=(2, 3))
+        return gap / np.abs(states).max(axis=(2, 3, 4)), states, chunk
+
+    rel, states, chunk = gaps("rotated_normal", theta)
+    # every run penetrates the face
+    assert (chunk.series.pen_h.max(axis=1) > 0.0).all()
+    # no path reaches the ball: each point's projection onto the face's
+    # half-plane lies inside it, so the body's projection is the face's
+    beyond = np.maximum(np.einsum("d,rpkdj->rpkj", nu, states) - 0.3, 0.0)
+    onto_face = states - beyond[:, :, :, None, :] * nu[:, None]
+    assert np.sqrt((onto_face ** 2).sum(axis=3)).max() < 0.5
+    assert rel.max() <= 1e-12
+    # with gamma the normal, the penalty moves component 0
+    assert gaps("normal")[0].min() > 1e-12
+
+
 def test_sweep_inactive_reflection_converges_immediately() -> None:
     dom = free_domain()
     res = solve_skeleton(heat_coeffs(), dom, normal_gamma(dom), sine_start(15),
@@ -455,7 +501,7 @@ def test_sweep_inactive_reflection_converges_immediately() -> None:
                          n_start=4.0, factor=2.0, n_max=64.0, tol_cauchy=1e-8)
     assert res.converged
     assert len(res.rows) == 2  # first comparison settles it
-    assert res.rows[0].cauchy_to_next == 0.0
+    assert res.rows[0]["cauchy_to_next"] == 0.0
 
 
 def test_sweep_zero_tolerance_never_converges() -> None:
@@ -472,10 +518,10 @@ def test_sweep_gaps_decrease_with_active_reflection() -> None:
     res = solve_skeleton(forced_coeffs(c=4.0), dom, normal_gamma(dom),
                          zero_start(31), zero_control(0.4, 1), dt=2e-3, T=0.4,
                          n_start=32.0, factor=2.0, n_max=1024.0, tol_cauchy=0.0)
-    gaps = [r.cauchy_to_next for r in res.rows[:-1]]
+    gaps = [r["cauchy_to_next"] for r in res.rows[:-1]]
     assert all(g > 0 for g in gaps)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
-    ns = [r.n_pen for r in res.rows]
+    ns = [r["n_pen"] for r in res.rows]
     assert ns == [32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
 
 
@@ -489,14 +535,9 @@ def sequential_sweep(coeffs, domain, gamma, u0, control, dt, T, ns,
             for n in ns]
 
     def row(traj, ch=math.nan, cv=math.nan):
-        energy, pen = energy_report(traj), penetration_report(traj)
-        return PenaltySweepRow(
-            n_pen=traj.n_pen, sup_pen_H=pen["sup_pen_H"],
-            n_times_l1_integral=pen["n_l1_integral"],
-            n2_times_h2_integral=pen["n2_h2_integral"],
-            cauchy_to_next=ch + cv, sup_H4=energy["sup_H4"],
-            sup_V2=energy["sup_V2"], int_H2=energy["int_H2"],
-            cauchy_H_to_next=ch, cauchy_V_to_next=cv)
+        return {"n_pen": traj.n_pen, **energy_report(traj),
+                **penetration_report(traj), "cauchy_H": ch, "cauchy_V": cv,
+                "cauchy_to_next": ch + cv}
 
     rows = []
     for prev, cur in zip(runs, runs[1:]):
@@ -515,7 +556,7 @@ def test_sweep_chunk_matches_sequential_solves() -> None:
     ns = [32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
     full = solve_skeleton(n_start=32.0, factor=2.0, n_max=1024.0,
                           tol_cauchy=0.0, **model)
-    gaps = [r.cauchy_to_next for r in full.rows[:-1]]
+    gaps = [r["cauchy_to_next"] for r in full.rows[:-1]]
     # 0: every member reported; between the 2nd and 3rd gaps: stops early
     for tol, reported in ((0.0, 6), (math.sqrt(gaps[1] * gaps[2]), 4)):
         res = solve_skeleton(n_start=32.0, factor=2.0, n_max=1024.0,
@@ -523,8 +564,7 @@ def test_sweep_chunk_matches_sequential_solves() -> None:
         rows, traj = sequential_sweep(ns=ns, tol_cauchy=tol, **model)
         assert len(res.rows) == len(rows) == reported
         assert res.converged == (reported < len(ns))
-        np.testing.assert_equal([dataclasses.asdict(r) for r in res.rows],
-                                [dataclasses.asdict(r) for r in rows])
+        np.testing.assert_equal(res.rows, rows)
         got = res.trajectory
         assert (got.n_pen, got.dt, got.meta) == (traj.n_pen, traj.dt, traj.meta)
         assert np.array_equal(got.states, traj.states)
@@ -750,12 +790,12 @@ def _diamond_replicas():
     coeffs = make_coefficients(
         2, 2, b={"name": "constant", "value": [0.5, 0.2]},
         sigma={"name": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]})
-    plan = ReplicaPlan(11, 60)
+    plan = ReplicaPlan(11)
     return dict(coeffs=coeffs, domain=dom, gamma=normal_gamma(dom),
                 u0=zero_start(5, d=2), n_pen=64.0, dt=1.0 / 512.0, steps=128,
                 epsilon=2.0,
                 noise=[sample_brownian(2, 128, 1.0 / 512.0, plan.seed_for(i))
-                       for i in range(plan.count)])
+                       for i in range(60)])
 
 
 def _chunk(case, members=3):
