@@ -45,6 +45,9 @@ _MAT = {"type": "array", "items": _VEC, "minItems": 1}
 # 64-bit word, and the ldp1 stray replicas run from base_seed + 1.
 MAX_BASE_SEED = 2**64 - 2
 
+# The control grid of a sine_rates family that does not set its K.
+SINE_RATES_K = 64
+
 
 def _kind_needs(fields: dict) -> list:
     """``allOf`` clauses requiring, for each kind, the fields it reads."""
@@ -345,9 +348,31 @@ def _errors(schema: dict, x, path: tuple = ()):
                              f"{'was' if len(extra) == 1 else 'were'} unexpected)")
 
 
+def _aliased_rates(payload: dict):
+    """(path, message) of each sine rate, of ``control`` or of a
+    ``sine_rates`` family, that its K control values cannot resolve: the
+    left-endpoint samples of sin(2 pi rate t / T) alias unless
+    2 * rate < K (rate K/2 samples to zero, and rate K - r is rate r with
+    the sign flipped)."""
+    sines = []
+    spec = payload.get("control")
+    if spec is not None and spec["kind"] == "sine":
+        sines.append((("control", "rate"), spec["rate"], spec["K"]))
+    spec = payload.get("control_family")
+    if spec is not None and spec["kind"] == "sine_rates":
+        K = spec.get("K", SINE_RATES_K)
+        sines += [(("control_family", "rates", i), rate, K)
+                  for i, rate in enumerate(spec["rates"])]
+    for path, rate, K in sines:
+        if 2 * rate >= K:
+            yield path, (f"rate {rate!r} aliases on K = {K!r} control "
+                         "values (2 * rate must be below K)")
+
+
 def validate_config(payload: dict) -> None:
-    """Raise ConfigError on the first violation of SCHEMA in path order."""
-    errors = list(_errors(SCHEMA, payload))
+    """Raise ConfigError on the first violation of SCHEMA in path order,
+    or, when there is none, on the first sine rate that aliases."""
+    errors = list(_errors(SCHEMA, payload)) or list(_aliased_rates(payload))
     if errors:
         path, message = min(errors, key=lambda e: e[0])
         raise ConfigError(f"config field {'.'.join(map(str, path)) or '<root>'}: "
@@ -541,7 +566,7 @@ class ExperimentConfig:
             return []
         m = self.raw["coefficients"]["m"]
         if spec["kind"] == "sine_rates":
-            K = spec.get("K", 64)
+            K = spec.get("K", SINE_RATES_K)
             return [(f"r{r}", sine_control(self.T, m, K=K, rate=r,
                                            amplitude=spec.get("amplitude", 1.0),
                                            component=spec.get("component", 0)))

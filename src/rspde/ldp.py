@@ -29,14 +29,18 @@ the same Brownian path across noise levels.  The readers ``mc_rows``,
 parameters and ``plan, start, stop``, and return their values for
 replicas [start, stop), so one fan-out serves all three.  Replicas, and
 the minimizer's controls, are solved in chunks: one batched solve steps
-as many of them as CHUNK_BYTES of (B, steps + 1, d, J) state stack holds,
-and a chunk's members do not interact, so no result depends on how they
-are chunked.  A chunk's keys come from one ``seed_for`` call and its
-paths from one reseated generator, bit for bit what each replica's own
-Philox gives.  Every read of a chunk (events, their shortfalls, the Monte
-Carlo rows, the ldp1 stray flags' Cauchy gaps and the weighted distances)
-is one call on the whole chunk, one value per member, each bit for bit
-the value a read of that member alone gives.
+as many of them as CHUNK_BYTES of (B, steps + 1, d, J) state stack would
+hold, and a chunk's members do not interact, so no result depends on how
+they are chunked.  The Monte Carlo rows and the minimizer read u(T), the
+penetration series and the reflection measure, so their chunks keep
+u(T) alone, not the stack, unless the event reads the path
+(``EventSpec.reads_path``); the stray flags and the weighted distances
+compare whole paths and keep them.  A chunk's keys come from one
+``seed_for`` call and its paths from one reseated generator, bit for bit
+what each replica's own Philox gives.  Every read of a chunk (events,
+their shortfalls, the Monte Carlo rows, the ldp1 stray flags' Cauchy gaps
+and the weighted distances) is one call on the whole chunk, one value per
+member, each bit for bit the value a read of that member alone gives.
 
 Every table row here (a replica of ``mc_rows``, a noise level of
 ``ldp_compare`` or ``summarize_weighted``) is a dict keyed by the name of
@@ -56,7 +60,7 @@ from .diagnostics import weighted_distance
 from .geometry import ConvexDomain, ObliqueField
 from .solvers import (ReplicaPlan, resolve_time_grid, sample_brownian,
                       solve_penalized_spde)
-from .trajectory import TrajectoryChunk, member_sums, state_gap
+from .trajectory import TrajectoryChunk, member_sums, path_states, state_gap
 
 # Penalty level at which rare events are posed (config can override).
 EVENT_N_PEN = 1024.0
@@ -65,13 +69,15 @@ EVENT_N_PEN = 1024.0
 # batched solve: as many members as keep a chunk's state stack, members *
 # (steps + 1) * d * J float64 values, within this many bytes (at least one
 # member).  4 MiB holds the 200 replicas of a 128-step, J = 15 free
-# interval (3.1 MB of states) in one solve, for about 3 MB more peak RSS
-# of `rspde mc` than 512 KiB chunks.  Arrays the budget does not count
-# grow with it: a penetrating chunk's gaps and reflection increments, and
-# the norm series' temporaries when a reader computes the norms, as the
-# weighted trend's distances do.  The weighted step of `rspde all` on
-# configs/controlled_wall.json peaks at 86.5 MB against 66.3 MB with
-# 512 KiB chunks, about 5 MB of the difference the norms'.
+# interval (3.1 MB of states) in one solve.  A chunk solved without its
+# path stores no stack, and the budget then bounds the gaps u - pi(u)
+# that a penetrating chunk stores, which have the stack's size.  Arrays
+# the budget does not count grow with it: a penetrating chunk's
+# reflection increments, and the norm series' temporaries when a reader
+# computes the norms, as the weighted trend's distances do.  The
+# weighted step of `rspde all` on configs/controlled_wall.json peaks at
+# 86.5 MB against 66.3 MB with 512 KiB chunks, about 5 MB of the
+# difference the norms'.
 CHUNK_BYTES = 1 << 22
 
 # minimize_rate: the Armijo constant of the merit test; the halvings of a
@@ -101,7 +107,8 @@ def _terminal_h_norm(chunk: TrajectoryChunk, center=None) -> np.ndarray:
 def _sup_h_norm(chunk: TrajectoryChunk, reference=None) -> np.ndarray:
     """sup_t |u(t) - reference|_H of each member, sup_t |u(t)|_H without a
     reference, from the states alone: no norm series is computed."""
-    diff = chunk.states if reference is None else chunk.states - reference
+    states = path_states(chunk)
+    diff = states if reference is None else states - reference
     B, count, d, J = diff.shape
     flat = diff.reshape(B * count, d, J)
     sq = np.einsum("kdj,kdj->k", flat, flat).reshape(B, count)
@@ -136,7 +143,8 @@ class EventSpec:
     shortfall is the continuous margin by which the event is missed: zero
     exactly when the event occurred, positive otherwise.  The optimizer's
     constraint is the signed ``margin``; Monte Carlo thresholds it at
-    zero.
+    zero.  ``reads_path`` says whether the margin reads every state, so
+    that its chunks must be solved with their path.
     """
 
     kind: str
@@ -172,6 +180,12 @@ class EventSpec:
             return _sup_h_norm(chunk, self.reference) - self.radius
         value = TRAJECTORY_FUNCTIONALS[self.functional](chunk)
         return value - self.level
+
+    @property
+    def reads_path(self) -> bool:
+        """True for a sup over time; the other margins read u(T) or the
+        reflection measure."""
+        return self.kind == "sup_exceed" or self.functional == "sup_h_norm"
 
     def occurred(self, chunk: TrajectoryChunk) -> np.ndarray:
         return self.margin(chunk) >= 0.0
@@ -289,7 +303,8 @@ def minimize_rate(coeffs: ModelCoefficients, domain: ConvexDomain,
         for part in _chunks(points, steps, u0.grid):
             chunk = solve_penalized_spde(
                 coeffs, domain, gamma, u0, n_pen=n_pen, dt=dt_eff,
-                steps=steps, control=[control_at(x) for x in part])
+                steps=steps, control=[control_at(x) for x in part],
+                path=event.reads_path)
             out += event.margin(chunk).tolist()
         return np.array(out)
 
@@ -399,9 +414,10 @@ class MCResult:
 
 def _replicas(read, coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
               epsilon: float, n_pen: float, dt: float, steps: int,
-              control: Control = None) -> list:
+              control: Control = None, path: bool = True) -> list:
     """The replica indices' values in order: read(indices, chunk) gives
-    one value per member of each chunk that is solved.
+    one value per member of each chunk that is solved, with its path or
+    (path=False) u(T) alone.
 
     Each replica's noise depends only on its own plan key.  The replicas
     are solved a chunk at a time, as many members as CHUNK_BYTES of state
@@ -416,7 +432,7 @@ def _replicas(read, coeffs, domain, gamma, u0, plan: ReplicaPlan, indices,
     for part in _chunks(indices, steps, u0.grid):
         chunk = solve_penalized_spde(
             coeffs, domain, gamma, u0, n_pen=n_pen, dt=dt, steps=steps,
-            epsilon=epsilon, control=control,
+            epsilon=epsilon, control=control, path=path,
             noise=sample_brownian(coeffs.m, steps, dt, plan.seed_for(part)))
         out += read(part, chunk)
         del chunk
@@ -433,7 +449,8 @@ def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
     Splitting a plan across workers and concatenating the row lists in
     index order reproduces the serial run exactly, because every replica's
     noise depends only on its own plan key and a chunk's members do not
-    interact.  Each column is read from the whole chunk at once.
+    interact.  Each column is read from the whole chunk at once, and the
+    chunks keep u(T) alone unless the event reads the path.
     """
     def rows(part, chunk):
         columns = (chunk.series.pen_h.max(axis=1).tolist(),
@@ -443,7 +460,8 @@ def mc_rows(coeffs, domain, gamma, u0, event: EventSpec, epsilon: float,
                  "event": hit} for i, pen, norm, hit in zip(part, *columns)]
 
     return _replicas(rows, coeffs, domain, gamma, u0, plan,
-                     range(start, stop), epsilon, n_pen, dt, steps)
+                     range(start, stop), epsilon, n_pen, dt, steps,
+                     path=event.reads_path)
 
 
 def summarize_rows(rows: list, replicas: int) -> MCResult:

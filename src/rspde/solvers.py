@@ -53,12 +53,17 @@ nothing and shares one array of zeros among its members.  Stability of
 the explicit penalty relaxation requires dt * n_pen <= 1/2 for every
 member, enforced at entry.
 
-A solve computes only what its readers use.  The norm series h_sq, v_sq
-and lap_sq are computed the first time any member's is read, for every
-member at once, through this module's ``sup_series``, ``v_series`` and
-``lap_series``: a sweep's reports, ``Trajectory.save`` and the weighted
-distance read them, while Monte Carlo and the rate minimizer, which read
-the states and the penetration series, never pay for them.
+A solve stores and computes only what its readers use.  By default it
+stores every state, by member as one (B, steps + 1, d, J) stack; a chunk
+solved with path=False stores u(T) alone, which is all that Monte Carlo
+and the rate minimizer read unless their event is a sup over time, and
+its pen_gamma and norm series, which need every state, read as NaN.
+The norm series h_sq, v_sq and lap_sq are computed the first time any
+member's is read, for every member at once, through this module's
+``sup_series``, ``v_series`` and ``lap_series``: a sweep's reports,
+``Trajectory.save`` and the weighted distance read them, while Monte
+Carlo and the rate minimizer, which read u(T) or the states and the
+penetration series, never pay for them.
 
 The skeleton map (controlled, noise-free) is ``solve_penalized_spde`` at
 its default epsilon = 0, where the noise path is ignored, so the skeleton
@@ -213,7 +218,8 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
                          dt: float, steps: int, epsilon: float = 0.0,
                          noise: NoisePath | list = None,
                          control: Control | list = None,
-                         stride: int = 1) -> Trajectory | TrajectoryChunk:
+                         stride: int = 1,
+                         path: bool = True) -> Trajectory | TrajectoryChunk:
     """Run the penalized semi-implicit scheme for ``steps`` steps of ``dt``.
 
     ``n_pen``, ``noise`` and ``control`` are each one value, and the result
@@ -221,11 +227,13 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     a chunk that shares everything else, and the result a TrajectoryChunk.
     A single value is shared by every member; lists must have the same
     length.  With epsilon = 0 the noise is ignored and the run coincides
-    with the skeleton solve for the same control.  Raises SolverError
-    when the initial state leaves the domain, the stability bound fails
-    (for the stiffest member), the control or noise grids are
-    incompatible, or the state blows up (the offending step index is
-    attached; in a chunk, that of the lowest-index member that blows up).
+    with the skeleton solve for the same control.  With path=False (chunk
+    inputs only) the chunk keeps u(T) alone, not every state: see
+    ``TrajectoryChunk``.  Raises SolverError when the initial state leaves
+    the domain, the stability bound fails (for the stiffest member), the
+    control or noise grids are incompatible, or the state blows up (the
+    offending step index is attached; in a chunk, that of the lowest-index
+    member that blows up).
     """
     grid = u0.grid
     d, J = grid.d, grid.J
@@ -235,6 +243,8 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         if isinstance(value, list)]
     if any(not value for _, value in lists):
         raise SolverError("a chunk needs at least one member")
+    if not (path or lists):
+        raise SolverError("only a chunk can be solved without its path")
     B = len(lists[0][1]) if lists else 1
     for name, value in lists[1:]:
         if len(value) != B:
@@ -266,14 +276,14 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
                 raise SolverError("control horizon does not match steps * dt")
     use_noise = epsilon > 0.0
     if use_noise:
-        for path in members:
-            if path is None:
+        for member in members:
+            if member is None:
                 raise SolverError("epsilon > 0 needs a noise path")
-            if path.increments.shape != (coeffs.m, steps):
+            if member.increments.shape != (coeffs.m, steps):
                 raise SolverError(
-                    f"noise shape {path.increments.shape} != ({coeffs.m}, {steps})")
-            if abs(path.dt - dt) > 1e-12 * dt:
-                raise SolverError(f"noise dt {path.dt!r} != solver dt {dt!r}")
+                    f"noise shape {member.increments.shape} != ({coeffs.m}, {steps})")
+            if abs(member.dt - dt) > 1e-12 * dt:
+                raise SolverError(f"noise dt {member.dt!r} != solver dt {dt!r}")
         sqrt_eps = math.sqrt(epsilon)
 
     # the operator is symmetric, so a step solves every row x of the
@@ -307,17 +317,18 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     # (rows, J) buffer; a step writes the product of the buffer with inv
     # into a second buffer, and the two swap with their views.  numpy sends
     # a one-row product to gemv, which rounds unlike gemm, so a lone row
-    # gets a zero row below it and every row goes through gemm.  The states
-    # are stored by member, (B, steps + 1, d, J), through their
-    # (steps + 1, d, B, J) view ``by_step``.
+    # gets a zero row below it and every row goes through gemm.  With its
+    # path, the states are stored by member, (B, steps + 1, d, J), through
+    # their (steps + 1, d, B, J) view ``by_step``.
     bufs = np.zeros((2, max(B * d, 2), J))
     views = [(buf, buf[:B * d].reshape(d, B * J), buf[:B * d].reshape(d, B, J))
              for buf in bufs]
     rows, u, blocks = views[0]
     blocks[:] = u0.values[:, None, :]
-    states = np.empty((B, steps + 1, d, J))
-    by_step = states.transpose(1, 2, 0, 3)
-    by_step[0] = blocks
+    if path:
+        states = np.empty((B, steps + 1, d, J))
+        by_step = states.transpose(1, 2, 0, 3)
+        by_step[0] = blocks
     # u - pi(u) of every state, stored by member as (B, steps + 1, J, d)
     # and allocated at the first state that penetrates; the penalty
     # diagnostics come from it after the loop
@@ -382,7 +393,8 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
         top = float(np.abs(u).max())
         if not math.isfinite(top):
             top = retire(~np.isfinite(np.abs(blocks).max(axis=(0, 2))), k + 1)
-        by_step[k + 1] = blocks
+        if path:
+            by_step[k + 1] = blocks
     if blown:
         first = blown[min(blown)]
         raise SolverError(f"state blew up at step {first}", step=first)
@@ -390,10 +402,19 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     # terminal penetration for the sup statistics
     record_gap(steps, top)
 
-    pen, increments, magnitude = _penalty_diagnostics(states, gaps, gamma,
-                                                      pens, dt, dx)
-    series = TrajectorySeries.deferred(
-        functools.partial(_state_norms, states, dx), **pen)
+    pen, increments, magnitude = _penalty_diagnostics(
+        (B, steps + 1, d, J), states if path else None, gaps, gamma, pens,
+        dt, dx)
+    if path:
+        series = TrajectorySeries.deferred(
+            functools.partial(_state_norms, states, dx), **pen)
+    else:
+        # u(T) alone, (B, 1, d, J); the series that need every state are
+        # NaN, as at the states that Trajectory.load does not find saved
+        states = blocks.transpose(1, 0, 2)[:, None].copy()
+        unknown = np.broadcast_to(np.nan, (B, steps + 1))
+        series = TrajectorySeries(h_sq=unknown, v_sq=unknown, lap_sq=unknown,
+                                  pen_gamma=unknown, **pen)
     measure = ReflectionMeasure(grid=grid, dt=dt, increments=increments,
                                 magnitude=magnitude)
     info = {"b": coeffs.b_name, "sigma": coeffs.sigma_name,
@@ -402,7 +423,7 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
              else dict(info) for p in members]
     chunk = TrajectoryChunk(grid=grid, dt=dt, n_pen=pens, states=states,
                             series=series, measure=measure, metas=metas,
-                            stride=stride, epsilon=epsilon)
+                            stride=stride, epsilon=epsilon, path=path)
     return chunk if lists else chunk.member(0)
 
 
@@ -416,29 +437,32 @@ def _state_norms(states, dx: float) -> tuple:
                  for series_of in (sup_series, v_series, lap_series))
 
 
-def _penalty_diagnostics(states, gaps, gamma: ObliqueField, pens: list,
-                         dt: float, dx: float) -> tuple:
-    """The pen_* series of every member's states and the reflection
-    measure's (increments, magnitude), from the gaps u - pi(u) of every
-    state ((B, steps + 1, J, d), or None when no state penetrated) and
-    each member's n_pen.  Every series reduces one state's points, so it
-    is computed on slices of the chunk's B * (steps + 1) states (keeping
-    the temporaries small), each state as its single run computes it; a
-    member that stays inside gets zeros from its zero gaps, and when none
-    penetrated the members share one array of zeros.  The gaps are
-    overwritten with n * dist * gamma and the magnitude is a view of the
-    scaled distances, so the increments are the only new array of the
-    gaps' size."""
-    B, count, d, J = states.shape
+def _penalty_diagnostics(shape: tuple, states, gaps, gamma: ObliqueField,
+                         pens: list, dt: float, dx: float) -> tuple:
+    """The pen_* series of a chunk of ``shape`` (B, steps + 1, d, J) and the
+    reflection measure's (increments, magnitude), from the gaps u - pi(u)
+    of every state ((B, steps + 1, J, d), or None when no state
+    penetrated) and each member's n_pen.  pen_gamma also reads the states
+    and is left out when ``states`` is None (a chunk without its path).
+    Every series reduces one state's points, so it is computed on slices
+    of the chunk's B * (steps + 1) states (keeping the temporaries small),
+    each state as its single run computes it; a member that stays inside
+    gets zeros from its zero gaps, and when none penetrated the members
+    share one array of zeros.  The gaps are overwritten with
+    n * dist * gamma and the magnitude is a view of the scaled distances,
+    so the increments are the only new array of the gaps' size."""
+    B, count, d, J = shape
     steps = count - 1
+    names = ("pen_h", "pen_l1", "pen_linf") + (() if states is None
+                                               else ("pen_gamma",))
     if gaps is None:
         zero = _shared_zeros(B, (count,))
-        return (dict.fromkeys(("pen_h", "pen_l1", "pen_linf", "pen_gamma"), zero),
-                _shared_zeros(B, (steps, d, J)), _shared_zeros(B, (steps, J)))
+        return (dict.fromkeys(names, zero), _shared_zeros(B, (steps, d, J)),
+                _shared_zeros(B, (steps, J)))
     rows = B * count
-    flat_states, flat_gaps = states.reshape(rows, d, J), gaps.reshape(rows, J, d)
-    pen = {name: np.empty(rows)
-           for name in ("pen_h", "pen_l1", "pen_linf", "pen_gamma")}
+    flat_gaps = gaps.reshape(rows, J, d)
+    flat_states = None if states is None else states.reshape(rows, d, J)
+    pen = {name: np.empty(rows) for name in names}
     dist = np.empty((rows, J))
     for part in row_slices(rows, flat_gaps[0].nbytes):
         gap, r = flat_gaps[part], dist[part]
@@ -447,8 +471,9 @@ def _penalty_diagnostics(states, gaps, gamma: ObliqueField, pens: list,
         pen["pen_l1"][part] = dx * np.sum(r, axis=1)
         pen["pen_linf"][part] = np.abs(gap).max(axis=(1, 2))
         gap[...] = gamma.scaled_directions(gap)   # dist * gamma
-        pen["pen_gamma"][part] = dx * np.einsum("kdj,kjd->k",
-                                                flat_states[part], gap)
+        if flat_states is not None:
+            pen["pen_gamma"][part] = dx * np.einsum("kdj,kjd->k",
+                                                    flat_states[part], gap)
     pen = {name: series.reshape(B, count) for name, series in pen.items()}
     dist = dist.reshape(B, count, J)
     n = np.asarray(pens, dtype=float)[:, None, None]

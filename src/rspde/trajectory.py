@@ -242,6 +242,13 @@ class TrajectoryChunk:
     itself, so ``member`` is for handing a single run out.  ``steps``
     counts the scheme steps the chunk holds summed over its members,
     B * K, as a solve of the B runs one at a time would.
+
+    A chunk solved without its ``path`` keeps u(T) alone: its states are
+    (B, 1, d, J), and the series that need every state (the three norms
+    and pen_gamma) are one read-only NaN view of shape (B, K+1).  u(T),
+    pen_h, pen_l1, pen_linf and the measure are those of the full solve.
+    The readers of the path (``path_states``, and ``member``) raise
+    ValueError on it.
     """
 
     grid: SpatialGrid
@@ -253,12 +260,15 @@ class TrajectoryChunk:
     metas: list
     stride: int = 1
     epsilon: float = 0.0
+    path: bool = True
 
     @property
     def steps(self) -> int:
-        return self.states.shape[0] * (self.states.shape[1] - 1)
+        # pen_h has one value per state, kept or not
+        return len(self.states) * (self.series.pen_h.shape[1] - 1)
 
     def member(self, b: int) -> Trajectory:
+        path_states(self)
         return Trajectory(grid=self.grid, dt=self.dt, n_pen=self.n_pen[b],
                           stride=self.stride, epsilon=self.epsilon,
                           meta=self.metas[b], **self._views(b))
@@ -281,16 +291,27 @@ class TrajectoryChunk:
                                       magnitude=m.magnitude[index]))
 
 
+def path_states(run) -> np.ndarray:
+    """Every state of a run or chunk, (K+1, d, J) or (B, K+1, d, J); a
+    chunk solved without its path raises ValueError rather than pass
+    u(T) off as a path."""
+    if isinstance(run, TrajectoryChunk) and not run.path:
+        raise ValueError("this chunk was solved with path=False and keeps "
+                         "u(T) alone, not its path")
+    return run.states
+
+
 def gap_series(a, b) -> tuple:
     """h_norm^2 and v_norm^2 of u_a - u_b, (B, K+1) each, for runs or
     chunks on identical grids and time steps (a run against a chunk is
     compared with each member), formed a slice of members at a time."""
-    if a.states.shape[-3:] != b.states.shape[-3:] or a.dt != b.dt:
+    states = path_states(a), path_states(b)
+    if states[0].shape[-3:] != states[1].shape[-3:] or a.dt != b.dt:
         raise ValueError("two runs compared need identical grids and time steps")
     from .fields import sup_series, v_series
 
     sa, sb = np.broadcast_arrays(*(s if s.ndim == 4 else s[None]
-                                   for s in (a.states, b.states)))
+                                   for s in states))
     B, count, d, J = sa.shape
     h, v = np.empty((B, count)), np.empty((B, count))
     for part in row_slices(B, sa[0].nbytes):

@@ -338,8 +338,8 @@ FULL_CONFIG = {
                 "sweep": {"n_start": 8.0, "n_max": 64.0, "tol_cauchy": 0.0}},
     "replicas": {"base_seed": 11, "count": 20},
     "epsilons": [0.5, 0.2],
-    "control": {"kind": "sine", "rate": 1, "K": 4},
-    "control_family": {"kind": "sine_rates", "rates": [1, 2], "K": 4},
+    "control": {"kind": "sine", "rate": 1, "K": 8},
+    "control_family": {"kind": "sine_rates", "rates": [1, 2], "K": 8},
     "event": {"kind": "terminal_ball", "radius": 0.05, "complement": True},
     "rate": {"K": 4, "max_iters": 20, "stag_window": 8},
     "weighted": {"lam": 1.0},

@@ -183,6 +183,30 @@ def test_control_vector_length_checked():
         ExperimentConfig.from_dict(payload).build_control()
 
 
+def test_sine_rates_that_alias_are_refused():
+    # K left-endpoint samples resolve a sine only below rate K/2: at K/2
+    # they are all zero, and rate K - r is rate r with the sign flipped
+    payload = base_payload()
+    payload["control_family"] = {"kind": "sine_rates", "rates": [1, 31]}
+    fam = ExperimentConfig.from_dict(payload).build_control_family()
+    r31 = fam[1][1]
+    assert r31.K == 64 and r31.cm_norm_sq() == pytest.approx(0.5 * r31.T)
+    payload["control_family"]["rates"] = [1, 31, 32]
+    with pytest.raises(ConfigError, match=r"^config field control_family\."
+                       r"rates\.2: rate 32 aliases on K = 64 "):
+        validate_config(payload)
+    payload["control_family"] = {"kind": "sine_rates", "rates": [3], "K": 6}
+    with pytest.raises(ConfigError, match=r"control_family\.rates\.0: "):
+        validate_config(payload)
+    del payload["control_family"]
+    payload["control"] = {"kind": "sine", "rate": 2, "K": 5}
+    ExperimentConfig.from_dict(payload)
+    payload["control"]["K"] = 4
+    with pytest.raises(ConfigError, match=r"^config field control\.rate: "
+                       r"rate 2 aliases on K = 4 "):
+        validate_config(payload)
+
+
 def test_event_builders_and_registry_check():
     payload = base_payload()
     payload["event"] = {"kind": "terminal_ball", "radius": 0.1,

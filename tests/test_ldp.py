@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,16 +15,17 @@ from rspde.config import ExperimentConfig
 from rspde.coefficients import make_coefficients
 from rspde.controls import (Control, constant_control, sine_control,
                             tabulated_control)
-from rspde.diagnostics import penetration_report
+from rspde.diagnostics import penetration_report, weighted_distance
 from rspde.fields import Field, h_norm
 from rspde.geometry import Box
 from rspde import cli, ldp
 from rspde.ldp import (TRAJECTORY_FUNCTIONALS, EventSpec,
-                       MCResult, RateResult, _replicas, ldp_compare, mc_rows, minimize_rate,
+                       MCResult, RateResult, _replicas, _sup_h_norm, ldp_compare, mc_rows, minimize_rate,
                        rate_functional, stray_flags, summarize_rows,
                        summarize_weighted, weighted_rows)
-from rspde.solvers import (ReplicaPlan, resolve_time_grid, sample_brownian,
-                           solve_penalized_spde)
+from rspde.solvers import (ReplicaPlan, SolverError, resolve_time_grid,
+                           sample_brownian, solve_penalized_spde)
+from rspde.trajectory import gap_series, state_gap
 
 from conftest import (ball_box_2d_chunk, forced_coeffs, free_domain,
                       heat_coeffs, interval_domain, normal_gamma, same_bits,
@@ -156,13 +158,16 @@ def test_chunk_event_reads_equal_single_run_reads(model):
     assert SINGLE_RUN_FUNCTIONALS.keys() == TRAJECTORY_FUNCTIONALS.keys()
     kwargs = model()
     chunk = solve_penalized_spde(**kwargs)
+    terminal = solve_penalized_spde(**kwargs, path=False)
     B = len(kwargs["noise"])
     pen = chunk.series.pen_h.max(axis=1)
     assert (pen > 0).any() and (pen == 0).any()
     members = [chunk.member(b) for b in range(B)]
     alone = [solve_penalized_spde(**dict(kwargs, noise=[path], control=[ctl]))
              for path, ctl in zip(kwargs["noise"], kwargs["control"])]
-    for event in mixed_events(members):
+    events = mixed_events(members)
+    assert sum(not event.reads_path for event in events) == 7
+    for event in events:
         margins = [single_run_margin(event, m) for m in members]
         hits = [m >= 0.0 for m in margins]
         assert any(hits) and not all(hits), event.describe()
@@ -172,8 +177,80 @@ def test_chunk_event_reads_equal_single_run_reads(model):
         for b, run in enumerate(alone):
             assert event.occurred(run).tolist() == [hits[b]]
             assert same_bits(event.shortfall(run), [shortfalls[b]])
+        # a chunk that keeps u(T) alone reads every other event the same
+        if not event.reads_path:
+            assert event.occurred(terminal).tolist() == hits
+            assert same_bits(event.shortfall(terminal), shortfalls)
     # every event reads the states or the measure: no norm series is computed
     assert all("_norms" in vars(run.series) for run in alone)
+
+
+def test_path_free_chunk_keeps_what_its_readers_read():
+    kwargs = ball_box_2d_chunk()
+    chunk = solve_penalized_spde(**kwargs)
+    terminal = solve_penalized_spde(**kwargs, path=False)
+    B, count = chunk.series.pen_h.shape
+    assert terminal.steps == chunk.steps == B * (count - 1)
+    assert same_bits(terminal.states, chunk.states[:, -1:])
+    for name in ("pen_h", "pen_l1", "pen_linf"):
+        assert same_bits(getattr(terminal.series, name),
+                         getattr(chunk.series, name))
+    for name in ("increments", "magnitude"):
+        assert same_bits(getattr(terminal.measure, name),
+                         getattr(chunk.measure, name))
+    # the series of every state read as NaN, from one shared value
+    for name in ("h_sq", "v_sq", "lap_sq", "pen_gamma"):
+        series = getattr(terminal.series, name)
+        assert series.shape == (B, count) and np.isnan(series).all()
+        assert not series.flags.writeable and series.strides == (0, 0)
+    assert terminal.members(slice(1, 3)).steps == 2 * (count - 1)
+    with pytest.raises(SolverError, match="only a chunk"):
+        solve_penalized_spde(**dict(kwargs, noise=kwargs["noise"][0],
+                                    control=kwargs["control"][0]), path=False)
+
+
+def test_path_readers_refuse_a_path_free_chunk():
+    kwargs = ball_box_2d_chunk()
+    chunk = solve_penalized_spde(**kwargs)
+    terminal = solve_penalized_spde(**kwargs, path=False)
+    for read in (lambda: state_gap(terminal, chunk),
+                 lambda: gap_series(chunk, terminal),
+                 lambda: weighted_distance(terminal, chunk.member(0), 1.0),
+                 lambda: _sup_h_norm(terminal),
+                 lambda: terminal.member(0),
+                 lambda: terminal.members(slice(1, 2)).member(0)):
+        with pytest.raises(ValueError, match="path=False"):
+            read()
+    sup = EventSpec("sup_exceed", radius=0.1)
+    assert sup.reads_path
+    with pytest.raises(ValueError, match="path=False"):
+        sup.occurred(terminal)
+
+
+def test_monte_carlo_rows_keep_no_state_stack():
+    # the model of the benchmark's mc-free-1d workload: 200 replicas of
+    # 128 steps on the free interval, J = 15, a terminal-mean event
+    dom = interval_domain(100.0)
+    coeffs = make_coefficients(1, 1, b={"name": "zero"},
+                               sigma={"name": "constant", "matrix": [[1.0]]})
+    event = EventSpec("functional_threshold", functional="terminal_mean",
+                      level=0.025)
+    assert not event.reads_path
+    steps, dt = resolve_time_grid(0.25, 1.0 / 512.0, 256.0)
+    args = (coeffs, dom, normal_gamma(dom), zero_start(15), event, 0.01,
+            256.0, dt, steps, ReplicaPlan(11), 0, 200)
+    stack = 200 * (steps + 1) * 15 * 8
+    assert steps == 128
+    assert ldp._chunks(range(200), steps, zero_start(15).grid) == [range(200)]
+    mc_rows(*args)                      # caches the heat inverse
+    tracemalloc.start()
+    try:
+        rows = mc_rows(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 200 and 0 < sum(r["event"] for r in rows) < 200
+    assert peak < stack, f"mc_rows peaked at {peak} bytes, one stack is {stack}"
 
 
 def test_event_constructor_rejects_bad_specs():
