@@ -142,7 +142,7 @@ def _solve(cfg: ExperimentConfig, args, out: str, run: dict):
                                 ReplicaPlan(args.base_seed).seed_for(0))
     traj = solve_penalized_spde(coeffs, dom, gamma, u0, n_pen=cfg.n_event,
                                 dt=dt, steps=steps, epsilon=eps, noise=noise,
-                                control=control, stride=cfg.snapshot_stride)
+                                control=control)
     traj.save(os.path.join(out, "trajectory"))
     _say(args, f"{args.subcommand}: epsilon={eps!r}, {steps} steps at "
                f"dt={dt!r}, n_pen={cfg.n_event!r}")
@@ -161,7 +161,7 @@ def _sweep(cfg: ExperimentConfig, run: dict):
         run["sweep"] = solve_skeleton(
             coeffs, dom, gamma, u0, control, dt=cfg.dt, T=cfg.T,
             n_start=sw["n_start"], factor=sw["factor"], n_max=sw["n_max"],
-            tol_cauchy=sw["tol_cauchy"], stride=cfg.snapshot_stride)
+            tol_cauchy=sw["tol_cauchy"])
     res = run["sweep"]
     return res, {"converged": res.converged, "tol_cauchy": res.tol_cauchy,
                  "final_cauchy": res.final_cauchy,

@@ -158,7 +158,6 @@ SCHEMA = {
                 "J": _INT_POS,
                 "dt": _POS,
                 "T": _POS,
-                "snapshot_stride": _INT_POS,
             },
         },
         "penalty": {
@@ -271,7 +270,6 @@ SCHEMA = {
 }
 
 DEFAULTS = {
-    "snapshot_stride": 1,
     "n_event": EVENT_N_PEN,
     "sweep": {"n_start": 16.0, "factor": 2.0, "n_max": 4096.0,
               "tol_cauchy": 1e-6},
@@ -471,10 +469,6 @@ class ExperimentConfig:
     @property
     def T(self) -> float:
         return float(self.raw["grid"]["T"])
-
-    @property
-    def snapshot_stride(self) -> int:
-        return self.raw["grid"].get("snapshot_stride", DEFAULTS["snapshot_stride"])
 
     @property
     def n_event(self) -> float:

@@ -16,8 +16,8 @@ The three-point Laplacian with zero ghost values has the exact discrete
 eigenpair  f_j = sin(pi j dx),  eigenvalue -(2/dx^2)(1 - cos(pi dx)),
 which the tests lean on as an oracle.
 
-Fields are not serialized one by one: a trajectory saves its snapshot
-states as a single array (see ``trajectory.Trajectory.save``).
+Fields are not serialized one by one: a trajectory saves every state as
+a single array (see ``trajectory.Trajectory.save``).
 """
 
 from __future__ import annotations

@@ -73,8 +73,8 @@ EVENT_N_PEN = 1024.0
 # path stores no stack, and the budget then bounds the gaps u - pi(u)
 # that a penetrating chunk stores, which have the stack's size.  Arrays
 # the budget does not count grow with it: a penetrating chunk's
-# reflection increments, and the norm series' temporaries when a reader
-# computes the norms, as the weighted trend's distances do.  The
+# reflection increments, and the temporaries of the norm series that a
+# solve with its path computes, as the weighted trend's solves are.  The
 # weighted step of `rspde all` on configs/controlled_wall.json peaks at
 # 86.5 MB against 66.3 MB with 512 KiB chunks, about 5 MB of the
 # difference the norms'.

@@ -53,17 +53,14 @@ nothing and shares one array of zeros among its members.  Stability of
 the explicit penalty relaxation requires dt * n_pen <= 1/2 for every
 member, enforced at entry.
 
-A solve stores and computes only what its readers use.  By default it
-stores every state, by member as one (B, steps + 1, d, J) stack; a chunk
-solved with path=False stores u(T) alone, which is all that Monte Carlo
-and the rate minimizer read unless their event is a sup over time, and
-its pen_gamma and norm series, which need every state, read as NaN.
-The norm series h_sq, v_sq and lap_sq are computed the first time any
-member's is read, for every member at once, through this module's
-``sup_series``, ``v_series`` and ``lap_series``: a sweep's reports,
-``Trajectory.save`` and the weighted distance read them, while Monte
-Carlo and the rate minimizer, which read u(T) or the states and the
-penetration series, never pay for them.
+A solve stores every state by default, by member as one
+(B, steps + 1, d, J) stack, and after the penalty diagnostics computes
+the norm series h_sq, v_sq and lap_sq of every state once for the whole
+chunk, through this module's ``sup_series``, ``v_series`` and
+``lap_series``.  A chunk solved with path=False stores u(T) alone, which
+is all that Monte Carlo and the rate minimizer read unless their event
+is a sup over time; its pen_gamma and norm series, which need every
+state, read as NaN.
 
 The skeleton map (controlled, noise-free) is ``solve_penalized_spde`` at
 its default epsilon = 0, where the noise path is ignored, so the skeleton
@@ -218,7 +215,6 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
                          dt: float, steps: int, epsilon: float = 0.0,
                          noise: NoisePath | list = None,
                          control: Control | list = None,
-                         stride: int = 1,
                          path: bool = True) -> Trajectory | TrajectoryChunk:
     """Run the penalized semi-implicit scheme for ``steps`` steps of ``dt``.
 
@@ -405,12 +401,11 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
     pen, increments, magnitude = _penalty_diagnostics(
         (B, steps + 1, d, J), states if path else None, gaps, gamma, pens,
         dt, dx)
+    gaps = None           # freed, so the norms' temporaries reuse its memory
     if path:
-        series = TrajectorySeries.deferred(
-            functools.partial(_state_norms, states, dx), **pen)
+        series = TrajectorySeries(*_state_norms(states, dx), **pen)
     else:
-        # u(T) alone, (B, 1, d, J); the series that need every state are
-        # NaN, as at the states that Trajectory.load does not find saved
+        # u(T) alone, (B, 1, d, J); the series that need every state are NaN
         states = blocks.transpose(1, 0, 2)[:, None].copy()
         unknown = np.broadcast_to(np.nan, (B, steps + 1))
         series = TrajectorySeries(h_sq=unknown, v_sq=unknown, lap_sq=unknown,
@@ -423,7 +418,7 @@ def solve_penalized_spde(coeffs: ModelCoefficients, domain: ConvexDomain,
              else dict(info) for p in members]
     chunk = TrajectoryChunk(grid=grid, dt=dt, n_pen=pens, states=states,
                             series=series, measure=measure, metas=metas,
-                            stride=stride, epsilon=epsilon, path=path)
+                            epsilon=epsilon, path=path)
     return chunk if lists else chunk.member(0)
 
 
@@ -509,7 +504,7 @@ def solve_skeleton(coeffs: ModelCoefficients, domain: ConvexDomain,
                    gamma: ObliqueField, u0: Field, control: Control,
                    dt: float, T: float, n_start: float = 16.0,
                    factor: float = 2.0, n_max: float = 4096.0,
-                   tol_cauchy: float = 1e-6, stride: int = 1) -> SkeletonResult:
+                   tol_cauchy: float = 1e-6) -> SkeletonResult:
     """Penalty sweep n_pen = n_start, n_start*factor, ... up to n_max.
 
     All members share one time grid, fine enough for the stiffest member
@@ -539,10 +534,7 @@ def solve_skeleton(coeffs: ModelCoefficients, domain: ConvexDomain,
         raise SolverError("sweep range contains fewer than two members")
 
     chunk = solve_penalized_spde(coeffs, domain, gamma, u0, n_pen=ns,
-                                 dt=dt_eff, steps=steps, control=control,
-                                 stride=stride)
-    # the estimates before the gaps: the norms they compute have the
-    # largest temporaries, whose memory the gaps' slices then reuse
+                                 dt=dt_eff, steps=steps, control=control)
     est = {name: v.tolist() for name, v in estimate_report(chunk).items()}
     gap_h, gap_v = state_gap(chunk.members(slice(None, -1)),
                              chunk.members(slice(1, None)))

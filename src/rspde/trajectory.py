@@ -2,9 +2,8 @@
 
 A trajectory stores every time-step state (K+1 of them, including t = 0)
 together with per-step diagnostic series, so every report downstream is
-computed on the solver's own time grid and is invariant under the
-snapshot stride, which only thins the serialized output.  The saved
-states are one float64 ``states.npy`` array, so they load back exactly.
+computed on the solver's own time grid.  It saves every state as one
+float64 ``states.npy`` array, so the states load back exactly.
 
 The reflection measure collects the penalty increments
 
@@ -23,7 +22,6 @@ that member alone gives, since each sums its own block (``member_sums``).
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -83,12 +81,6 @@ class TrajectorySeries:
     sup norms; pen_gamma is the alignment integral
     dx * sum_j <u_j, gamma(u_j)> |u_j - pi(u_j)| feeding the
     energy-weighted penetration estimate.
-
-    A solve's series is ``deferred``: its three norms are computed, for
-    every member of the chunk at once, the first time any of them is
-    read, so a caller that reads only the penetration series or the
-    states never pays for them.  A deep copy computes them first and
-    owns every array.
     """
 
     h_sq: np.ndarray
@@ -100,35 +92,6 @@ class TrajectorySeries:
     pen_gamma: np.ndarray
 
     FIELDS = ("h_sq", "v_sq", "lap_sq", "pen_h", "pen_l1", "pen_linf", "pen_gamma")
-    NORMS = FIELDS[:3]
-
-    @classmethod
-    def deferred(cls, norms, **pen) -> "TrajectorySeries":
-        """The series with the pen_* arrays ``pen`` whose h_sq, v_sq and
-        lap_sq are ``norms()``, called once, on the first read of any."""
-        series = cls.__new__(cls)
-        series.__dict__.update(pen, _norms=norms)
-        return series
-
-    def __getattr__(self, name):
-        # reached only for an attribute not set: a norm not yet computed.
-        # The thunk is dropped only once it has returned, so a failed
-        # computation raises its own error again on the next read.
-        norms = self.__dict__.get("_norms") if name in self.NORMS else None
-        if norms is None:
-            raise AttributeError(name)
-        try:
-            values = norms()
-        except AttributeError as exc:
-            # not "no such field": getattr and hasattr would swallow it
-            raise RuntimeError(f"computing {name} failed") from exc
-        self.h_sq, self.v_sq, self.lap_sq = values
-        del self.__dict__["_norms"]
-        return self.__dict__[name]
-
-    def __deepcopy__(self, memo):
-        return TrajectorySeries(*[copy.deepcopy(getattr(self, name), memo)
-                                  for name in self.FIELDS])
 
 
 @dataclass
@@ -139,7 +102,6 @@ class Trajectory:
     states: np.ndarray  # (K+1, d, J)
     series: TrajectorySeries
     measure: ReflectionMeasure = None
-    stride: int = 1
     epsilon: float = 0.0
     meta: dict = field(default_factory=dict)
 
@@ -151,39 +113,24 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.arange(self.steps + 1) * self.dt
 
-    def snapshot_indices(self) -> np.ndarray:
-        idx = np.arange(0, self.steps + 1, self.stride)
-        if idx[-1] != self.steps:
-            idx = np.append(idx, self.steps)
-        return idx
-
     # -- serialization -------------------------------------------------
 
     def save(self, directory) -> None:
-        """Write the snapshot states, an index JSON, and the per-step series.
+        """Write every state, an index JSON, and the per-step series.
 
-        Layout: index.json, series.csv, and states.npy holding the
-        (snapshots, d, J) float64 states at the stride-spaced step indices
-        listed in index.json (terminal state always included).
+        Layout: index.json, series.csv (one line of repr() text per step:
+        t, then the series in FIELDS order) and states.npy holding the
+        (K+1, d, J) float64 states.
         """
         os.makedirs(directory, exist_ok=True)
-        idx = self.snapshot_indices()
-        np.save(os.path.join(directory, "states.npy"), self.states[idx])
-        # one line of repr() text per step: t, then the series in FIELDS
-        # order; index.json's times are the first cells of the snapshot lines
-        table = np.column_stack([self.times] + [getattr(self.series, name)
-                                                for name in TrajectorySeries.FIELDS])
-        lines = [",".join(map(repr, row)) for row in table.tolist()]
+        np.save(os.path.join(directory, "states.npy"), self.states)
         index = {
-            "times": [lines[k].split(",", 1)[0] for k in idx],
             "J": self.grid.J,
             "d": self.grid.d,
             "dt": repr(float(self.dt)),
             "n_pen": self.n_pen,
-            "stride": self.stride,
             "epsilon": self.epsilon,
             "steps": self.steps,
-            "snapshot_steps": [int(k) for k in idx],
             "eta_total_variation": (repr(self.measure.total_variation)
                                     if self.measure is not None else None),
             "meta": self.meta,
@@ -191,30 +138,27 @@ class Trajectory:
         with open(os.path.join(directory, "index.json"), "w") as fh:
             # dumps, not dump: with indent set, dump writes every token separately
             fh.write(json.dumps(index, indent=1, sort_keys=True) + "\n")
+        table = np.column_stack([self.times] + [getattr(self.series, name)
+                                                for name in TrajectorySeries.FIELDS])
         with open(os.path.join(directory, "series.csv"), "w", newline="") as fh:
             fh.write("t," + ",".join(TrajectorySeries.FIELDS) + "\n")
-            fh.writelines(line + "\n" for line in lines)
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
 
     @classmethod
     def load(cls, directory) -> "Trajectory":
-        """Rebuild a trajectory from ``save`` output.
-
-        States are populated at the serialized snapshot steps (all steps
-        when stride = 1) and are NaN elsewhere; both the states and the
+        """Rebuild a trajectory from ``save`` output: the states and the
         diagnostic series (thanks to repr round-tripping) come back exactly.
+        Other index.json keys (the stride, snapshot_steps and times of
+        older saves) are ignored.
         """
         with open(os.path.join(directory, "index.json")) as fh:
             index = json.load(fh)
         grid = SpatialGrid(J=index["J"], d=index["d"])
-        steps = index["steps"]
-        snaps = index["snapshot_steps"]
-        saved = np.load(os.path.join(directory, "states.npy"))
-        if saved.shape != (len(snaps), grid.d, grid.J):
-            raise ValueError(
-                f"states.npy shape {saved.shape} does not match index.json "
-                f"({len(snaps)}, {grid.d}, {grid.J})")
-        states = np.full((steps + 1, grid.d, grid.J), np.nan)
-        states[snaps] = saved
+        states = np.load(os.path.join(directory, "states.npy"))
+        shape = (index["steps"] + 1, grid.d, grid.J)
+        if states.shape != shape:
+            raise ValueError(f"states.npy shape {states.shape} does not match "
+                             f"index.json {shape}")
         raw = np.loadtxt(os.path.join(directory, "series.csv"),
                          delimiter=",", skiprows=1)
         raw = np.atleast_2d(raw)
@@ -224,7 +168,7 @@ class Trajectory:
             meta["eta_total_variation"] = float(index["eta_total_variation"])
         return cls(grid=grid, dt=float(index["dt"]), n_pen=index["n_pen"],
                    states=states, series=series, measure=None,
-                   stride=index["stride"], epsilon=index["epsilon"], meta=meta)
+                   epsilon=index["epsilon"], meta=meta)
 
 
 @dataclass
@@ -236,12 +180,10 @@ class TrajectoryChunk:
     ``n_pen`` lists each run's.
 
     ``member(b)`` is run b as a Trajectory, and ``members(index)`` the
-    runs a slice selects as a chunk, each of views of these arrays; their
-    norm series are computed, for every member, when any of them first
-    reads one (see ``TrajectorySeries``).  Every reader takes the chunk
-    itself, so ``member`` is for handing a single run out.  ``steps``
-    counts the scheme steps the chunk holds summed over its members,
-    B * K, as a solve of the B runs one at a time would.
+    runs a slice selects as a chunk, each of views of these arrays.  Every
+    reader takes the chunk itself, so ``member`` is for handing a single
+    run out.  ``steps`` counts the scheme steps the chunk holds summed over
+    its members, B * K, as a solve of the B runs one at a time would.
 
     A chunk solved without its ``path`` keeps u(T) alone: its states are
     (B, 1, d, J), and the series that need every state (the three norms
@@ -258,7 +200,6 @@ class TrajectoryChunk:
     series: TrajectorySeries
     measure: ReflectionMeasure
     metas: list
-    stride: int = 1
     epsilon: float = 0.0
     path: bool = True
 
@@ -270,8 +211,8 @@ class TrajectoryChunk:
     def member(self, b: int) -> Trajectory:
         path_states(self)
         return Trajectory(grid=self.grid, dt=self.dt, n_pen=self.n_pen[b],
-                          stride=self.stride, epsilon=self.epsilon,
-                          meta=self.metas[b], **self._views(b))
+                          epsilon=self.epsilon, meta=self.metas[b],
+                          **self._views(b))
 
     def members(self, index: slice) -> "TrajectoryChunk":
         return replace(self, n_pen=self.n_pen[index], metas=self.metas[index],
@@ -283,9 +224,7 @@ class TrajectoryChunk:
         s, m = self.series, self.measure
         return dict(
             states=self.states[index],
-            series=TrajectorySeries.deferred(
-                lambda: tuple(getattr(s, f)[index] for f in s.NORMS),
-                **{f: getattr(s, f)[index] for f in s.FIELDS if f not in s.NORMS}),
+            series=TrajectorySeries(*[getattr(s, f)[index] for f in s.FIELDS]),
             measure=ReflectionMeasure(grid=self.grid, dt=self.dt,
                                       increments=m.increments[index],
                                       magnitude=m.magnitude[index]))

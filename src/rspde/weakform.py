@@ -83,12 +83,6 @@ class WeakTestFunction:
         return all(c == 0.0 for c in self.t_poly[1:])
 
 
-def _require_dense(traj: Trajectory) -> None:
-    if not np.all(np.isfinite(traj.states)):
-        raise ValueError("weak-form diagnostics need every time step; "
-                         "this trajectory has gaps (stride > 1 snapshot load?)")
-
-
 def weak_form_residual(traj: Trajectory, phi: WeakTestFunction, coeffs,
                        control=None, noise=None) -> float:
     """Absolute defect of the weak formulation along a trajectory.
@@ -97,7 +91,6 @@ def weak_form_residual(traj: Trajectory, phi: WeakTestFunction, coeffs,
     scaled by sqrt(traj.epsilon).  All time integrals use left-endpoint
     quadrature on the trajectory's own grid.
     """
-    _require_dense(traj)
     grid = traj.grid
     dx, dt = grid.dx, traj.dt
     K = traj.steps
@@ -161,7 +154,6 @@ def variational_inequality_check(traj: Trajectory, a_field: ObliqueMatrixField,
     constant-in-time fields or full trajectories (e.g. pi(u) itself).
     The default tolerance is 1e-8 times the measure's total variation.
     """
-    _require_dense(traj)
     if traj.measure is None:
         raise ValueError("trajectory carries no reflection measure")
     K = traj.steps

@@ -341,7 +341,7 @@ FULL_CONFIG = {
     "control": {"kind": "sine", "rate": 1, "K": 8},
     "control_family": {"kind": "sine_rates", "rates": [1, 2], "K": 8},
     "event": {"kind": "terminal_ball", "radius": 0.05, "complement": True},
-    "rate": {"K": 4, "max_iters": 20, "stag_window": 8},
+    "rate": {"K": 4, "max_iters": 20},
     "weighted": {"lam": 1.0},
     "validation": {"samples": 500},
 }

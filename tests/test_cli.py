@@ -257,7 +257,7 @@ COMPARE = {**copy.deepcopy(BASE),
            "epsilons": [0.5, 0.2],
            "event": {"kind": "terminal_ball", "radius": 0.05,
                      "complement": True},
-           "rate": {"K": 4, "max_iters": 20, "stag_window": 8},
+           "rate": {"K": 4, "max_iters": 20},
            "ldp1": {"delta_sq": 0.05, "replicas": 5}}
 
 
@@ -296,7 +296,7 @@ CHUNKED = {
     "epsilons": [2.0, 0.5],
     "control": {"kind": "constant", "vector": [12.0, 10.0]},
     "event": {"kind": "terminal_ball", "radius": 0.2, "complement": True},
-    "rate": {"K": 2, "max_iters": 5, "mu_schedule": [10.0, 100.0]},
+    "rate": {"K": 2, "max_iters": 5},
     "ldp1": {"delta_sq": 0.01, "replicas": 9},
     "validation": {"samples": 200},
 }
@@ -421,15 +421,15 @@ FREE = {**copy.deepcopy(BASE),
         "replicas": {"base_seed": 3, "count": 40},
         "event": {"kind": "terminal_ball", "radius": 0.05,
                   "complement": True},
-        "rate": {"K": 2, "max_iters": 5, "mu_schedule": [100.0]}}
+        "rate": {"K": 2, "max_iters": 5}}
 
 
 @pytest.mark.parametrize("sub, reads_norms", [
     ("mc", False), ("rate", False), ("penalty-sweep", True)])
 def test_norm_series_are_computed_only_for_readers(tmp_path, monkeypatch,
                                                    sub, reads_norms):
-    # mc and rate read the penetration series and the states, never
-    # h_sq, v_sq or lap_sq; a sweep reports and saves all three
+    # mc and rate solve without the path, so no norm series is computed;
+    # a sweep's solve computes all three
     calls = []
     for name in ("sup_series", "v_series", "lap_series"):
         def counted(states, dx, name=name, series_of=getattr(solvers, name)):
@@ -449,11 +449,8 @@ def test_rate_ignores_deprecated_continuation_keys(tmp_path):
     # continuation; they still validate, and rate.json does not change
     with_keys = copy.deepcopy(FREE)
     with_keys["rate"].update(mu_schedule=[100.0, 10000.0], stag_window=10)
-    without = copy.deepcopy(FREE)
-    without["rate"] = {k: v for k, v in without["rate"].items()
-                       if k not in ("mu_schedule", "stag_window")}
     outs = []
-    for name, payload in (("with", with_keys), ("without", without)):
+    for name, payload in (("with", with_keys), ("without", FREE)):
         code, out = run(tmp_path, "rate", payload, name=name)
         assert code == 0
         outs.append(read_bytes(out, "rate.json"))
@@ -732,12 +729,29 @@ def test_continuity_writes_table(tmp_path):
     assert [l.split(",")[0] for l in lines[1:]] == ["r1", "r2"]
 
 
+def test_shipped_small_noise_config_runs_continuity(tmp_path):
+    # sine controls of growing rate and equal Cameron-Martin distance from
+    # the zero limit: the skeleton averages a faster oscillation out, so
+    # the distance rho^2 to the limit's skeleton falls strictly with the rate
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "small_noise.json")
+    out = str(tmp_path / "out")
+    assert main(["continuity", "--config", shipped, "--out", out,
+                 "--quiet"]) == 0
+    lines = read_bytes(out, "continuity.csv").decode().splitlines()
+    rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+    assert [r["label"] for r in rows] == ["r1", "r2", "r4"]
+    rho_sq = [float(r["rho_sq"]) for r in rows]
+    assert all(a > b for a, b in zip(rho_sq, rho_sq[1:]))
+    assert all(r["converged"] == "1" for r in rows)
+
+
 def test_rate_subcommand_writes_result(tmp_path):
     payload = copy.deepcopy(BASE)
     payload["domain"]["radius"] = 5.0
     payload["event"] = {"kind": "terminal_ball", "radius": 0.02,
                         "complement": True}
-    payload["rate"] = {"K": 2, "max_iters": 25, "stag_window": 8}
+    payload["rate"] = {"K": 2, "max_iters": 25}
     payload["penalty"]["n_event"] = 32.0
     code, out = run(tmp_path, "rate", payload)
     assert code == 0

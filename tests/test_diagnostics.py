@@ -23,20 +23,19 @@ from conftest import (ball_box_2d_chunk, forced_coeffs, free_domain,
                       outward_drift_chunk, same_bits, sine_start, zero_start)
 
 
-def heat_run(J=15, dt=1e-3, steps=50, stride=1):
+def heat_run(J=15, dt=1e-3, steps=50):
     dom = free_domain()
     return solve_penalized_spde(heat_coeffs(), dom, normal_gamma(dom),
-                                sine_start(J), n_pen=4.0, dt=dt, steps=steps,
-                                stride=stride)
+                                sine_start(J), n_pen=4.0, dt=dt, steps=steps)
 
 
-def reflecting_run(steps=200, stride=1, n_pen=64.0):
+def reflecting_run(steps=200, n_pen=64.0):
     """Constant upward forcing against a ball of radius 0.25: the drift
     would settle at max height 0.5 unconstrained, so the penalty works."""
     dom = interval_domain(0.25)
     coeffs = forced_coeffs(s=0.0, c=4.0)
     return solve_penalized_spde(coeffs, dom, normal_gamma(dom), zero_start(31),
-                                n_pen=n_pen, dt=1e-3, steps=steps, stride=stride)
+                                n_pen=n_pen, dt=1e-3, steps=steps)
 
 
 # -- energy report against the discrete eigenpair ----------------------
@@ -89,12 +88,6 @@ def test_measure_mass_matches_series_quadrature():
         rep["eta_total_variation"], rel=1e-12)
 
 
-def test_reports_invariant_under_snapshot_stride():
-    a = estimate_report(reflecting_run(stride=1))
-    b = estimate_report(reflecting_run(stride=7))
-    assert a == b
-
-
 def test_report_survives_serialization(tmp_path):
     traj = reflecting_run(steps=120)
     before = estimate_report(traj)
@@ -105,37 +98,41 @@ def test_report_survives_serialization(tmp_path):
         assert after[key] == pytest.approx(val, rel=1e-12, abs=1e-300)
 
 
-@pytest.mark.parametrize("stride", [1, 7])
-def test_saved_states_round_trip_bitwise(tmp_path, stride):
-    traj = reflecting_run(steps=120, stride=stride)
+def test_saved_states_round_trip_bitwise(tmp_path):
+    traj = reflecting_run(steps=120)
     traj.save(tmp_path / "run")
     assert sorted(os.listdir(tmp_path / "run")) == ["index.json", "series.csv",
                                                     "states.npy"]
     back = Trajectory.load(tmp_path / "run")
-    snaps = traj.snapshot_indices()
-    others = np.setdiff1d(np.arange(traj.steps + 1), snaps)
-    assert back.states.shape == traj.states.shape
-    assert np.array_equal(back.states[snaps], traj.states[snaps])
-    assert bool(np.all(np.isnan(back.states[others])))
-    assert (len(others) == 0) == (stride == 1)
+    assert same_bits(back.states, traj.states)
     for name in back.series.FIELDS:
-        assert np.array_equal(getattr(back.series, name),
-                              getattr(traj.series, name))
+        assert same_bits(getattr(back.series, name), getattr(traj.series, name))
     # the text files match a per-value repr() rendering
     lines = ["t," + ",".join(traj.series.FIELDS)]
     for k, t in enumerate(traj.times):
         lines.append(",".join([repr(float(t))] + [
             repr(float(getattr(traj.series, name)[k])) for name in traj.series.FIELDS]))
     assert (tmp_path / "run" / "series.csv").read_text() == "\n".join(lines) + "\n"
-    with open(tmp_path / "run" / "index.json") as fh:
-        index = json.load(fh)
-    assert index["times"] == [repr(float(traj.times[k])) for k in snaps]
+    # no per-step list: series.csv's t column and states.npy's shape hold them
+    index_path = tmp_path / "run" / "index.json"
+    index = json.loads(index_path.read_text())
+    assert sorted(index) == ["J", "d", "dt", "epsilon", "eta_total_variation",
+                             "meta", "n_pen", "steps"]
+    # an index.json in the earlier layout, with its stride and per-step
+    # lists, still loads
+    index.update(stride=1, snapshot_steps=list(range(traj.steps + 1)),
+                 times=[repr(float(t)) for t in traj.times])
+    index_path.write_text(json.dumps(index, indent=1, sort_keys=True) + "\n")
+    old = Trajectory.load(tmp_path / "run")
+    assert same_bits(old.states, traj.states)
+    for name in old.series.FIELDS:
+        assert same_bits(getattr(old.series, name), getattr(traj.series, name))
 
 
 @pytest.mark.parametrize("reshape", [lambda a: a[:-1],
                                      lambda a: a.transpose(0, 2, 1)])
 def test_load_rejects_states_disagreeing_with_index(tmp_path, reshape):
-    reflecting_run(steps=40, stride=7).save(tmp_path / "run")
+    reflecting_run(steps=40).save(tmp_path / "run")
     path = tmp_path / "run" / "states.npy"
     np.save(path, reshape(np.load(path)))
     with pytest.raises(ValueError, match="states.npy"):

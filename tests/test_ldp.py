@@ -181,8 +181,6 @@ def test_chunk_event_reads_equal_single_run_reads(model):
         if not event.reads_path:
             assert event.occurred(terminal).tolist() == hits
             assert same_bits(event.shortfall(terminal), shortfalls)
-    # every event reads the states or the measure: no norm series is computed
-    assert all("_norms" in vars(run.series) for run in alone)
 
 
 def test_path_free_chunk_keeps_what_its_readers_read():

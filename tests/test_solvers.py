@@ -15,6 +15,7 @@ from conftest import (
     heat_coeffs,
     interval_domain,
     normal_gamma,
+    same_bits,
     sine_start,
     zero_start,
 )
@@ -977,7 +978,7 @@ def test_free_chunk_makes_no_projections(monkeypatch) -> None:
     assert 0 < len(calls) < kwargs["steps"] + 1
 
 
-def test_norms_are_computed_for_the_whole_chunk_on_first_read(
+def test_the_solve_computes_each_norm_once_on_the_whole_chunk(
         monkeypatch) -> None:
     calls = []
     for name in ("sup_series", "v_series", "lap_series"):
@@ -987,46 +988,23 @@ def test_norms_are_computed_for_the_whole_chunk_on_first_read(
         monkeypatch.setattr(solvers, name, counted)
     kwargs = _chunk(_outward_return)()
     chunk = solve_penalized_spde(**kwargs)
-    members = [chunk.member(b) for b in range(3)]
-    assert calls == [] and members[1].series.pen_h.any()
-    # one read of one member computes every member's norms, once
-    v_sq = members[1].series.v_sq
     stack = (3 * (kwargs["steps"] + 1), 1, 31)
     assert calls == [(name, stack)
                      for name in ("sup_series", "v_series", "lap_series")]
-    assert v_sq.base is not None and np.array_equal(v_sq, chunk.series.v_sq[1])
-    # a deep copy of a member never read computes nothing new and owns
-    # arrays equal to its own single solve's
-    copied = copy.deepcopy(chunk.member(2))
-    assert len(calls) == 3
-    single = solve_penalized_spde(**dict(kwargs, noise=kwargs["noise"][2]))
-    for name in TrajectorySeries.FIELDS:
-        got = getattr(copied.series, name)
-        assert got.base is None
-        assert np.array_equal(got, getattr(single.series, name))
-
-
-def test_a_failed_norm_computation_raises_its_own_error_again() -> None:
-    pen = dict.fromkeys(("pen_h", "pen_l1", "pen_linf", "pen_gamma"),
-                        np.zeros(3))
-    failures = [MemoryError("first"), AttributeError("inner")]
-
-    def norms():
-        if failures:
-            raise failures.pop(0)
-        return np.ones(3), np.full(3, 2.0), np.full(3, 3.0)
-
-    series = TrajectorySeries.deferred(norms, **pen)
-    with pytest.raises(MemoryError, match="first"):
-        series.h_sq
-    # an AttributeError inside is not read as "no such field"
-    with pytest.raises(RuntimeError, match="v_sq") as info:
-        hasattr(series, "v_sq")
-    assert isinstance(info.value.__cause__, AttributeError)
-    assert series.lap_sq.tolist() == [3.0] * 3
-    assert "_norms" not in vars(series)
-    with pytest.raises(AttributeError):
-        series.no_such_field
+    assert chunk.series.pen_h.any()
+    # each member's seven series are its single solve's bit for bit, and a
+    # deep copy of a member owns its arrays
+    for b, path in enumerate(kwargs["noise"]):
+        copied = copy.deepcopy(chunk.member(b))
+        single = solve_penalized_spde(**dict(kwargs, noise=path))
+        for name in TrajectorySeries.FIELDS:
+            got = getattr(copied.series, name)
+            assert got.base is None
+            assert same_bits(got, getattr(single.series, name))
+    # a chunk that keeps u(T) alone computes none
+    calls.clear()
+    solve_penalized_spde(**kwargs, path=False)
+    assert calls == []
 
 
 def test_control_list_is_checked() -> None:
